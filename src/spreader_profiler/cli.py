@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from .analysis import corpus_stats, render_stats_table
 from .corpus import Label, Language, SplitSpec, load_corpus, split_corpus
-from .errors import DataError, ModelError
+from .errors import DataError, ModelError, UsageError
 from .evaluation import (
     GRID_MAX_FEATURES,
     GRID_MIN_DF,
@@ -38,7 +39,7 @@ from .evaluation import (
     render_grid_tsv,
     render_report,
 )
-from .models import ModelKind, load_model, predict, save_model
+from .models import ModelKind, decision_values, label_of, load_model, save_model
 from .preprocess import load_stopwords, preprocess_corpus
 from .vectorize import NgramRange, VectorizerConfig, Weighting
 
@@ -177,6 +178,16 @@ def _pipeline_config(args, language: Language) -> PipelineConfig:
     return PipelineConfig(vectorizers=(block,), model_kind=kind, train=config.train)
 
 
+@contextmanager
+def _usage_errors():
+    """Configuration objects validate their fields with ``ValueError``;
+    built from flags, those are usage errors."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_analyze(args) -> int:
     corpus = load_corpus(args.input, args.lang)
     _emit(render_stats_table(corpus_stats(corpus)), args.out)
@@ -196,10 +207,11 @@ def _split_header(spec: SplitSpec, train_corpus, test_corpus) -> str:
 
 def cmd_train(args) -> int:
     language = Language.parse(args.lang)
+    with _usage_errors():
+        spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
+        config = _pipeline_config(args, language)
     corpus = load_corpus(args.input, language)
-    spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
     train_part, test_part = split_corpus(corpus, spec)
-    config = _pipeline_config(args, language)
     model = fit_pipeline(train_part, config)
     report = evaluate_model(model, test_part, args.positive_class)
     heading = "\n".join(
@@ -217,10 +229,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.split != "all":
+        with _usage_errors():
+            spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
     model = load_model(args.model)
     corpus = load_corpus(args.input, model.language)
     if args.split != "all":
-        spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
         train_part, test_part = split_corpus(corpus, spec)
         corpus = train_part if args.split == "train" else test_part
     report = evaluate_model(model, corpus, args.positive_class)
@@ -236,26 +250,29 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     corpus = load_corpus(args.input, model.language)
     stopwords = load_stopwords(model.language)
-    streams = preprocess_corpus(corpus, stopwords)
-    lines = []
-    for author, stream in zip(corpus, streams):
-        label = predict(model, model.vectorize(stream))
-        lines.append(f"{author.author_id}:::{int(label)}")
+    values = decision_values(model, preprocess_corpus(corpus, stopwords))
+    lines = [
+        f"{author.author_id}:::{int(label_of(value))}"
+        for author, value in zip(corpus, values.tolist())
+    ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_gridsearch(args) -> int:
     language = Language.parse(args.lang)
+    with _usage_errors():
+        spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
+        grid = default_grid(
+            ranges=args.ranges,
+            min_dfs=args.min_df,
+            max_features=args.max_features,
+            weightings=args.weighting,
+            models=args.models,
+        )
+    if args.folds < 1:
+        raise UsageError(f"--folds must be >= 1, got {args.folds}")
     corpus = load_corpus(args.input, language)
-    spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
-    grid = default_grid(
-        ranges=args.ranges,
-        min_dfs=args.min_df,
-        max_features=args.max_features,
-        weightings=args.weighting,
-        models=args.models,
-    )
     results = grid_search(corpus, grid, spec, args.positive_class, folds=args.folds)
     _emit(render_grid_tsv(results), args.out)
     if args.out:
@@ -292,6 +309,9 @@ def run(argv: list[str]) -> int:
             except SystemExit as exc:
                 return 0 if exc.code in (0, None) else 1
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

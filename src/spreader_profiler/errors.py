@@ -1,13 +1,19 @@
 """Exception hierarchy shared across the pipeline.
 
-Two broad families map onto the CLI exit codes: ``DataError`` (exit 2)
-for anything wrong with corpora, truth files, or feature inputs, and
-``ModelError`` (exit 3) for training and persistence failures.
+Three families map onto the CLI exit codes: ``UsageError`` (exit 1)
+for flags that parse but describe an invalid configuration,
+``DataError`` (exit 2) for anything wrong with corpora, truth files, or
+feature inputs, and ``ModelError`` (exit 3) for training and
+persistence failures.
 """
 
 
 class SpreaderError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class UsageError(SpreaderError):
+    """A command-line flag value that the configuration rejects."""
 
 
 class DataError(SpreaderError):

@@ -17,12 +17,14 @@ from .models import (
     LossKind,
     ModelKind,
     TrainConfig,
-    decision_value,
+    decision_values,
+    label_of,
     train,
 )
 from .preprocess import StopwordList, load_stopwords, preprocess_corpus
 from .vectorize import (
     Analyzer,
+    NgramCounts,
     NgramRange,
     VectorizerConfig,
     Weighting,
@@ -162,14 +164,16 @@ def fit_pipeline(
     stopwords: StopwordList | None = None,
 ) -> LinearModel:
     """Preprocess the training corpus, fit every vectorizer block on it,
-    and train the classifier. Nothing outside ``train_corpus`` is seen."""
+    and train the classifier. Nothing outside ``train_corpus`` is seen.
+    The blocks share one ``NgramCounts``, so each n-gram length is
+    counted once for fit and transform together."""
     if not train_corpus.is_labeled:
         raise UnlabeledCorpus("training needs labels")
     if stopwords is None:
         stopwords = load_stopwords(train_corpus.language)
-    streams = preprocess_corpus(train_corpus, stopwords)
-    vocabularies = tuple(fit_vocabulary(streams, vc) for vc in config.vectorizers)
-    X = [union_transform(stream, vocabularies) for stream in streams]
+    counts = NgramCounts(preprocess_corpus(train_corpus, stopwords))
+    vocabularies = tuple(fit_vocabulary(counts, vc) for vc in config.vectorizers)
+    X = union_transform(counts, vocabularies)
     y = [author.label for author in train_corpus]
     loss = LossKind.SQUARED_HINGE if config.model_kind is ModelKind.SVM else LossKind.LOGISTIC
     return train(
@@ -192,15 +196,11 @@ def evaluate_model(
         raise UnlabeledCorpus("evaluation needs labels")
     if stopwords is None:
         stopwords = load_stopwords(model.language)
-    streams = preprocess_corpus(test_corpus, stopwords)
-    predictions = []
-    ties = 0
-    for author, stream in zip(test_corpus, streams):
-        value = decision_value(model, model.vectorize(stream))
-        if value == 0.0:
-            ties += 1
-        predicted = Label.FAKE_NEWS_SPREADER if value > 0.0 else Label.TRUE_NEWS_SPREADER
-        predictions.append((author.author_id, predicted, author.label))
+    values = decision_values(model, preprocess_corpus(test_corpus, stopwords)).tolist()
+    predictions = [
+        (author.author_id, label_of(value), author.label)
+        for author, value in zip(test_corpus, values)
+    ]
     cm = confusion([p for _, p, _ in predictions], [a for _, _, a in predictions], positive_class)
     m = metrics(cm)
     return EvalReport(
@@ -211,7 +211,7 @@ def evaluate_model(
         accuracy=m.accuracy,
         degenerate=m.degenerate,
         predictions=tuple(predictions),
-        ties=ties,
+        ties=values.count(0.0),
     )
 
 

@@ -131,11 +131,6 @@ class LinearModel:
     def dimension(self) -> int:
         return int(self.weights.shape[0])
 
-    def vectorize(self, stream: TokenStream) -> SparseVector:
-        if not self.feature_spec:
-            raise WrongModelKind("model carries no feature_spec to vectorize with")
-        return union_transform(stream, self.feature_spec)
-
 
 def _to_csr(vectors: list[SparseVector]) -> sp.csr_matrix:
     dims = {v.dimension for v in vectors}
@@ -257,10 +252,10 @@ def _minimize(X, y_pm, C, loss, fit_intercept, tolerance, max_iterations):
     return theta, history, converged, n_iter
 
 
-def _validate_training_inputs(X: list[SparseVector], y: list[Label]):
-    if len(X) != len(y):
-        raise DimensionMismatch(f"{len(X)} vectors but {len(y)} labels")
-    if len(X) < 2:
+def _validate_training_inputs(n_samples: int, y: list[Label]):
+    if n_samples != len(y):
+        raise DimensionMismatch(f"{n_samples} vectors but {len(y)} labels")
+    if n_samples < 2:
         raise ValueError("training needs at least two samples")
     classes = set(y)
     if len(classes) < 2:
@@ -268,15 +263,16 @@ def _validate_training_inputs(X: list[SparseVector], y: list[Label]):
 
 
 def train(
-    X: list[SparseVector],
+    X: sp.spmatrix | list[SparseVector],
     y: list[Label],
     config: TrainConfig = TrainConfig(),
     feature_spec: tuple[Vocabulary, ...] = (),
     language: Language = Language.EN,
 ) -> LinearModel:
-    """Train a linear model; the loss in ``config`` picks the kind."""
-    _validate_training_inputs(X, y)
-    X_csr = _to_csr(X)
+    """Train a linear model on the rows of ``X`` (a sparse matrix or a
+    list of vectors); the loss in ``config`` picks the kind."""
+    X_csr = sp.csr_matrix(X, dtype=np.float64) if sp.issparse(X) else _to_csr(X)
+    _validate_training_inputs(X_csr.shape[0], y)
     y_pm = np.asarray(
         [1.0 if label == Label.FAKE_NEWS_SPREADER else -1.0 for label in y],
         dtype=np.float64,
@@ -330,14 +326,23 @@ def decision_value(model: LinearModel, x: SparseVector) -> float:
     return float(sum(w[i] * v for i, v in x.entries) + model.bias)
 
 
-def predict(model: LinearModel, x: SparseVector) -> Label:
-    """Classify one vector; an exact zero decision value goes to the
+def decision_values(model: LinearModel, streams: list[TokenStream]) -> np.ndarray:
+    """``X @ w + b`` for the streams, vectorized with the model's
+    vocabularies: one decision value per stream."""
+    if not model.feature_spec:
+        raise WrongModelKind("model carries no feature_spec to vectorize with")
+    return union_transform(streams, model.feature_spec) @ model.weights + model.bias
+
+
+def label_of(value: float) -> Label:
+    """The class of a decision value; an exact zero goes to the
     true-news class (callers count those ties in their diagnostics)."""
-    return (
-        Label.FAKE_NEWS_SPREADER
-        if decision_value(model, x) > 0.0
-        else Label.TRUE_NEWS_SPREADER
-    )
+    return Label.FAKE_NEWS_SPREADER if value > 0.0 else Label.TRUE_NEWS_SPREADER
+
+
+def predict(model: LinearModel, x: SparseVector) -> Label:
+    """Classify one vector (see ``label_of`` for the tie rule)."""
+    return label_of(decision_value(model, x))
 
 
 def predict_proba(model: LinearModel, x: SparseVector) -> float:

@@ -4,12 +4,23 @@ A vocabulary is fitted over the preprocessed token streams of the
 training corpus: n-grams are counted, rare ones dropped via
 ``min_df``, the vocabulary optionally capped to the ``max_features``
 most frequent terms, and feature indices assigned in lexicographic
-term order. Documents then become sparse vectors, either raw counts
-or L2-normalized TF-IDF with the smooth IDF ``ln((1+N)/(1+df)) + 1``.
+term order. Documents then become sparse rows, either raw counts or
+L2-normalized TF-IDF with the smooth IDF ``ln((1+N)/(1+df)) + 1``.
 
 Character n-grams are read from the space-joined token stream, so the
 space is part of the alphabet and n-grams may straddle token
 boundaries. The alphabet is Unicode codepoints, never bytes.
+
+Counting is corpus-level (``NgramCounts``): the symbols of every
+document are mapped to dense codes ``1..A`` in sorted order, and each
+n-gram gets the exact integer key ``rank(its (n-1)-prefix) * (A + 1) +
+code(its last symbol)``, where the rank is the prefix's position among
+the corpus's distinct (n-1)-grams. Keys therefore sort like the terms,
+stay below ``positions * (A + 1)`` for any alphabet, and one sort per
+length yields a CSR matrix of per-document counts. Vocabulary
+selection, weighting and normalization are then column and row
+operations on those matrices, and Python strings are made only for the
+terms a vocabulary keeps.
 """
 
 from __future__ import annotations
@@ -17,7 +28,11 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
+import scipy.sparse as sp
 
 from .errors import EmptyVocabulary
 from .preprocess import TokenStream
@@ -123,113 +138,299 @@ class Vocabulary:
         return ordered
 
 
+# ----------------------------------------------------------------------
+# Corpus-level counting.
+
+
+@dataclass(frozen=True)
+class _Level:
+    """Every n-gram of one length n: ``keys`` sorted and distinct (column
+    order), ``counts`` the documents x columns count matrix, ``tf`` and
+    ``df`` its column sums and column supports, and ``where`` a start
+    position of each column's n-gram in the concatenated symbols."""
+
+    keys: np.ndarray
+    counts: sp.csr_matrix
+    tf: np.ndarray
+    df: np.ndarray
+    where: np.ndarray
+
+
+class _Symbols:
+    """The documents of one analyzer as one array of dense symbol codes,
+    with n-gram levels counted on first use."""
+
+    def __init__(self, documents: Sequence, analyzer: Analyzer):
+        self.analyzer = analyzer
+        sizes = np.fromiter((len(d) for d in documents), dtype=np.int64, count=len(documents))
+        if analyzer is Analyzer.CHAR:
+            self.surface = "".join(documents)
+            points = np.frombuffer(self.surface.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+            self.alphabet, codes = np.unique(points, return_inverse=True)
+        else:
+            self.surface = [token for tokens in documents for token in tokens]
+            self.alphabet = sorted(set(self.surface))
+            index = {token: position for position, token in enumerate(self.alphabet)}
+            codes = np.fromiter((index[t] for t in self.surface), dtype=np.int64,
+                                count=len(self.surface))
+        index = np.int32 if len(codes) < 2**31 else np.int64
+        self.codes = codes.astype(index) + 1
+        self.base = len(self.alphabet) + 1
+        self.starts = np.cumsum(sizes) - sizes
+        # symbols left in the document from each position onwards
+        self.remaining = (np.repeat(self.starts + sizes, sizes) - np.arange(len(codes))).astype(index)
+        self.levels: list[_Level] = []
+        self._positions = np.arange(len(codes), dtype=index)
+        self._ranks = np.zeros(len(codes), dtype=index)
+
+    def level(self, n: int) -> _Level:
+        while len(self.levels) < n:
+            self._count_next_length()
+        return self.levels[n - 1]
+
+    def _count_next_length(self) -> None:
+        n = len(self.levels) + 1
+        alive = self.remaining[self._positions] >= n
+        positions = self._positions[alive]
+        keys = self._ranks[alive].astype(np.int64)
+        del alive
+        self._positions = self._ranks = None  # the next length needs only this one's
+        keys *= self.base
+        keys += self.codes[positions + (n - 1)]
+        # keys, ranks = np.unique(keys, return_inverse=True), in less memory:
+        # by marking the possible keys when they are fewer than the n-grams,
+        # else by sorting
+        bound = (len(self.levels[-1].keys) if self.levels else 1) * self.base
+        if bound <= len(keys):
+            present = np.zeros(bound, dtype=bool)
+            present[keys] = True
+            ranks = (np.cumsum(present, dtype=positions.dtype) - 1)[keys]
+            keys = np.flatnonzero(present)
+            del present
+        else:
+            order = np.argsort(keys)
+            keys = keys[order]
+            first = np.empty(len(keys), dtype=bool)
+            first[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            keys = keys[first]
+            ranks = np.empty(len(positions), dtype=positions.dtype)
+            ranks[order] = np.cumsum(first, dtype=positions.dtype) - 1
+            del order, first
+        # positions ascend, so each document's n-grams are contiguous
+        indptr = np.append(np.searchsorted(positions, self.starts), len(positions))
+        counts = sp.csr_matrix(
+            (np.ones(len(positions), dtype=np.int32), ranks.copy(), indptr),
+            shape=(len(self.starts), len(keys)),
+        )
+        counts.sum_duplicates()  # sorts the indices in place, hence the copy
+        where = np.empty(len(keys), dtype=positions.dtype)
+        where[ranks] = positions
+        self.levels.append(
+            _Level(
+                keys=keys,
+                counts=counts,
+                tf=np.bincount(ranks, minlength=len(keys)),
+                df=np.bincount(counts.indices, minlength=len(keys)),
+                where=where,
+            )
+        )
+        self._positions, self._ranks = positions, ranks
+
+    def term(self, position: int, n: int) -> str:
+        piece = self.surface[position : position + n]
+        return piece if self.analyzer is Analyzer.CHAR else " ".join(piece)
+
+    def columns(self, terms: list[str], n: int) -> np.ndarray:
+        """Column of each length-n term in level ``n``, or -1 for a term
+        this corpus does not contain: the terms are keyed exactly as the
+        corpus was, one symbol at a time, and looked up per prefix."""
+        if self.analyzer is Analyzer.CHAR:
+            points = np.frombuffer("".join(terms).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+            found = np.searchsorted(self.alphabet, points)
+            known = found < len(self.alphabet)
+            known[known] = self.alphabet[found[known]] == points[known]
+            codes = np.where(known, found + 1, 0)
+        else:
+            index = {token: position + 1 for position, token in enumerate(self.alphabet)}
+            codes = np.fromiter(
+                (index.get(token, 0) for term in terms for token in term.split(" ")),
+                dtype=np.int64,
+                count=len(terms) * n,
+            )
+        codes = codes.reshape(len(terms), n)
+        ranks = np.zeros(len(terms), dtype=np.int64)
+        hit = np.ones(len(terms), dtype=bool)
+        for j in range(n):
+            level_keys = self.level(j + 1).keys
+            keys = ranks * self.base + codes[:, j]
+            ranks = np.searchsorted(level_keys, keys)
+            inside = ranks < len(level_keys)
+            hit &= inside
+            hit[hit] = level_keys[ranks[hit]] == keys[hit]
+            ranks[~hit] = 0
+        return np.where(hit, ranks, -1)
+
+
+class NgramCounts:
+    """Exact per-document counts of every n-gram of a list of token
+    streams. Each (analyzer, length) is counted once, on first use, so
+    vocabularies and transforms that share one ``NgramCounts`` share
+    the counting."""
+
+    def __init__(self, streams: Sequence[TokenStream]):
+        self.streams = list(streams)
+        self._symbols: dict[Analyzer, _Symbols] = {}
+
+    def __len__(self) -> int:
+        return len(self.streams)
+
+    def symbols(self, analyzer: Analyzer) -> _Symbols:
+        if analyzer not in self._symbols:
+            if analyzer is Analyzer.CHAR:
+                documents = [stream.joined_text for stream in self.streams]
+            else:
+                documents = [stream.tokens for stream in self.streams]
+            self._symbols[analyzer] = _Symbols(documents, analyzer)
+        return self._symbols[analyzer]
+
+
+def _as_counts(streams: Sequence[TokenStream] | NgramCounts) -> NgramCounts:
+    return streams if isinstance(streams, NgramCounts) else NgramCounts(streams)
+
+
+def _counter(symbols: _Symbols, ngram_range: NgramRange) -> Counter:
+    counts: Counter = Counter()
+    for n in range(ngram_range.min_n, ngram_range.max_n + 1):
+        level = symbols.level(n)
+        counts.update({symbols.term(p, n): c for p, c in zip(level.where.tolist(), level.tf.tolist())})
+    return counts
+
+
 def extract_char_ngrams(text: str, ngram_range: NgramRange) -> Counter:
     """Count every contiguous codepoint n-gram of the configured lengths."""
-    counts: Counter = Counter()
-    size = len(text)
-    for n in range(ngram_range.min_n, ngram_range.max_n + 1):
-        if n > size:
-            break
-        counts.update(text[i : i + n] for i in range(size - n + 1))
-    return counts
+    return _counter(_Symbols([text], Analyzer.CHAR), ngram_range)
 
 
 def extract_token_ngrams(tokens: tuple[str, ...], ngram_range: NgramRange) -> Counter:
     """Count token n-grams; multi-token grams join with single spaces."""
-    counts: Counter = Counter()
-    size = len(tokens)
-    for n in range(ngram_range.min_n, ngram_range.max_n + 1):
-        if n > size:
-            break
-        if n == 1:
-            counts.update(tokens)
-        else:
-            counts.update(" ".join(tokens[i : i + n]) for i in range(size - n + 1))
-    return counts
-
-
-def _analyze(stream: TokenStream, config: VectorizerConfig) -> Counter:
-    if config.analyzer is Analyzer.CHAR:
-        return extract_char_ngrams(stream.joined_text, config.range)
-    return extract_token_ngrams(stream.tokens, config.range)
+    return _counter(_Symbols([tokens], Analyzer.WORD_TOKEN), ngram_range)
 
 
 def smooth_idf(corpus_size: int, df: int) -> float:
     return math.log((1 + corpus_size) / (1 + df)) + 1.0
 
 
-def fit_vocabulary(streams: list[TokenStream], config: VectorizerConfig) -> Vocabulary:
-    """Fit a vocabulary over the given streams.
+def fit_vocabulary(
+    streams: Sequence[TokenStream] | NgramCounts, config: VectorizerConfig
+) -> Vocabulary:
+    """Fit a vocabulary over the given streams (or their shared counts).
 
     Terms below ``min_df`` documents are dropped first; if
     ``max_features`` is set, the survivors are ranked by total corpus
     term frequency (ties broken toward the lexicographically smaller
     term) and the top slice kept. Indices run lexicographically.
     """
-    if not streams:
+    counts = _as_counts(streams)
+    if not len(counts):
         raise ValueError("fit_vocabulary needs at least one stream")
-    term_frequency: Counter = Counter()
-    document_frequency: Counter = Counter()
-    for stream in streams:
-        doc_counts = _analyze(stream, config)
-        term_frequency.update(doc_counts)
-        document_frequency.update(doc_counts.keys())
+    symbols = counts.symbols(config.analyzer)
+    lengths, where, tf, df = [], [], [], []
+    for n in range(config.range.min_n, config.range.max_n + 1):
+        level = symbols.level(n)
+        columns = np.flatnonzero(level.df >= config.min_df)
+        lengths.append(np.full(len(columns), n))
+        where.append(level.where[columns])
+        tf.append(level.tf[columns])
+        df.append(level.df[columns])
+    lengths, where, tf, df = (np.concatenate(a) for a in (lengths, where, tf, df))
 
-    kept = [t for t, df in document_frequency.items() if df >= config.min_df]
-    if config.max_features is not None and len(kept) > config.max_features:
-        kept.sort(key=lambda t: (-term_frequency[t], t))
-        kept = kept[: config.max_features]
-    kept.sort()
-    if not kept:
+    kept = np.arange(len(tf))
+    cap = config.max_features
+    if cap is not None and len(kept) > cap:
+        threshold = np.partition(tf, len(tf) - cap)[len(tf) - cap]
+        tied = np.flatnonzero(tf == threshold)
+        tied_terms = [symbols.term(p, n) for p, n in zip(where[tied].tolist(), lengths[tied].tolist())]
+        slots = cap - int(np.count_nonzero(tf > threshold))
+        by_term = sorted(range(len(tied)), key=tied_terms.__getitem__)[:slots]
+        kept = np.sort(np.concatenate([np.flatnonzero(tf > threshold), tied[by_term]]))
+    if not len(kept):
         raise EmptyVocabulary(f"no term survived min_df={config.min_df}")
 
-    term_to_index = {term: index for index, term in enumerate(kept)}
-    corpus_size = len(streams)
+    terms = sorted(
+        (symbols.term(p, n), d)
+        for p, n, d in zip(where[kept].tolist(), lengths[kept].tolist(), df[kept].tolist())
+    )
+    corpus_size = len(counts)
     idf = None
     if config.weighting is Weighting.TFIDF:
-        idf = {term: smooth_idf(corpus_size, document_frequency[term]) for term in kept}
+        idf = {term: smooth_idf(corpus_size, d) for term, d in terms}
     return Vocabulary(
         config=config,
-        term_to_index=term_to_index,
-        document_frequency={term: document_frequency[term] for term in kept},
+        term_to_index={term: index for index, (term, _) in enumerate(terms)},
+        document_frequency=dict(terms),
         corpus_size=corpus_size,
         idf=idf,
     )
 
 
-def transform(stream: TokenStream, vocab: Vocabulary) -> SparseVector:
-    """Vectorize one stream against a fitted vocabulary.
+def _block(counts: NgramCounts, vocab: Vocabulary) -> sp.csr_matrix:
+    """One vocabulary's documents x terms matrix, weighted."""
+    config = vocab.config
+    symbols = counts.symbols(config.analyzer)
+    terms = vocab.terms()
+    if config.analyzer is Analyzer.CHAR:
+        term_lengths = np.array([len(t) for t in terms], dtype=np.int64)
+    else:
+        term_lengths = np.array([t.count(" ") + 1 for t in terms], dtype=np.int64)
+    block = sp.csr_matrix((len(counts), len(terms)))
+    for n in range(config.range.min_n, config.range.max_n + 1):
+        wanted = np.flatnonzero(term_lengths == n)
+        if not len(wanted):
+            continue
+        found = symbols.columns([terms[i] for i in wanted.tolist()], n)
+        level = symbols.level(n)
+        to_term = np.full(len(level.keys), -1, dtype=np.int32)
+        to_term[found[found >= 0]] = wanted[found >= 0]
+        mapped = to_term[level.counts.indices]
+        hit = mapped >= 0
+        indptr = np.concatenate([[0], np.cumsum(hit)])[level.counts.indptr]
+        block = block + sp.csr_matrix(
+            (level.counts.data[hit], mapped[hit], indptr), shape=block.shape
+        )
+    block.sort_indices()
+    if config.weighting is Weighting.TFIDF:
+        idf = np.array([vocab.idf[t] for t in terms])
+        values = block.data * idf[block.indices]
+        squares = values * values
+        for start, end in zip(block.indptr[:-1].tolist(), block.indptr[1:].tolist()):
+            if end > start:
+                # summed in index order, one term at a time
+                values[start:end] /= math.sqrt(sum(squares[start:end].tolist()))
+        block.data = values
+    return block
+
+
+def union_transform(
+    streams: Sequence[TokenStream] | NgramCounts, vocabs: tuple[Vocabulary, ...]
+) -> sp.csr_matrix:
+    """Vectorize the streams against each vocabulary block and
+    concatenate the blocks column-wise: one row per stream.
 
     Count weighting stores raw occurrence counts; TF-IDF weighting
-    multiplies counts by the term IDF and L2-normalizes the whole
-    vector. Unknown terms are ignored; a fully out-of-vocabulary
-    stream becomes a legal empty vector.
+    multiplies counts by the term IDF and L2-normalizes each block's
+    row. Unknown n-grams are ignored; a fully out-of-vocabulary stream
+    becomes an empty row.
     """
-    doc_counts = _analyze(stream, vocab.config)
-    pairs = []
-    for term, count in doc_counts.items():
-        index = vocab.term_to_index.get(term)
-        if index is not None:
-            pairs.append((index, float(count), term))
-    pairs.sort()
-    dimension = vocab.dimension
-    if vocab.config.weighting is Weighting.COUNT or not pairs:
-        return SparseVector(entries=tuple((i, v) for i, v, _ in pairs), dimension=dimension)
-    weighted = [(i, v * vocab.idf[t]) for i, v, t in pairs]
-    norm = math.sqrt(sum(v * v for _, v in weighted))
-    entries = tuple((i, v / norm) for i, v in weighted)
-    return SparseVector(entries=entries, dimension=dimension)
+    counts = _as_counts(streams)
+    blocks = [_block(counts, vocab) for vocab in vocabs]
+    return blocks[0] if len(blocks) == 1 else sp.hstack(blocks, format="csr")
 
 
-def feature_union(a: SparseVector, b: SparseVector) -> SparseVector:
-    """Concatenate two feature blocks; indices of ``b`` shift by dim(a)."""
-    shifted = tuple((index + a.dimension, value) for index, value in b.entries)
-    return SparseVector(entries=a.entries + shifted, dimension=a.dimension + b.dimension)
-
-
-def union_transform(stream: TokenStream, vocabs: tuple[Vocabulary, ...]) -> SparseVector:
-    """Transform against each vocabulary block and concatenate."""
-    vector = transform(stream, vocabs[0])
-    for vocab in vocabs[1:]:
-        vector = feature_union(vector, transform(stream, vocab))
-    return vector
+def transform(stream: TokenStream, vocab: Vocabulary) -> SparseVector:
+    """Vectorize one stream against a fitted vocabulary (see
+    ``union_transform``)."""
+    row = union_transform([stream], (vocab,))
+    return SparseVector(
+        entries=tuple(zip(row.indices.tolist(), row.data.tolist())), dimension=vocab.dimension
+    )

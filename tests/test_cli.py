@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
 from spreader_profiler import cli
-from spreader_profiler.corpus import load_corpus, parse_truth_file
+from spreader_profiler.corpus import Label, Language, load_corpus, parse_truth_file
+from spreader_profiler.evaluation import final_config, fit_pipeline
+from spreader_profiler.models import LinearModel, save_model
 from spreader_profiler.synth import generate_corpus_dir
 
 
@@ -93,6 +96,26 @@ class TestTrainEvaluatePredict:
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
+    def test_exact_zero_decision_values_are_counted_ties_for_true_class(
+        self, small_synth_dir, tmp_path, capsys
+    ):
+        corpus = load_corpus(small_synth_dir, "en")
+        fitted = fit_pipeline(corpus, final_config(Language.EN))
+        tied = LinearModel(fitted.kind, np.zeros(fitted.dimension), 0.0,
+                           fitted.feature_spec, fitted.language)
+        model_path = tmp_path / "tied.model"
+        save_model(tied, model_path)
+        capsys.readouterr()
+        assert run(["evaluate", "--model", model_path, "--input", small_synth_dir]) == 0
+        assert f"ties at the decision boundary: {len(corpus)}" in capsys.readouterr().out
+        predictions = tmp_path / "preds.txt"
+        assert run(["predict", "--model", model_path, "--input", small_synth_dir,
+                    "--out", predictions]) == 0
+        assert set(parse_truth_file(predictions.read_text()).values()) == {
+            Label.TRUE_NEWS_SPREADER
+        }
+
+
 class TestAnalyze:
     def test_analyze_prints_table(self, small_synth_dir, capsys):
         rc = run(["analyze", "--input", small_synth_dir, "--lang", "en"])
@@ -149,6 +172,25 @@ class TestExitCodes:
 
     def test_missing_input_dir(self, tmp_path):
         assert run(["analyze", "--input", tmp_path / "nowhere", "--lang", "en"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--lang", "en", "--max-features", "0"],
+            ["train", "--lang", "en", "--min-df", "0"],
+            ["train", "--lang", "en", "--fraction", "3/2"],
+            ["gridsearch", "--lang", "en", "--min-df", "0"],
+            ["gridsearch", "--lang", "en", "--max-features", "100,0"],
+            ["gridsearch", "--lang", "en", "--folds", "0"],
+            ["evaluate", "--model", "unused.model", "--split", "test", "--seed", "-1"],
+        ],
+    )
+    def test_invalid_configuration_is_usage_error(self, argv, small_synth_dir, capsys):
+        assert run([*argv, "--input", small_synth_dir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestConfigFile:

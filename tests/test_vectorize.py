@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,20 +10,20 @@ from spreader_profiler.errors import EmptyVocabulary
 from spreader_profiler.preprocess import TokenStream
 from spreader_profiler.vectorize import (
     Analyzer,
+    NgramCounts,
     NgramRange,
     SparseVector,
     VectorizerConfig,
     Weighting,
     extract_char_ngrams,
     extract_token_ngrams,
-    feature_union,
     fit_vocabulary,
     smooth_idf,
     transform,
     union_transform,
 )
 
-from oracles import brute_fit, brute_transform, dense_from_sparse
+from oracles import brute_char_ngrams, brute_fit, brute_transform, dense_from_sparse
 
 
 def stream_of(text: str, author_id: str = "a1") -> TokenStream:
@@ -70,6 +71,20 @@ class TestExtractTokenNgrams:
         assert dense[vocab.term_to_index["nice"]] == 1.0
         assert dense[vocab.term_to_index["nice day"]] == 1.0
         assert dense[vocab.term_to_index["nice game"]] == 0.0
+
+
+    def test_word_grams_index_in_string_order(self):
+        # '\x01' sorts before the joining space, so token order and
+        # joined-string order disagree on these bigrams
+        stream = TokenStream("d0", ("a", "b", "a\x01", "c", "a", "b"))
+        config = VectorizerConfig(
+            analyzer=Analyzer.WORD_TOKEN, range=NgramRange(2, 2), weighting=Weighting.COUNT
+        )
+        vocab = fit_vocabulary([stream], config)
+        assert vocab.terms() == sorted(["a b", "b a\x01", "a\x01 c", "c a"])
+        counts = dict(transform(stream, vocab).entries)
+        assert counts == {vocab.term_to_index["a b"]: 2.0, vocab.term_to_index["b a\x01"]: 1.0,
+                          vocab.term_to_index["a\x01 c"]: 1.0, vocab.term_to_index["c a"]: 1.0}
 
 
 class TestNgramRangeValidation:
@@ -203,23 +218,35 @@ class TestSparseVectorInvariants:
 
 
 class TestFeatureUnion:
+    """union_transform concatenates the blocks column-wise, one row per stream."""
+
+    streams = [stream_of("ab"), stream_of("aa")]
+
+    def blocks(self):
+        return (
+            fit_vocabulary(self.streams, char_config()),  # a, b
+            fit_vocabulary(self.streams, char_config(2, 2, weighting=Weighting.COUNT)),  # aa, ab
+        )
+
     def test_index_arithmetic(self):
-        a = SparseVector(((0, 1.0),), 2)
-        b = SparseVector(((1, 3.0),), 3)
-        joined = feature_union(a, b)
-        assert joined.entries == ((0, 1.0), (3, 3.0))
-        assert joined.dimension == 5
+        X = union_transform(self.streams, self.blocks())
+        assert X.shape == (2, 4)
+        assert X[0].indices.tolist() == [0, 1, 3]
+        assert X[0, 3] == 1.0
+        assert X[1].indices.tolist() == [0, 2]
+        assert X[1, 2] == 1.0
 
     def test_two_empty(self):
-        joined = feature_union(SparseVector((), 2), SparseVector((), 3))
-        assert joined.entries == ()
-        assert joined.dimension == 5
+        X = union_transform([stream_of("zz")], self.blocks())
+        assert X.nnz == 0
+        assert X.shape == (1, 4)
 
     def test_no_renormalization(self):
-        a = SparseVector(((0, 0.6), (1, 0.8)), 2)   # unit norm
-        b = SparseVector(((0, 3.0),), 1)            # counts
-        joined = feature_union(a, b)
-        assert joined.norm() == pytest.approx(math.sqrt(1.0 + 9.0))
+        X = union_transform([stream_of("abab")], self.blocks())
+        tfidf_part, count_part = X[0, :2].toarray().ravel(), X[0, 2:].toarray().ravel()
+        assert math.hypot(*tfidf_part) == pytest.approx(1.0)  # unit norm
+        assert count_part.tolist() == [0.0, 2.0]            # counts
+        assert math.sqrt(X[0].multiply(X[0]).sum()) == pytest.approx(math.sqrt(1.0 + 4.0))
 
     def test_union_transform_dimension_capped_by_blocks(self):
         streams = [stream_of(t) for t in ("abcdefg hij", "hij klmno", "abc klm")]
@@ -228,9 +255,9 @@ class TestFeatureUnion:
             char_config(3, 7, max_features=50000, weighting=Weighting.COUNT),
         )
         vocabs = tuple(fit_vocabulary(streams, c) for c in blocks)
-        vector = union_transform(streams[0], vocabs)
-        assert vector.dimension == sum(v.dimension for v in vocabs)
-        assert vector.dimension <= 55000
+        X = union_transform(streams, vocabs)
+        assert X.shape == (len(streams), sum(v.dimension for v in vocabs))
+        assert X.shape[1] <= 55000
 
 
 def test_determinism_across_runs():
@@ -319,3 +346,79 @@ def test_oracle_equivalence_property(docs, max_n, min_df, cap, weighting):
 def test_smooth_idf_formula():
     assert smooth_idf(2, 1) == pytest.approx(math.log(3 / 2) + 1)
     assert smooth_idf(10, 10) == pytest.approx(1.0)
+
+
+# -- the corpus-level builder against the oracles -------------------------
+
+NARROW_ALPHABET = "ab é😀"
+UNSEEN_ALPHABET = "ab zq🚀\U0001f9ea"
+# 570 distinct codepoints, astral emoji among them: more than a fixed
+# base**7 packing of 64-bit keys could hold.
+WIDE_ALPHABET = [chr(c) for c in range(0x410, 0x410 + 520)] + [
+    chr(c) for c in range(0x1F600, 0x1F600 + 50)
+]
+
+
+@st.composite
+def training_corpora(draw):
+    if draw(st.booleans()):
+        symbols = draw(st.permutations(WIDE_ALPHABET))
+        cuts = sorted(draw(st.lists(st.integers(0, len(symbols)), max_size=4)))
+        bounds = [0, *cuts, len(symbols)]
+        return ["".join(symbols[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return draw(st.lists(st.text(alphabet=NARROW_ALPHABET, max_size=14), min_size=1, max_size=6))
+
+
+def tied_caps(docs, min_n, max_n, min_df):
+    """Caps whose boundary falls inside a run of equal term frequencies."""
+    tf = Counter(g for doc in docs for g in brute_char_ngrams(doc, min_n, max_n))
+    df = Counter(g for doc in docs for g in set(brute_char_ngrams(doc, min_n, max_n)))
+    ranked = sorted((t for t in tf if df[t] >= min_df), key=lambda t: (-tf[t], t))
+    return [k for k in range(1, len(ranked)) if tf[ranked[k - 1]] == tf[ranked[k]]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    docs=training_corpora(),
+    scoring=st.lists(st.text(alphabet=UNSEEN_ALPHABET, max_size=14), max_size=4),
+    min_n=st.integers(min_value=1, max_value=7),
+    span=st.integers(min_value=0, max_value=3),
+    min_df=st.integers(min_value=1, max_value=2),
+    weighting=st.sampled_from([Weighting.TFIDF, Weighting.COUNT]),
+    data=st.data(),
+)
+def test_batch_builder_matches_oracle(docs, scoring, min_n, span, min_df, weighting, data):
+    max_n = min(min_n + span, 7)
+    ties = tied_caps(docs, min_n, max_n, min_df)
+    caps = [st.none(), st.integers(1, 8)] + ([st.sampled_from(ties)] * 2 if ties else [])
+    cap = data.draw(st.one_of(caps), label="cap")
+    tfidf = weighting is Weighting.TFIDF
+    index, df, idf = brute_fit(docs, min_n, max_n, min_df, cap, tfidf)
+    streams = [stream_of(text, f"d{i}") for i, text in enumerate(docs)]
+    try:
+        vocab = fit_vocabulary(streams, char_config(min_n, max_n, cap, min_df, weighting))
+    except EmptyVocabulary:
+        assert index == {}
+        return
+    assert vocab.term_to_index == index
+    assert vocab.document_frequency == df
+    assert vocab.idf == idf
+
+    texts = docs + scoring
+    X = union_transform([stream_of(text) for text in texts], (vocab,))
+    assert X.shape == (len(texts), len(index))
+    for row, text in enumerate(texts):
+        dense = X[row].toarray().ravel().tolist()
+        assert dense == brute_transform(text, index, idf, min_n, max_n)
+        assert dense_from_sparse(transform(stream_of(text), vocab)) == dense
+
+
+def test_batch_builder_shares_counts_across_blocks():
+    streams = [stream_of(t) for t in ("abcab", "", "bca cab", "😀ab😀")]
+    counts = NgramCounts(streams)
+    blocks = (char_config(1, 3, max_features=6), char_config(3, 5, weighting=Weighting.COUNT))
+    shared = tuple(fit_vocabulary(counts, c) for c in blocks)
+    separate = tuple(fit_vocabulary(streams, c) for c in blocks)
+    assert shared == separate
+    assert len(counts.symbols(Analyzer.CHAR).levels) == 5
+    assert (union_transform(counts, shared) != union_transform(streams, separate)).nnz == 0
