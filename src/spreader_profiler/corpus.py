@@ -21,6 +21,7 @@ from .errors import (
     DegenerateSplit,
     DuplicateAuthorId,
     EmptyAuthor,
+    InvalidAuthorId,
     MalformedTruthLine,
     MalformedXml,
     MissingAuthorFile,
@@ -218,6 +219,10 @@ def load_corpus(directory: str | Path, language: Language | str) -> Corpus:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for path in xml_paths:
+            if not path.stem.isalnum():
+                raise InvalidAuthorId(
+                    f"{path.name}: author file names must be <alphanumeric id>.xml"
+                )
             authors.append(parse_author_xml(path.read_bytes(), author_id=path.stem))
     odd_counts = [w for w in caught if issubclass(w.category, NonStandardTweetCount)]
     for other in caught:
@@ -235,7 +240,11 @@ def load_corpus(directory: str | Path, language: Language | str) -> Corpus:
 
     truth_path = directory / "truth.txt"
     if truth_path.exists():
-        labels = parse_truth_file(truth_path.read_text(encoding="utf-8"))
+        try:
+            truth_text = truth_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedTruthLine(f"{truth_path}: not UTF-8 text ({exc.reason})") from exc
+        labels = parse_truth_file(truth_text)
         on_disk = {a.author_id for a in authors}
         for author_id in labels:
             if author_id not in on_disk:

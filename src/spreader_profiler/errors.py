@@ -34,6 +34,10 @@ class EmptyAuthor(DataError):
     pass
 
 
+class InvalidAuthorId(DataError):
+    pass
+
+
 class MalformedTruthLine(DataError):
     pass
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .corpus import Corpus, Label, Language, SplitSpec, split_corpus
 from .errors import EmptyGrid, EmptyMatrix, LengthMismatch, UnlabeledCorpus
 from .models import (
@@ -158,6 +160,21 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
     )
 
 
+def _features(counts: NgramCounts, vectorizers: tuple[VectorizerConfig, ...]):
+    """Fit every vectorizer block on the counts and transform them: the
+    vocabularies and the training matrix."""
+    vocabularies = tuple(fit_vocabulary(counts, vc) for vc in vectorizers)
+    return vocabularies, union_transform(counts, vocabularies)
+
+
+def _fit(vocabularies, X, labels: list[Label], config: PipelineConfig, language) -> LinearModel:
+    """Train the configured classifier on a fitted training matrix."""
+    loss = LossKind.SQUARED_HINGE if config.model_kind is ModelKind.SVM else LossKind.LOGISTIC
+    return train(
+        X, labels, replace(config.train, loss=loss), feature_spec=vocabularies, language=language
+    )
+
+
 def fit_pipeline(
     train_corpus: Corpus,
     config: PipelineConfig,
@@ -172,16 +189,30 @@ def fit_pipeline(
     if stopwords is None:
         stopwords = load_stopwords(train_corpus.language)
     counts = NgramCounts(preprocess_corpus(train_corpus, stopwords))
-    vocabularies = tuple(fit_vocabulary(counts, vc) for vc in config.vectorizers)
-    X = union_transform(counts, vocabularies)
-    y = [author.label for author in train_corpus]
-    loss = LossKind.SQUARED_HINGE if config.model_kind is ModelKind.SVM else LossKind.LOGISTIC
-    return train(
-        X,
-        y,
-        replace(config.train, loss=loss),
-        feature_spec=vocabularies,
-        language=train_corpus.language,
+    vocabularies, X = _features(counts, config.vectorizers)
+    labels = [author.label for author in train_corpus]
+    return _fit(vocabularies, X, labels, config, train_corpus.language)
+
+
+def _report(corpus: Corpus, values: np.ndarray, positive_class: Label) -> EvalReport:
+    """Label each author of a labeled corpus from its decision value and
+    count the outcome."""
+    values = values.tolist()
+    predictions = [
+        (author.author_id, label_of(value), author.label)
+        for author, value in zip(corpus, values)
+    ]
+    cm = confusion([p for _, p, _ in predictions], [a for _, _, a in predictions], positive_class)
+    m = metrics(cm)
+    return EvalReport(
+        confusion=cm,
+        precision=m.precision,
+        recall=m.recall,
+        f1=m.f1,
+        accuracy=m.accuracy,
+        degenerate=m.degenerate,
+        predictions=tuple(predictions),
+        ties=values.count(0.0),
     )
 
 
@@ -196,23 +227,8 @@ def evaluate_model(
         raise UnlabeledCorpus("evaluation needs labels")
     if stopwords is None:
         stopwords = load_stopwords(model.language)
-    values = decision_values(model, preprocess_corpus(test_corpus, stopwords)).tolist()
-    predictions = [
-        (author.author_id, label_of(value), author.label)
-        for author, value in zip(test_corpus, values)
-    ]
-    cm = confusion([p for _, p, _ in predictions], [a for _, _, a in predictions], positive_class)
-    m = metrics(cm)
-    return EvalReport(
-        confusion=cm,
-        precision=m.precision,
-        recall=m.recall,
-        f1=m.f1,
-        accuracy=m.accuracy,
-        degenerate=m.degenerate,
-        predictions=tuple(predictions),
-        ties=values.count(0.0),
-    )
+    values = decision_values(model, preprocess_corpus(test_corpus, stopwords))
+    return _report(test_corpus, values, positive_class)
 
 
 def evaluate_pipeline(
@@ -272,14 +288,41 @@ def grid_search(
     else:
         pairs = _stratified_folds(corpus, folds, spec.seed)
 
-    results = []
-    for config in grid:
-        reports = tuple(
-            evaluate_pipeline(train_part, test_part, config, positive_class)
-            for train_part, test_part in pairs
+    # Work that does not depend on the configuration is done once: the
+    # corpus is preprocessed once, each split side is counted once, and
+    # each distinct tuple of vectorizer blocks is fitted and transformed
+    # once per split for all the classifiers that share it.
+    stopwords = load_stopwords(corpus.language)
+    stream_of = dict(zip(corpus.author_ids(), preprocess_corpus(corpus, stopwords)))
+    groups: dict[tuple[VectorizerConfig, ...], list[int]] = {}
+    for position, config in enumerate(grid):
+        groups.setdefault(config.vectorizers, []).append(position)
+    blocks = [vc for vectorizers in groups for vc in vectorizers]
+    reports: list[list[EvalReport]] = [[] for _ in grid]
+    for train_part, test_part in pairs:
+        train_counts, test_counts = (
+            NgramCounts([stream_of[author_id] for author_id in part.author_ids()])
+            for part in (train_part, test_part)
         )
-        mean_accuracy = sum(r.accuracy for r in reports) / len(reports)
-        results.append(GridResult(config=config, mean_accuracy=mean_accuracy, reports=reports))
+        for counts in (train_counts, test_counts):
+            counts.settle(blocks)
+        labels = [author.label for author in train_part]
+        for vectorizers, positions in groups.items():
+            vocabularies, X = _features(train_counts, vectorizers)
+            for position in positions:
+                model = _fit(vocabularies, X, labels, grid[position], corpus.language)
+                values = decision_values(model, test_counts)
+                reports[position].append(_report(test_part, values, positive_class))
+            del X  # before the next group's matrix is built
+
+    results = [
+        GridResult(
+            config=config,
+            mean_accuracy=sum(r.accuracy for r in split_reports) / len(split_reports),
+            reports=tuple(split_reports),
+        )
+        for config, split_reports in zip(grid, reports)
+    ]
     results.sort(key=lambda r: (-r.mean_accuracy, r.config.key()))
     return results
 

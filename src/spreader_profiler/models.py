@@ -21,6 +21,7 @@ import hashlib
 import math
 import warnings
 from codecs import decode as codecs_decode
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from .errors import (
 from .preprocess import TokenStream
 from .vectorize import (
     Analyzer,
+    NgramCounts,
     NgramRange,
     SparseVector,
     VectorizerConfig,
@@ -157,9 +159,13 @@ def _split_theta(theta: np.ndarray, n_features: int, fit_intercept: bool):
     return theta, 0.0
 
 
-def _objective(theta, X, y_pm, C, loss, fit_intercept):
+def _margins(theta, X, y_pm, fit_intercept):
+    """The weights and the signed margins ``y * (X w + b)`` at ``theta``."""
     w, b = _split_theta(theta, X.shape[1], fit_intercept)
-    t = y_pm * (X @ w + b)
+    return w, y_pm * (X @ w + b)
+
+
+def _value(w, t, C, loss):
     if loss is LossKind.SQUARED_HINGE:
         z = np.maximum(0.0, 1.0 - t)
         data_term = C * float(z @ z)
@@ -168,23 +174,20 @@ def _objective(theta, X, y_pm, C, loss, fit_intercept):
     return 0.5 * float(w @ w) + data_term
 
 
-def _objective_and_grad(theta, X, y_pm, C, loss, fit_intercept):
-    w, b = _split_theta(theta, X.shape[1], fit_intercept)
-    t = y_pm * (X @ w + b)
+def _grad(w, t, XT, y_pm, C, loss, fit_intercept):
     if loss is LossKind.SQUARED_HINGE:
-        z = np.maximum(0.0, 1.0 - t)
-        data_term = C * float(z @ z)
-        dloss_df = -2.0 * C * y_pm * z
+        dloss_df = -2.0 * C * y_pm * np.maximum(0.0, 1.0 - t)
     else:
-        data_term = C * float(np.logaddexp(0.0, -t).sum())
         dloss_df = -C * y_pm * expit(-t)
-    value = 0.5 * float(w @ w) + data_term
-    grad_w = X.T @ dloss_df + w
+    grad_w = XT @ dloss_df + w
     if fit_intercept:
-        grad = np.concatenate([grad_w, [float(dloss_df.sum())]])
-    else:
-        grad = grad_w
-    return value, grad
+        return np.concatenate([grad_w, [float(dloss_df.sum())]])
+    return grad_w
+
+
+def _objective_and_grad(theta, X, y_pm, C, loss, fit_intercept):
+    w, t = _margins(theta, X, y_pm, fit_intercept)
+    return _value(w, t, C, loss), _grad(w, t, X.T, y_pm, C, loss, fit_intercept)
 
 
 def _lbfgs_direction(grad, s_hist, y_hist, rho_hist):
@@ -204,9 +207,11 @@ def _lbfgs_direction(grad, s_hist, y_hist, rho_hist):
 
 
 def _minimize(X, y_pm, C, loss, fit_intercept, tolerance, max_iterations):
-    n_features = X.shape[1]
-    theta = np.zeros(n_features + (1 if fit_intercept else 0), dtype=np.float64)
-    value, grad = _objective_and_grad(theta, X, y_pm, C, loss, fit_intercept)
+    XT = X.T
+    theta = np.zeros(X.shape[1] + (1 if fit_intercept else 0), dtype=np.float64)
+    w, t = _margins(theta, X, y_pm, fit_intercept)
+    value = _value(w, t, C, loss)
+    grad = _grad(w, t, XT, y_pm, C, loss, fit_intercept)
     history = [value]
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
@@ -221,18 +226,18 @@ def _minimize(X, y_pm, C, loss, fit_intercept, tolerance, max_iterations):
             slope = -float(grad @ grad)
 
         step = 1.0
-        candidate = None
-        cand_value = None
         while step >= _MIN_STEP:
             candidate = theta + step * direction
-            cand_value = _objective(candidate, X, y_pm, C, loss, fit_intercept)
-            if cand_value <= value + _ARMIJO_C1 * step * slope:
+            w, t = _margins(candidate, X, y_pm, fit_intercept)
+            new_value = _value(w, t, C, loss)
+            if new_value <= value + _ARMIJO_C1 * step * slope:
                 break
             step *= _BACKTRACK_FACTOR
         else:
             break  # line search stalled at machine precision
 
-        new_value, new_grad = _objective_and_grad(candidate, X, y_pm, C, loss, fit_intercept)
+        # the accepted candidate's margins give its gradient
+        new_grad = _grad(w, t, XT, y_pm, C, loss, fit_intercept)
         s = candidate - theta
         y = new_grad - grad
         sy = float(s @ y)
@@ -326,9 +331,11 @@ def decision_value(model: LinearModel, x: SparseVector) -> float:
     return float(sum(w[i] * v for i, v in x.entries) + model.bias)
 
 
-def decision_values(model: LinearModel, streams: list[TokenStream]) -> np.ndarray:
-    """``X @ w + b`` for the streams, vectorized with the model's
-    vocabularies: one decision value per stream."""
+def decision_values(
+    model: LinearModel, streams: Sequence[TokenStream] | NgramCounts
+) -> np.ndarray:
+    """``X @ w + b`` for the streams (or their counts), vectorized with
+    the model's vocabularies: one decision value per stream."""
     if not model.feature_spec:
         raise WrongModelKind("model carries no feature_spec to vectorize with")
     return union_transform(streams, model.feature_spec) @ model.weights + model.bias
@@ -440,7 +447,12 @@ class _LineReader:
 def load_model(path: str | Path) -> LinearModel:
     """Read a model file back; the checksum guards against truncation
     and corruption, and unknown format versions are refused."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except IsADirectoryError as exc:
+        raise CorruptModelFile(f"{path} is a directory, not a model file") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptModelFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
     newline = text.rfind("\n", 0, len(text) - 1)
     last_line = text[newline + 1 :].strip()
     if not last_line.startswith("checksum\tsha256:"):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,9 +184,17 @@ class _Symbols:
         self._ranks = np.zeros(len(codes), dtype=index)
 
     def level(self, n: int) -> _Level:
+        if n > len(self.levels) and self.codes is None:
+            raise ValueError(f"n-grams of length {n} were not counted before settle()")
         while len(self.levels) < n:
             self._count_next_length()
         return self.levels[n - 1]
+
+    def settle(self, n: int) -> None:
+        """Count every length up to ``n``, then free the counting scratch
+        (about four integers per symbol); no longer length can follow."""
+        self.level(n)
+        self.codes = self.remaining = self._positions = self._ranks = None
 
     def _count_next_length(self) -> None:
         n = len(self.levels) + 1
@@ -279,14 +287,30 @@ class NgramCounts:
     the counting."""
 
     def __init__(self, streams: Sequence[TokenStream]):
-        self.streams = list(streams)
+        self.streams: list[TokenStream] | None = list(streams)
+        self._size = len(self.streams)
         self._symbols: dict[Analyzer, _Symbols] = {}
 
     def __len__(self) -> int:
-        return len(self.streams)
+        return self._size
+
+    def settle(self, configs: Iterable[VectorizerConfig]) -> None:
+        """Count every analyzer and length the configs reach, then let go
+        of the streams and the counting scratch. Counts that outlive
+        their fit (a grid search keeps one per split side) hold only the
+        matrices; an analyzer or length past these can no longer be
+        counted."""
+        longest: dict[Analyzer, int] = {}
+        for config in configs:
+            longest[config.analyzer] = max(longest.get(config.analyzer, 0), config.range.max_n)
+        for analyzer, n in longest.items():
+            self.symbols(analyzer).settle(n)
+        self.streams = None
 
     def symbols(self, analyzer: Analyzer) -> _Symbols:
         if analyzer not in self._symbols:
+            if self.streams is None:
+                raise ValueError(f"{analyzer.value} n-grams were not counted before settle()")
             if analyzer is Analyzer.CHAR:
                 documents = [stream.joined_text for stream in self.streams]
             else:

@@ -173,6 +173,45 @@ class TestExitCodes:
     def test_missing_input_dir(self, tmp_path):
         assert run(["analyze", "--input", tmp_path / "nowhere", "--lang", "en"]) == 2
 
+    @staticmethod
+    def assert_one_line(capsys, prefix):
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_non_alphanumeric_author_file_is_data_error(self, tmp_path, small_synth_dir, capsys):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(small_synth_dir, broken)
+        first = sorted(broken.glob("*.xml"))[0]
+        first.rename(broken / "a-b.xml")
+        assert run(["analyze", "--input", broken, "--lang", "en"]) == 2
+        self.assert_one_line(capsys, "data error: a-b.xml: ")
+
+    def test_non_utf8_truth_is_data_error(self, tmp_path, small_synth_dir, capsys):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(small_synth_dir, broken)
+        truth = broken / "truth.txt"
+        truth.write_bytes(b"\xff\xfe" + truth.read_bytes())
+        assert run(["analyze", "--input", broken, "--lang", "en"]) == 2
+        self.assert_one_line(capsys, "data error: ")
+
+    @pytest.mark.parametrize("subcommand", ["evaluate", "predict"])
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_model_is_model_error(
+        self, subcommand, kind, tmp_path, small_synth_dir, capsys
+    ):
+        model = tmp_path
+        if kind == "non-utf8":
+            model = tmp_path / "binary.model"
+            model.write_bytes(b"spreader-profiler-model 1\n\xff\xfe\n")
+        assert run([subcommand, "--model", model, "--input", small_synth_dir]) == 3
+        self.assert_one_line(capsys, "model error: ")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
 
-from spreader_profiler.corpus import Corpus, Label, Language, SplitSpec, split_corpus
+from spreader_profiler import evaluation
+from spreader_profiler.corpus import (
+    AuthorDocument,
+    Corpus,
+    Label,
+    Language,
+    SplitSpec,
+    load_corpus,
+    split_corpus,
+)
 from spreader_profiler.errors import EmptyGrid, EmptyMatrix, LengthMismatch, UnlabeledCorpus
 from spreader_profiler.evaluation import (
     FINAL_EN_CONFIG,
     FINAL_ES_CONFIG,
     ConfusionMatrix,
+    GridResult,
     PipelineConfig,
+    _stratified_folds,
     confusion,
     default_grid,
     evaluate_model,
@@ -16,11 +27,21 @@ from spreader_profiler.evaluation import (
     fit_pipeline,
     grid_search,
     metrics,
+    render_grid_report,
     render_grid_tsv,
     render_report,
 )
 from spreader_profiler.models import ModelKind
-from spreader_profiler.vectorize import Analyzer, NgramRange, VectorizerConfig, Weighting
+from spreader_profiler.preprocess import load_stopwords, preprocess_corpus
+from spreader_profiler.synth import generate_corpus_dir
+from spreader_profiler.vectorize import (
+    Analyzer,
+    NgramCounts,
+    NgramRange,
+    VectorizerConfig,
+    Weighting,
+    fit_vocabulary,
+)
 
 from conftest import make_corpus
 
@@ -229,6 +250,108 @@ class TestGridSearch:
         assert len(results[0].reports) == 3
         total_eval = sum(r.confusion.total for r in results[0].reports)
         assert total_eval == 18  # every author held out exactly once
+
+
+TWO_BLOCKS = PipelineConfig(
+    vectorizers=(
+        VectorizerConfig(range=NgramRange(1, 2), max_features=150, min_df=1),
+        VectorizerConfig(range=NgramRange(3, 5), max_features=400, min_df=2,
+                         weighting=Weighting.COUNT),
+    ),
+    model_kind=ModelKind.LOGREG,
+)
+
+
+def _split_pairs(corpus, spec, folds):
+    if folds == 1:
+        return [split_corpus(corpus, spec)]
+    return _stratified_folds(corpus, folds, spec.seed)
+
+
+@pytest.fixture(scope="module")
+def hard_corpus(tmp_path_factory):
+    """Few tweets per author, so configurations disagree on accuracy."""
+    path = tmp_path_factory.mktemp("grid") / "en"
+    generate_corpus_dir(path, authors_per_class=9, tweets_per_author=3, seed=5, language="en")
+    with pytest.warns(UserWarning):
+        return load_corpus(path, "en")
+
+
+class TestSharedGrid:
+    """The grid shares preprocessing, counting and fitting across
+    configurations; its output must equal scoring each configuration on
+    its own."""
+
+    GRID = default_grid(
+        ranges=(NgramRange(1, 3), NgramRange(2, 4)),
+        min_dfs=(1, 2),
+        max_features=(300,),
+    ) + [TWO_BLOCKS]
+
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_equals_per_config_evaluation(self, hard_corpus, folds):
+        spec = SplitSpec(seed=11)
+        pairs = _split_pairs(hard_corpus, spec, folds)
+        expected = []
+        for config in self.GRID:
+            reports = tuple(evaluate_pipeline(train, test, config) for train, test in pairs)
+            mean = sum(r.accuracy for r in reports) / len(reports)
+            expected.append(GridResult(config=config, mean_accuracy=mean, reports=reports))
+        expected.sort(key=lambda r: (-r.mean_accuracy, r.config.key()))
+        assert len({round(r.mean_accuracy, 4) for r in expected}) > 1
+
+        shared = grid_search(hard_corpus, list(reversed(self.GRID)), spec, folds=folds)
+        assert render_grid_tsv(shared) == render_grid_tsv(expected)
+        assert render_grid_report(shared) == render_grid_report(expected)
+        assert shared == expected
+
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_every_vocabulary_comes_from_training_authors_only(
+        self, hard_corpus, folds, monkeypatch
+    ):
+        spec = SplitSpec(seed=11)
+        pairs = _split_pairs(hard_corpus, spec, folds)
+        # On the single split, give every test author an n-gram that no
+        # training author has.
+        tagged = set(pairs[0][1].author_ids()) if folds == 1 else set()
+        corpus = Corpus(hard_corpus.language, tuple(
+            AuthorDocument(a.author_id, a.tweets + (("qxjqxj",) if a.author_id in tagged else ()),
+                           a.label)
+            for a in hard_corpus
+        ))
+        grid = self.GRID + [PipelineConfig(
+            vectorizers=(VectorizerConfig(range=NgramRange(1, 6)),), model_kind=ModelKind.SVM
+        )]
+
+        authors_of, fitted = {}, []
+
+        class RecordingCounts(NgramCounts):
+            def __init__(self, streams):
+                super().__init__(streams)
+                authors_of[id(self)] = [stream.author_id for stream in streams]
+
+        def recording_fit(counts, config):
+            vocab = fit_vocabulary(counts, config)
+            fitted.append((authors_of[id(counts)], config, vocab))
+            return vocab
+
+        monkeypatch.setattr(evaluation, "NgramCounts", RecordingCounts)
+        monkeypatch.setattr(evaluation, "fit_vocabulary", recording_fit)
+        grid_search(corpus, grid, spec, folds=folds)
+
+        blocks = {vc for config in grid for vc in config.vectorizers}
+        assert len(fitted) == len(blocks) * len(pairs)
+        streams = {s.author_id: s for s in
+                   preprocess_corpus(corpus, load_stopwords(corpus.language))}
+        train_sides = [train.author_ids() for train, _ in pairs]
+        for author_ids, config, vocab in fitted:
+            assert author_ids in train_sides
+            alone = fit_vocabulary([streams[author_id] for author_id in author_ids], config)
+            assert vocab == alone
+            assert not any("qxj" in term for term in vocab.term_to_index)
+        if tagged:  # the tag would show in an uncapped vocabulary if it leaked
+            everyone = fit_vocabulary(list(streams.values()), grid[-1].vectorizers[0])
+            assert "qxj" in everyone.term_to_index
 
 
 class TestFinalConfigs:

@@ -197,6 +197,114 @@ class TestGradients:
             assert relative_error(analytic, numeric) <= 1e-5
 
 
+def _reference_objective(theta, X, y_pm, C, loss, fit_intercept):
+    w, b = (theta[: X.shape[1]], float(theta[X.shape[1]])) if fit_intercept else (theta, 0.0)
+    t = y_pm * (X @ w + b)
+    if loss is LossKind.SQUARED_HINGE:
+        z = np.maximum(0.0, 1.0 - t)
+        data_term = C * float(z @ z)
+    else:
+        data_term = C * float(np.logaddexp(0.0, -t).sum())
+    return 0.5 * float(w @ w) + data_term
+
+
+def _reference_direction(grad, s_hist, y_hist, rho_hist):
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if y_hist:
+        y_last = y_hist[-1]
+        q *= float(s_hist[-1] @ y_last) / float(y_last @ y_last)
+    for (s, y, rho), alpha in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+        beta = rho * float(y @ q)
+        q += (alpha - beta) * s
+    return -q
+
+
+def _reference_minimize(X, y_pm, C, loss, fit_intercept, tolerance, max_iterations):
+    """The L-BFGS loop as first written: the line search evaluates the
+    objective alone, and the accepted point is evaluated again with its
+    gradient. Returns the backtrack count as well."""
+    theta = np.zeros(X.shape[1] + (1 if fit_intercept else 0), dtype=np.float64)
+    value, grad = _objective_and_grad(theta, X, y_pm, C, loss, fit_intercept)
+    history = [value]
+    s_hist, y_hist, rho_hist = [], [], []
+    n_iter = backtracks = 0
+    while float(np.linalg.norm(grad)) > tolerance and n_iter < max_iterations:
+        direction = _reference_direction(grad, s_hist, y_hist, rho_hist)
+        slope = float(grad @ direction)
+        if slope >= 0.0:
+            direction = -grad
+            slope = -float(grad @ grad)
+        step = 1.0
+        while step >= 1e-20:
+            candidate = theta + step * direction
+            cand_value = _reference_objective(candidate, X, y_pm, C, loss, fit_intercept)
+            if cand_value <= value + 1e-4 * step * slope:
+                break
+            step *= 0.5
+            backtracks += 1
+        else:
+            break
+        new_value, new_grad = _objective_and_grad(candidate, X, y_pm, C, loss, fit_intercept)
+        s = candidate - theta
+        y = new_grad - grad
+        sy = float(s @ y)
+        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+            s_hist.append(s)
+            y_hist.append(y)
+            rho_hist.append(1.0 / sy)
+            if len(s_hist) > 10:
+                s_hist.pop(0)
+                y_hist.pop(0)
+                rho_hist.pop(0)
+        theta, value, grad = candidate, new_value, new_grad
+        history.append(value)
+        n_iter += 1
+    return theta, history, n_iter, backtracks
+
+
+class TestOptimizerIdentity:
+    """``train`` reproduces the reference loop bit for bit."""
+
+    @staticmethod
+    def problem(seed):
+        rng = np.random.default_rng(seed)
+        X = sp.random(48, 150, density=0.08, format="csr", random_state=rng, dtype=np.float64)
+        truth = rng.normal(size=150)
+        y_pm = np.where(X @ truth + rng.normal(scale=0.5, size=48) > 0, 1.0, -1.0)
+        return X, y_pm
+
+    @pytest.mark.parametrize("loss", [LossKind.SQUARED_HINGE, LossKind.LOGISTIC])
+    @pytest.mark.parametrize(
+        "C, fit_intercept, max_iterations",
+        [(1.0, True, 1000), (50.0, True, 1000), (3.0, False, 1000), (20.0, True, 7)],
+    )
+    def test_train_equals_reference_loop(self, loss, C, fit_intercept, max_iterations, recwarn):
+        X, y_pm = self.problem(seed=int(C) * 7 + fit_intercept)
+        config = TrainConfig(C=C, tolerance=1e-6, max_iterations=max_iterations, loss=loss,
+                             fit_intercept=fit_intercept)
+        labels = [FAKE if v > 0 else TRUE for v in y_pm]
+        model = train(X, labels, config)
+        theta, history, n_iter, _ = _reference_minimize(
+            X, y_pm, C, loss, fit_intercept, config.tolerance, max_iterations
+        )
+        n = X.shape[1]
+        assert model.objective_history == history
+        assert model.n_iterations == n_iter
+        assert model.weights.tolist() == theta[:n].tolist()
+        assert model.bias == (float(theta[n]) if fit_intercept else 0.0)
+
+    def test_reference_problems_backtrack(self):
+        for loss in (LossKind.SQUARED_HINGE, LossKind.LOGISTIC):
+            X, y_pm = self.problem(seed=50 * 7 + 1)
+            *_, backtracks = _reference_minimize(X, y_pm, 50.0, loss, True, 1e-6, 1000)
+            assert backtracks > 0
+
+
 class TestPredict:
     def test_positive_halfplane(self):
         model = LinearModel(ModelKind.SVM, np.array([1.0, 0.0]), 0.0, (), Language.EN)

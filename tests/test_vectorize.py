@@ -422,3 +422,19 @@ def test_batch_builder_shares_counts_across_blocks():
     assert shared == separate
     assert len(counts.symbols(Analyzer.CHAR).levels) == 5
     assert (union_transform(counts, shared) != union_transform(streams, separate)).nnz == 0
+
+
+def test_settled_counts_keep_only_the_matrices():
+    streams = [stream_of(t) for t in ("abcab", "", "bca cab", "😀ab😀")]
+    blocks = (char_config(1, 3, max_features=6), char_config(2, 4, weighting=Weighting.COUNT))
+    settled = NgramCounts(streams)
+    settled.settle(blocks)
+    assert settled.streams is None and len(settled) == len(streams)
+    assert len(settled.symbols(Analyzer.CHAR).levels) == 4
+    vocabs = tuple(fit_vocabulary(settled, c) for c in blocks)
+    assert vocabs == tuple(fit_vocabulary(streams, c) for c in blocks)
+    assert (union_transform(settled, vocabs) != union_transform(streams, vocabs)).nnz == 0
+    with pytest.raises(ValueError):
+        fit_vocabulary(settled, char_config(1, 5))
+    with pytest.raises(ValueError):
+        fit_vocabulary(settled, VectorizerConfig(analyzer=Analyzer.WORD_TOKEN))
