@@ -290,8 +290,8 @@ def grid_search(
 
     # Work that does not depend on the configuration is done once: the
     # corpus is preprocessed once, each split side is counted once, and
-    # each distinct tuple of vectorizer blocks is fitted and transformed
-    # once per split for all the classifiers that share it.
+    # each distinct tuple of vectorizer blocks is fitted, and both sides
+    # transformed, once per split for all the classifiers that share it.
     stopwords = load_stopwords(corpus.language)
     stream_of = dict(zip(corpus.author_ids(), preprocess_corpus(corpus, stopwords)))
     groups: dict[tuple[VectorizerConfig, ...], list[int]] = {}
@@ -309,11 +309,12 @@ def grid_search(
         labels = [author.label for author in train_part]
         for vectorizers, positions in groups.items():
             vocabularies, X = _features(train_counts, vectorizers)
+            X_test = union_transform(test_counts, vocabularies)
             for position in positions:
                 model = _fit(vocabularies, X, labels, grid[position], corpus.language)
-                values = decision_values(model, test_counts)
+                values = decision_values(model, X_test)
                 reports[position].append(_report(test_part, values, positive_class))
-            del X  # before the next group's matrix is built
+            del X, X_test  # before the next group's matrices are built
 
     results = [
         GridResult(

@@ -23,6 +23,7 @@ import warnings
 from codecs import decode as codecs_decode
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from .vectorize import (
     VectorizerConfig,
     Vocabulary,
     Weighting,
+    smooth_idf,
     union_transform,
 )
 
@@ -332,13 +334,16 @@ def decision_value(model: LinearModel, x: SparseVector) -> float:
 
 
 def decision_values(
-    model: LinearModel, streams: Sequence[TokenStream] | NgramCounts
+    model: LinearModel, features: Sequence[TokenStream] | NgramCounts | sp.spmatrix
 ) -> np.ndarray:
-    """``X @ w + b`` for the streams (or their counts), vectorized with
-    the model's vocabularies: one decision value per stream."""
-    if not model.feature_spec:
-        raise WrongModelKind("model carries no feature_spec to vectorize with")
-    return union_transform(streams, model.feature_spec) @ model.weights + model.bias
+    """``X @ w + b``: one decision value per row of ``features``, either a
+    matrix already built with the model's vocabularies or streams (or
+    their counts) to vectorize with them."""
+    if not sp.issparse(features):
+        if not model.feature_spec:
+            raise WrongModelKind("model carries no feature_spec to vectorize with")
+        features = union_transform(features, model.feature_spec)
+    return features @ model.weights + model.bias
 
 
 def label_of(value: float) -> Label:
@@ -371,10 +376,17 @@ def predict_proba(model: LinearModel, x: SparseVector) -> float:
 
 
 def _escape(term: str) -> str:
+    # the codec leaves printable ASCII other than the backslash as it is
+    if term.isascii() and term.isprintable() and "\\" not in term:
+        return term
     return term.encode("unicode_escape").decode("ascii")
 
 
 def _unescape(text: str) -> str:
+    # decoding is the identity on ASCII with no backslash; any other
+    # non-ASCII text fails the encode, as a raw field should
+    if text.isascii() and "\\" not in text:
+        return text
     return codecs_decode(text.encode("ascii"), "unicode_escape")
 
 
@@ -408,13 +420,22 @@ def _render_model(model: LinearModel) -> str:
                 f"terms\t{len(vocab)}",
             ]
         )
-        for term in vocab.terms():
-            df = vocab.document_frequency[term]
-            idf = float(vocab.idf[term]).hex() if vocab.idf is not None else "-"
-            lines.append(f"{_escape(term)}\t{vocab.term_to_index[term]}\t{df}\t{idf}")
+        terms = vocab.terms()
+        if vocab.idf is None:
+            idfs = repeat("-", len(terms))
+        else:
+            idfs = [float(vocab.idf[term]).hex() for term in terms]
+        lines.extend(
+            map(
+                "{}\t{}\t{}\t{}".format,
+                map(_escape, terms),
+                range(len(terms)),
+                map(vocab.document_frequency.__getitem__, terms),
+                idfs,
+            )
+        )
     lines.append(f"weights\t{model.dimension}")
-    for index, value in enumerate(model.weights):
-        lines.append(f"{index}:{float(value).hex()}")
+    lines.extend(map("{}:{}".format, range(model.dimension), map(float.hex, model.weights)))
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return body + f"checksum\tsha256:{digest}\n"
@@ -429,26 +450,85 @@ class _LineReader:
         self.lines = lines
         self.pos = 0
 
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
+    def section(self, count: int) -> list[str]:
+        """The next ``count`` lines."""
+        end = self.pos + count
+        if count < 0 or end > len(self.lines):
             raise CorruptModelFile("model file truncated")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
+        lines = self.lines[self.pos : end]
+        self.pos = end
+        return lines
 
     def next_field(self, key: str) -> str:
-        line = self.next()
+        (line,) = self.section(1)
         head, sep, tail = line.partition("\t")
         if not sep or head != key:
             raise CorruptModelFile(f"expected '{key}' line, got {line!r}")
         return tail
 
 
+def _read_vocabulary(
+    lines: list[str], config: VectorizerConfig, corpus_size: int
+) -> Vocabulary:
+    """One block's vocabulary lines, checked as they are read: each index
+    is its line's position, terms strictly ascend, ``1 <= df <=
+    corpus_size``, and a TF-IDF idf is exactly the smooth IDF of its df."""
+    term_to_index: dict[str, int] = {}
+    document_frequency: dict[str, int] = {}
+    idf: dict[str, float] | None = {} if config.weighting is Weighting.TFIDF else None
+    idf_of_df: dict[int, float] = {}
+    term = ""
+    for position, line in enumerate(lines):
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise CorruptModelFile("malformed vocabulary line")
+        previous, term = term, _unescape(fields[0])
+        if int(fields[1]) != position:
+            raise CorruptModelFile(f"vocabulary line {position} has index {fields[1]}")
+        if position and term <= previous:
+            raise CorruptModelFile(f"vocabulary term {position} is out of order")
+        df = int(fields[2])
+        if not 1 <= df <= corpus_size:
+            raise CorruptModelFile(f"document frequency {df} outside [1; {corpus_size}]")
+        if idf is not None:
+            value = float.fromhex(fields[3])
+            if df not in idf_of_df:
+                idf_of_df[df] = smooth_idf(corpus_size, df)
+            if value != idf_of_df[df]:
+                raise CorruptModelFile(f"idf of vocabulary term {position} does not match its df")
+            idf[term] = value
+        term_to_index[term] = position
+        document_frequency[term] = df
+    return Vocabulary(
+        config=config,
+        term_to_index=term_to_index,
+        document_frequency=document_frequency,
+        corpus_size=corpus_size,
+        idf=idf,
+    )
+
+
+def _read_weights(lines: list[str]) -> np.ndarray:
+    """The weight lines, numbered 0, 1, ... in order."""
+    weights = np.empty(len(lines), dtype=np.float64)
+    for position, line in enumerate(lines):
+        index_text, sep, value_text = line.partition(":")
+        if not sep:
+            raise CorruptModelFile("malformed weight line")
+        if int(index_text) != position:
+            raise CorruptModelFile(f"weight line {position} has index {index_text}")
+        weights[position] = float.fromhex(value_text)
+    return weights
+
+
 def load_model(path: str | Path) -> LinearModel:
     """Read a model file back; the checksum guards against truncation
-    and corruption, and unknown format versions are refused."""
+    and corruption, unknown format versions are refused, and a
+    vocabulary or weight section that contradicts itself is rejected."""
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise CorruptModelFile(f"{path}: no such model file") from exc
     except IsADirectoryError as exc:
         raise CorruptModelFile(f"{path} is a directory, not a model file") from exc
     except UnicodeDecodeError as exc:
@@ -463,7 +543,7 @@ def load_model(path: str | Path) -> LinearModel:
 
     lines = body.splitlines()
     reader = _LineReader(lines)
-    header = reader.next()
+    (header,) = reader.section(1)
     parts = header.split(" ")
     if len(parts) != 2 or parts[0] != MODEL_FILE_MAGIC:
         raise CorruptModelFile(f"not a model file (header {header!r})")
@@ -496,18 +576,6 @@ def load_model(path: str | Path) -> LinearModel:
             min_df = int(reader.next_field("min_df"))
             corpus_size = int(reader.next_field("corpus_size"))
             n_terms = int(reader.next_field("terms"))
-            term_to_index: dict[str, int] = {}
-            document_frequency: dict[str, int] = {}
-            idf: dict[str, float] | None = {} if weighting is Weighting.TFIDF else None
-            for _ in range(n_terms):
-                fields = reader.next().split("\t")
-                if len(fields) != 4:
-                    raise CorruptModelFile("malformed vocabulary line")
-                term = _unescape(fields[0])
-                term_to_index[term] = int(fields[1])
-                document_frequency[term] = int(fields[2])
-                if idf is not None:
-                    idf[term] = float.fromhex(fields[3])
             config = VectorizerConfig(
                 analyzer=analyzer,
                 range=NgramRange(min_n, max_n),
@@ -515,23 +583,9 @@ def load_model(path: str | Path) -> LinearModel:
                 min_df=min_df,
                 weighting=weighting,
             )
-            blocks.append(
-                Vocabulary(
-                    config=config,
-                    term_to_index=term_to_index,
-                    document_frequency=document_frequency,
-                    corpus_size=corpus_size,
-                    idf=idf,
-                )
-            )
+            blocks.append(_read_vocabulary(reader.section(n_terms), config, corpus_size))
 
-        dimension = int(reader.next_field("weights"))
-        weights = np.zeros(dimension, dtype=np.float64)
-        for _ in range(dimension):
-            index_text, sep, value_text = reader.next().partition(":")
-            if not sep:
-                raise CorruptModelFile("malformed weight line")
-            weights[int(index_text)] = float.fromhex(value_text)
+        weights = _read_weights(reader.section(int(reader.next_field("weights"))))
     except (ValueError, KeyError, IndexError) as exc:
         raise CorruptModelFile(f"cannot parse model file: {exc}") from exc
 

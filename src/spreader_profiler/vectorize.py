@@ -15,12 +15,14 @@ Counting is corpus-level (``NgramCounts``): the symbols of every
 document are mapped to dense codes ``1..A`` in sorted order, and each
 n-gram gets the exact integer key ``rank(its (n-1)-prefix) * (A + 1) +
 code(its last symbol)``, where the rank is the prefix's position among
-the corpus's distinct (n-1)-grams. Keys therefore sort like the terms,
-stay below ``positions * (A + 1)`` for any alphabet, and one sort per
-length yields a CSR matrix of per-document counts. Vocabulary
-selection, weighting and normalization are then column and row
-operations on those matrices, and Python strings are made only for the
-terms a vocabulary keeps.
+the corpus's distinct (n-1)-grams. Keys therefore sort like the terms
+and stay below ``positions * (A + 1)`` for any alphabet. Each length's
+distinct keys become its columns, and its per-document counts a CSR
+matrix built in linear time: two counting sorts (occurrences by column,
+then by document) leave every row's columns ascending, so repeats are
+summed with no comparison sort. Vocabulary selection, weighting and
+normalization are then column and row operations on those matrices,
+and Python strings are made only for the terms a vocabulary keeps.
 """
 
 from __future__ import annotations
@@ -225,13 +227,18 @@ class _Symbols:
             ranks = np.empty(len(positions), dtype=positions.dtype)
             ranks[order] = np.cumsum(first, dtype=positions.dtype) - 1
             del order, first
-        # positions ascend, so each document's n-grams are contiguous
+        # positions ascend, so each document's n-grams are contiguous. The
+        # rows are unsorted and repeat columns; the round trip through CSC
+        # sorts them by two counting passes (each column's rows, then each
+        # row's columns, come out ascending), so summing the repeats needs
+        # no per-row comparison sort.
         indptr = np.append(np.searchsorted(positions, self.starts), len(positions))
         counts = sp.csr_matrix(
-            (np.ones(len(positions), dtype=np.int32), ranks.copy(), indptr),
+            (np.ones(len(positions), dtype=np.int32), ranks, indptr),
             shape=(len(self.starts), len(keys)),
-        )
-        counts.sum_duplicates()  # sorts the indices in place, hence the copy
+        ).tocsc()
+        counts.sum_duplicates()
+        counts = counts.tocsr()
         where = np.empty(len(keys), dtype=positions.dtype)
         where[ranks] = positions
         self.levels.append(

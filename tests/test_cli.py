@@ -201,12 +201,14 @@ class TestExitCodes:
         self.assert_one_line(capsys, "data error: ")
 
     @pytest.mark.parametrize("subcommand", ["evaluate", "predict"])
-    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8", "missing"])
     def test_unreadable_model_is_model_error(
         self, subcommand, kind, tmp_path, small_synth_dir, capsys
     ):
         model = tmp_path
-        if kind == "non-utf8":
+        if kind == "missing":
+            model = tmp_path / "no-such.model"
+        elif kind == "non-utf8":
             model = tmp_path / "binary.model"
             model.write_bytes(b"spreader-profiler-model 1\n\xff\xfe\n")
         assert run([subcommand, "--model", model, "--input", small_synth_dir]) == 3

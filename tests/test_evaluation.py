@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spreader_profiler import evaluation
+from spreader_profiler import evaluation, vectorize
 from spreader_profiler.corpus import (
     AuthorDocument,
     Corpus,
@@ -352,6 +352,23 @@ class TestSharedGrid:
         if tagged:  # the tag would show in an uncapped vocabulary if it leaked
             everyone = fit_vocabulary(list(streams.values()), grid[-1].vectorizers[0])
             assert "qxj" in everyone.term_to_index
+
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_each_side_is_transformed_once_per_vectorizer_group(
+        self, hard_corpus, folds, monkeypatch
+    ):
+        built = []
+        block = vectorize._block
+
+        def recording_block(counts, vocab):
+            built.append(vocab.config)
+            return block(counts, vocab)
+
+        monkeypatch.setattr(vectorize, "_block", recording_block)
+        grid_search(hard_corpus, self.GRID, SplitSpec(seed=11), folds=folds)
+        groups = {config.vectorizers for config in self.GRID}
+        assert len(groups) < len(self.GRID)  # groups hold several classifiers
+        assert len(built) == 2 * folds * sum(len(vectorizers) for vectorizers in groups)
 
 
 class TestFinalConfigs:

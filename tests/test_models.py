@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -21,6 +22,7 @@ from spreader_profiler.models import (
     TrainConfig,
     _objective_and_grad,
     decision_value,
+    decision_values,
     load_model,
     predict,
     predict_proba,
@@ -37,6 +39,7 @@ from spreader_profiler.vectorize import (
     Weighting,
     fit_vocabulary,
     transform,
+    union_transform,
 )
 
 from oracles import central_difference_gradient, reference_objective, relative_error
@@ -359,6 +362,13 @@ def _fitted_model(seed=0):
     return train_svm(X, y, feature_spec=(vocab,), language=Language.EN)
 
 
+def test_decision_values_of_streams_equal_those_of_their_matrix():
+    model = _fitted_model()
+    streams = [TokenStream(f"s{i}", tuple(t.split())) for i, t in enumerate(["ab cd", "", "dd a"])]
+    X = union_transform(streams, model.feature_spec)
+    assert decision_values(model, X).tolist() == decision_values(model, streams).tolist()
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         model = _fitted_model()
@@ -432,3 +442,136 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.feature_spec[0].term_to_index == vocab.term_to_index
+
+
+def _rewrite(path, edit):
+    """Apply ``edit`` to the lines above a model file's checksum, then
+    write the file back with a valid checksum over the edited body."""
+    lines = path.read_text(encoding="utf-8").splitlines()[:-1]
+    edit(lines)
+    body = "\n".join(lines) + "\n"
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    path.write_text(body + f"checksum\tsha256:{digest}\n", encoding="utf-8")
+
+
+def _sections(lines):
+    """Line numbers of the first vocabulary line and the first weight line."""
+    return (
+        next(i for i, line in enumerate(lines) if line.startswith("terms\t")) + 1,
+        next(i for i, line in enumerate(lines) if line.startswith("weights\t")) + 1,
+    )
+
+
+def _set_field(lines, number, position, value, sep="\t"):
+    fields = lines[number].split(sep)
+    fields[position] = value
+    lines[number] = sep.join(fields)
+
+
+def _repeat_index(lines):
+    vocab, _ = _sections(lines)
+    _set_field(lines, vocab + 1, 1, "0")
+
+
+def _swap_terms(lines):
+    vocab, _ = _sections(lines)
+    first, second = lines[vocab].split("\t"), lines[vocab + 1].split("\t")
+    _set_field(lines, vocab, 0, second[0])
+    _set_field(lines, vocab + 1, 0, first[0])
+
+
+def _repeat_term(lines):
+    vocab, _ = _sections(lines)
+    _set_field(lines, vocab + 1, 0, lines[vocab].split("\t")[0])
+
+
+def _set_df(df):
+    def edit(lines):
+        vocab, _ = _sections(lines)
+        _set_field(lines, vocab, 2, str(df))
+
+    return edit
+
+
+def _nudge_idf(lines):
+    vocab, _ = _sections(lines)
+    idf = float.fromhex(lines[vocab].split("\t")[3])
+    _set_field(lines, vocab, 3, float(np.nextafter(idf, np.inf)).hex())
+
+
+def _repeat_weight_index(lines):
+    _, weights = _sections(lines)
+    _set_field(lines, weights + 1, 0, "0", sep=":")
+
+
+def _swap_weight_lines(lines):
+    _, weights = _sections(lines)
+    lines[weights], lines[weights + 1] = lines[weights + 1], lines[weights]
+
+
+class TestModelFileConsistency:
+    """A model file whose checksum is valid but whose sections contradict
+    themselves is refused."""
+
+    def test_rewrite_alone_keeps_the_file_loadable(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(_fitted_model(), path)
+        original = path.read_bytes()
+        _rewrite(path, lambda lines: None)
+        assert path.read_bytes() == original
+        load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _repeat_index,
+            _swap_terms,
+            _repeat_term,
+            _set_df(0),
+            _set_df(9),  # the model's corpus has 8 documents
+            _nudge_idf,
+            _repeat_weight_index,
+            _swap_weight_lines,
+        ],
+        ids=[
+            "index-not-position",
+            "terms-descend",
+            "term-repeated",
+            "df-zero",
+            "df-above-corpus-size",
+            "idf-not-smooth-idf",
+            "weight-index-repeated",
+            "weight-lines-out-of-order",
+        ],
+    )
+    def test_inconsistent_file_rejected(self, edit, tmp_path):
+        path = tmp_path / "model.txt"
+        model = _fitted_model()
+        assert model.feature_spec[0].corpus_size == 8
+        save_model(model, path)
+        _rewrite(path, edit)
+        with pytest.raises(CorruptModelFile):
+            load_model(path)
+
+    def test_raw_non_ascii_term_field_rejected(self, tmp_path):
+        vocab = fit_vocabulary(
+            [TokenStream("a0", ("xé",))],
+            VectorizerConfig(range=NgramRange(1, 1), weighting=Weighting.COUNT),
+        )
+        model = LinearModel(
+            ModelKind.SVM, np.ones(vocab.dimension), 0.0, (vocab,), Language.ES
+        )
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        escaped = "é".encode("unicode_escape").decode("ascii")
+
+        def unescape_in_place(lines):
+            vocab_start, _ = _sections(lines)
+            number = next(
+                i for i in range(vocab_start, len(lines)) if lines[i].startswith(escaped + "\t")
+            )
+            lines[number] = "é" + lines[number][len(escaped) :]
+
+        _rewrite(path, unescape_in_place)
+        with pytest.raises(CorruptModelFile):
+            load_model(path)

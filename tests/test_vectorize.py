@@ -438,3 +438,47 @@ def test_settled_counts_keep_only_the_matrices():
         fit_vocabulary(settled, char_config(1, 5))
     with pytest.raises(ValueError):
         fit_vocabulary(settled, VectorizerConfig(analyzer=Analyzer.WORD_TOKEN))
+
+
+@st.composite
+def level_corpora(draw):
+    """Documents over the 570-codepoint alphabet: optionally the whole
+    alphabet spread over a few documents, repetitive documents over a few
+    of its symbols (so rows repeat columns before they are summed), and
+    empty documents."""
+    docs = []
+    if draw(st.booleans()):
+        symbols = draw(st.permutations(WIDE_ALPHABET))
+        cuts = sorted(draw(st.lists(st.integers(0, len(symbols)), max_size=3)))
+        bounds = [0, *cuts, len(symbols)]
+        docs += ["".join(symbols[a:b]) for a, b in zip(bounds, bounds[1:])]
+    few = draw(st.lists(st.sampled_from(WIDE_ALPHABET), min_size=1, max_size=4, unique=True))
+    docs += draw(st.lists(st.text(alphabet=few, max_size=30), max_size=5))
+    docs += [""] * draw(st.integers(0, 2))
+    return draw(st.permutations(docs)) if docs else [""]
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=level_corpora())
+def test_levels_match_brute_force_counts(docs):
+    symbols = NgramCounts([stream_of(text) for text in docs]).symbols(Analyzer.CHAR)
+    for n in range(1, 8):
+        level = symbols.level(n)
+        counts = level.counts
+        terms = [symbols.term(p, n) for p in level.where.tolist()]
+        assert terms == sorted(set(terms)) and len(terms) == len(level.keys)
+        assert counts.shape == (len(docs), len(terms))
+        expected_tf, expected_df = Counter(), Counter()
+        for row, text in enumerate(docs):
+            start, end = counts.indptr[row], counts.indptr[row + 1]
+            columns = counts.indices[start:end].tolist()
+            # canonical format: strictly ascending columns, so no repeats
+            assert columns == sorted(set(columns))
+            got = dict(zip((terms[c] for c in columns), counts.data[start:end].tolist()))
+            expected = Counter(brute_char_ngrams(text, n, n))
+            assert got == expected
+            expected_tf.update(expected)
+            expected_df.update(expected.keys())
+        assert counts.has_canonical_format
+        assert level.tf.tolist() == [expected_tf[t] for t in terms]
+        assert level.df.tolist() == [expected_df[t] for t in terms]
