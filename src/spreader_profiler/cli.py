@@ -283,8 +283,14 @@ def cmd_gridsearch(args) -> int:
 
 
 def _read_config_overrides(path: str) -> list[str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except IsADirectoryError as exc:
+        raise DataError(f"{path} is a directory, not a config file") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     extra: list[str] = []
-    for lineno, raw_line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

@@ -12,6 +12,18 @@ weights start at zero, there is no randomness, and the line search
 guarantees the objective never increases between outer iterations.
 Training stops when the L2 norm of the gradient drops to the
 configured tolerance.
+
+The loop runs in one of two bases, with the same code. Since the
+penalty is on w alone and w starts at zero, every iterate, gradient and
+L-BFGS pair lies in the span of the training rows (plus the intercept).
+When the Gram matrix K = X X^T has no more entries than X has stored
+values (``n_samples**2 <= nnz``; authors are far fewer than n-gram
+features), the loop works on the n_samples (+1) coordinates ``a`` of
+``w = X^T a`` with the inner product ``<u, v> = u . (K (+) 1) v``, so
+that its vectors are sized by authors, not by features, and the margins
+of a line-search candidate need no product with X. Otherwise it works on
+``(w, b)`` directly with the Euclidean inner product. Both take the same
+steps in exact arithmetic; they differ by rounding.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ import hashlib
 import math
 import warnings
 from codecs import decode as codecs_decode
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -88,9 +101,9 @@ class TrainConfig:
     fit_intercept: bool = True
 
     def __post_init__(self) -> None:
-        if self.C <= 0:
+        if not self.C > 0:
             raise ValueError(f"C must be positive, got {self.C}")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
@@ -155,83 +168,195 @@ def _to_csr(vectors: list[SparseVector]) -> sp.csr_matrix:
     )
 
 
-def _split_theta(theta: np.ndarray, n_features: int, fit_intercept: bool):
-    if fit_intercept:
-        return theta[:n_features], float(theta[n_features])
-    return theta, 0.0
-
-
-def _margins(theta, X, y_pm, fit_intercept):
-    """The weights and the signed margins ``y * (X w + b)`` at ``theta``."""
-    w, b = _split_theta(theta, X.shape[1], fit_intercept)
-    return w, y_pm * (X @ w + b)
-
-
-def _value(w, t, C, loss):
+def _data_term(t, C, loss):
+    """``C * sum_i loss(t_i)`` at the signed margins ``t``."""
     if loss is LossKind.SQUARED_HINGE:
         z = np.maximum(0.0, 1.0 - t)
-        data_term = C * float(z @ z)
-    else:
-        data_term = C * float(np.logaddexp(0.0, -t).sum())
-    return 0.5 * float(w @ w) + data_term
+        return C * float(z @ z)
+    return C * float(np.logaddexp(0.0, -t).sum())
 
 
-def _grad(w, t, XT, y_pm, C, loss, fit_intercept):
+def _data_slope(t, y_pm, C, loss):
+    """The derivative of the data term with respect to each decision value."""
     if loss is LossKind.SQUARED_HINGE:
-        dloss_df = -2.0 * C * y_pm * np.maximum(0.0, 1.0 - t)
-    else:
-        dloss_df = -C * y_pm * expit(-t)
-    grad_w = XT @ dloss_df + w
-    if fit_intercept:
-        return np.concatenate([grad_w, [float(dloss_df.sum())]])
-    return grad_w
+        return -2.0 * C * y_pm * np.maximum(0.0, 1.0 - t)
+    return -C * y_pm * expit(-t)
+
+
+class _FeatureBasis:
+    """Coordinates ``theta = (w, b)`` with the Euclidean inner product:
+    a vector is its own image."""
+
+    def __init__(self, X: sp.csr_matrix, fit_intercept: bool):
+        self.X, self.XT = X, X.T
+        self.fit_intercept = fit_intercept
+        self.size = X.shape[1] + fit_intercept
+
+    @staticmethod
+    def split(v: np.ndarray):
+        return v, v
+
+    @staticmethod
+    def with_image(coordinates: np.ndarray) -> np.ndarray:
+        return coordinates
+
+    def weights(self, theta: np.ndarray):
+        if self.fit_intercept:
+            return theta[:-1], float(theta[-1])
+        return theta, 0.0
+
+    def decisions(self, theta: np.ndarray):
+        """``w . w`` and the decision values ``X w + b``."""
+        w, b = self.weights(theta)
+        return float(w @ w), self.X @ w + b
+
+    def gradient(self, theta: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+        """The gradient at ``theta`` from the data term's ``slopes``."""
+        w, _ = self.weights(theta)
+        grad_w = self.XT @ slopes + w
+        if self.fit_intercept:
+            return np.concatenate([grad_w, [float(slopes.sum())]])
+        return grad_w
+
+
+# Dense blocks of columns for the Gram matrix: at most this many bytes,
+# and at most 1/_GRAM_MIN_BLOCKS of X as a dense array, so that building
+# it holds little more than X itself.
+_GRAM_BLOCK_BYTES = 1 << 22
+_GRAM_MIN_BLOCKS = 16
+
+
+def _gram(X: sp.csr_matrix) -> np.ndarray:
+    """``X X^T`` as a dense array, summed over dense blocks of columns."""
+    n_rows, n_columns = X.shape
+    width = max(1, min(_GRAM_BLOCK_BYTES // (8 * n_rows), -(-n_columns // _GRAM_MIN_BLOCKS)))
+    gram = np.zeros((n_rows, n_rows))
+    for start in range(0, n_columns, width):
+        block = X[:, start : start + width].toarray()
+        gram += block @ block.T
+    return gram
+
+
+class _RowBasis:
+    """Coordinates ``theta = (a, b)`` with ``w = X^T a`` and the inner
+    product ``<u, v> = u . M v`` for ``M = X X^T (+) 1``.
+
+    A vector is stored as its coordinates followed by its image under
+    ``M``. Sums and multiples carry their images along, so only a
+    gradient and a search direction take a product with the Gram
+    matrix; the decision values at ``theta`` are ``X X^T a + b``, read
+    off its image.
+    """
+
+    def __init__(self, X: sp.csr_matrix, fit_intercept: bool):
+        self.X = X
+        self.gram = _gram(X)
+        self.n_samples = X.shape[0]
+        self.fit_intercept = fit_intercept
+        self.half = self.n_samples + fit_intercept
+        self.size = 2 * self.half
+
+    def split(self, v: np.ndarray):
+        """The coordinates and the image of ``v``."""
+        return v[: self.half], v[self.half :]
+
+    def with_image(self, coordinates: np.ndarray) -> np.ndarray:
+        n, half = self.n_samples, self.half
+        v = np.empty(self.size)
+        v[:half] = coordinates
+        np.matmul(self.gram, coordinates[:n], out=v[half : half + n])
+        if self.fit_intercept:
+            v[half + n] = coordinates[n]
+        return v
+
+    def weights(self, theta: np.ndarray):
+        w = self.X.T @ theta[: self.n_samples]
+        return w, float(theta[self.n_samples]) if self.fit_intercept else 0.0
+
+    def decisions(self, theta: np.ndarray):
+        n, half = self.n_samples, self.half
+        gram_a = theta[half : half + n]
+        b = float(theta[n]) if self.fit_intercept else 0.0
+        return float(theta[:n] @ gram_a), gram_a + b
+
+    def gradient(self, theta: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+        n = self.n_samples
+        coordinates = np.empty(self.half)
+        np.add(slopes, theta[:n], out=coordinates[:n])
+        if self.fit_intercept:
+            coordinates[n] = float(slopes.sum())
+        return self.with_image(coordinates)
+
+
+def _basis(X: sp.csr_matrix, fit_intercept: bool):
+    """The row basis when its Gram matrix is no larger than the data."""
+    if X.shape[0] ** 2 <= X.nnz:
+        return _RowBasis(X, fit_intercept)
+    return _FeatureBasis(X, fit_intercept)
 
 
 def _objective_and_grad(theta, X, y_pm, C, loss, fit_intercept):
-    w, t = _margins(theta, X, y_pm, fit_intercept)
-    return _value(w, t, C, loss), _grad(w, t, X.T, y_pm, C, loss, fit_intercept)
+    """The objective and its gradient at ``theta = (w, b)``."""
+    basis = _FeatureBasis(X, fit_intercept)
+    ww, decisions = basis.decisions(theta)
+    t = y_pm * decisions
+    return 0.5 * ww + _data_term(t, C, loss), basis.gradient(theta, _data_slope(t, y_pm, C, loss))
 
 
-def _lbfgs_direction(grad, s_hist, y_hist, rho_hist):
+def _norm(v: np.ndarray, image: np.ndarray) -> float:
+    # with a singular Gram matrix, rounding can leave u . M u a little
+    # below zero for u near its null space
+    return math.sqrt(max(float(v @ image), 0.0))
+
+
+def _lbfgs_direction(grad, pairs):
+    """The coordinates of ``-H grad`` by the two-loop recursion; each
+    pair holds the coordinates and the image of ``s`` and of ``y``."""
     q = grad.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-        alpha = rho * float(s @ q)
+    for s, s_image, y, _, rho in reversed(pairs):
+        alpha = rho * float(s_image @ q)
         q -= alpha * y
         alphas.append(alpha)
-    if y_hist:
-        y_last = y_hist[-1]
-        q *= float(s_hist[-1] @ y_last) / float(y_last @ y_last)
-    for (s, y, rho), alpha in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-        beta = rho * float(y @ q)
+    if pairs:
+        s, _, y, y_image, _ = pairs[-1]
+        q *= float(s @ y_image) / float(y @ y_image)
+    for (s, _, y, y_image, rho), alpha in zip(pairs, reversed(alphas)):
+        beta = rho * float(y_image @ q)
         q += (alpha - beta) * s
     return -q
 
 
 def _minimize(X, y_pm, C, loss, fit_intercept, tolerance, max_iterations):
-    XT = X.T
-    theta = np.zeros(X.shape[1] + (1 if fit_intercept else 0), dtype=np.float64)
-    w, t = _margins(theta, X, y_pm, fit_intercept)
-    value = _value(w, t, C, loss)
-    grad = _grad(w, t, XT, y_pm, C, loss, fit_intercept)
-    history = [value]
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    """L-BFGS with Armijo backtracking from zero; returns the weights,
+    the bias, the objective history, the convergence flag and the
+    iteration count."""
+    basis = _basis(X, fit_intercept)
 
+    def evaluate(theta):
+        ww, decisions = basis.decisions(theta)
+        t = y_pm * decisions
+        return 0.5 * ww + _data_term(t, C, loss), t
+
+    theta = np.zeros(basis.size, dtype=np.float64)
+    value, t = evaluate(theta)
+    grad = basis.gradient(theta, _data_slope(t, y_pm, C, loss))
+    history = [value]
+    pairs: deque[tuple] = deque(maxlen=_LBFGS_MEMORY)
+
+    g, g_image = basis.split(grad)
     n_iter = 0
-    while float(np.linalg.norm(grad)) > tolerance and n_iter < max_iterations:
-        direction = _lbfgs_direction(grad, s_hist, y_hist, rho_hist)
-        slope = float(grad @ direction)
+    while _norm(g, g_image) > tolerance and n_iter < max_iterations:
+        direction = basis.with_image(_lbfgs_direction(g, pairs))
+        slope = float(g @ basis.split(direction)[1])
         if slope >= 0.0:
             direction = -grad
-            slope = -float(grad @ grad)
+            slope = -float(g @ g_image)
 
         step = 1.0
         while step >= _MIN_STEP:
             candidate = theta + step * direction
-            w, t = _margins(candidate, X, y_pm, fit_intercept)
-            new_value = _value(w, t, C, loss)
+            new_value, t = evaluate(candidate)
             if new_value <= value + _ARMIJO_C1 * step * slope:
                 break
             step *= _BACKTRACK_FACTOR
@@ -239,24 +364,20 @@ def _minimize(X, y_pm, C, loss, fit_intercept, tolerance, max_iterations):
             break  # line search stalled at machine precision
 
         # the accepted candidate's margins give its gradient
-        new_grad = _grad(w, t, XT, y_pm, C, loss, fit_intercept)
-        s = candidate - theta
-        y = new_grad - grad
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > _LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+        new_grad = basis.gradient(candidate, _data_slope(t, y_pm, C, loss))
+        s, s_image = basis.split(candidate - theta)
+        y, y_image = basis.split(new_grad - grad)
+        sy = float(s @ y_image)
+        if sy > 1e-12 * _norm(s, s_image) * _norm(y, y_image):
+            pairs.append((s, s_image, y, y_image, 1.0 / sy))
         theta, value, grad = candidate, new_value, new_grad
+        g, g_image = basis.split(grad)
         history.append(value)
         n_iter += 1
 
-    converged = float(np.linalg.norm(grad)) <= tolerance
-    return theta, history, converged, n_iter
+    converged = _norm(g, g_image) <= tolerance
+    w, b = basis.weights(theta)
+    return w, b, history, converged, n_iter
 
 
 def _validate_training_inputs(n_samples: int, y: list[Label]):
@@ -284,7 +405,7 @@ def train(
         [1.0 if label == Label.FAKE_NEWS_SPREADER else -1.0 for label in y],
         dtype=np.float64,
     )
-    theta, history, converged, n_iter = _minimize(
+    w, b, history, converged, n_iter = _minimize(
         X_csr,
         y_pm,
         config.C,
@@ -300,7 +421,6 @@ def train(
             ConvergenceWarning,
             stacklevel=2,
         )
-    w, b = _split_theta(theta, X_csr.shape[1], config.fit_intercept)
     return LinearModel(
         kind=_KIND_FOR_LOSS[config.loss],
         weights=np.array(w, dtype=np.float64),
@@ -559,7 +679,10 @@ def load_model(path: str | Path) -> LinearModel:
         tolerance = float.fromhex(reader.next_field("tolerance"))
         max_iterations = int(reader.next_field("max_iterations"))
         loss = LossKind(reader.next_field("loss"))
-        fit_intercept = bool(int(reader.next_field("fit_intercept")))
+        fit_intercept_text = reader.next_field("fit_intercept")
+        if fit_intercept_text not in ("0", "1"):
+            raise CorruptModelFile(f"fit_intercept must be 0 or 1, got {fit_intercept_text!r}")
+        fit_intercept = fit_intercept_text == "1"
         bias = float.fromhex(reader.next_field("bias"))
         n_blocks = int(reader.next_field("blocks"))
 
@@ -586,20 +709,21 @@ def load_model(path: str | Path) -> LinearModel:
             blocks.append(_read_vocabulary(reader.section(n_terms), config, corpus_size))
 
         weights = _read_weights(reader.section(int(reader.next_field("weights"))))
+        if reader.pos != len(lines):
+            raise CorruptModelFile("lines after the weights section")
+        return LinearModel(
+            kind=kind,
+            weights=weights,
+            bias=bias,
+            feature_spec=tuple(blocks),
+            language=language,
+            train_config=TrainConfig(
+                C=c,
+                tolerance=tolerance,
+                max_iterations=max_iterations,
+                loss=loss,
+                fit_intercept=fit_intercept,
+            ),
+        )
     except (ValueError, KeyError, IndexError) as exc:
         raise CorruptModelFile(f"cannot parse model file: {exc}") from exc
-
-    return LinearModel(
-        kind=kind,
-        weights=weights,
-        bias=bias,
-        feature_spec=tuple(blocks),
-        language=language,
-        train_config=TrainConfig(
-            C=c,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            loss=loss,
-            fit_intercept=fit_intercept,
-        ),
-    )

@@ -1,5 +1,14 @@
+import contextlib
+import hashlib
+import io
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreader_profiler import cli
 from spreader_profiler.corpus import Label, Language, load_corpus, parse_truth_file
@@ -256,6 +265,130 @@ class TestConfigFile:
         config.write_text("frobnicate=yes\n")
         assert run(["train", "--input", small_synth_dir, "--lang", "en",
                     "--config", config]) == 1
+
+    def test_config_directory_is_data_error(self, small_synth_dir, tmp_path, capsys):
+        assert run(["train", "--input", small_synth_dir, "--lang", "en",
+                    "--config", tmp_path]) == 2
+        TestExitCodes.assert_one_line(capsys, "data error: ")
+
+    def test_non_utf8_config_is_data_error(self, small_synth_dir, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"seed=5\n\xff\xfe=1\n")
+        assert run(["train", "--input", small_synth_dir, "--lang", "en",
+                    "--config", config]) == 2
+        TestExitCodes.assert_one_line(capsys, "data error: ")
+
+
+# Text for corrupted lines: no tab, colon or line boundary, so an edited
+# model line is never well formed and a truth line stays one line.
+_LINE_TEXT = st.text(
+    st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"), exclude_characters=":"),
+    max_size=12,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A corpus of two authors per class with the standard 100 tweets
+    each (so that loading it warns about nothing) and a model trained
+    on it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus = root / "en"
+    generate_corpus_dir(corpus, authors_per_class=2, tweets_per_author=100, seed=5,
+                        language="en")
+    model = root / "model.txt"
+    save_model(fit_pipeline(load_corpus(corpus, "en"), final_config(Language.EN)), model)
+    return corpus, model
+
+
+def _run_captured(argv):
+    """Exit code and standard error of one CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+def _corrupt_corpus(directory, data):
+    xml_paths = sorted(directory.glob("*.xml"))
+    fault = data.draw(st.sampled_from(["truncate", "garble", "truth-line", "missing-author"]))
+    if fault == "truncate":
+        path = data.draw(st.sampled_from(xml_paths))
+        raw = path.read_bytes()
+        path.write_bytes(raw[: data.draw(st.integers(0, raw.rindex(b"</author>")))])
+    elif fault == "garble":
+        path = data.draw(st.sampled_from(xml_paths))
+        raw = path.read_bytes()
+        at = data.draw(st.integers(0, len(raw)))
+        byte = data.draw(st.integers(0xF8, 0xFF))  # never valid in UTF-8
+        path.write_bytes(raw[:at] + bytes([byte]) + raw[at:])
+    elif fault == "truth-line":
+        truth = directory / "truth.txt"
+        lines = truth.read_text(encoding="utf-8").splitlines()
+        known = sorted(line.partition(":::")[0] for line in lines)
+        bad = data.draw(
+            st.one_of(
+                _LINE_TEXT.filter(lambda text: text.strip()),  # no separator
+                st.builds("{}:::{}".format, st.sampled_from(known),
+                          _LINE_TEXT.filter(lambda text: text.strip() not in ("0", "1"))),
+                st.builds("{}:::1".format,
+                          _LINE_TEXT.filter(lambda text: not text.strip().isalnum())),
+                st.sampled_from(lines),  # a repeated author
+                st.just("nosuchauthor:::0"),
+            )
+        )
+        lines.insert(data.draw(st.integers(0, len(lines))), bad)
+        truth.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        data.draw(st.sampled_from(xml_paths)).unlink()
+
+
+def _corrupt_model(path, data):
+    """Delete, repeat or edit one line above the checksum, and keep the
+    old checksum or write one over the edited lines."""
+    *lines, checksum = path.read_text(encoding="utf-8").splitlines()
+    number = data.draw(st.integers(0, len(lines) - 1))
+    fault = data.draw(st.sampled_from(["delete", "duplicate", "edit"]))
+    if fault == "delete":
+        del lines[number]
+    elif fault == "duplicate":
+        lines.insert(number, lines[number])
+    else:
+        lines[number] = data.draw(_LINE_TEXT.filter(lambda text: text != lines[number]))
+    body = "\n".join(lines) + "\n"
+    if data.draw(st.booleans()):
+        checksum = f"checksum\tsha256:{hashlib.sha256(body.encode('utf-8')).hexdigest()}"
+    path.write_text(body + checksum + "\n", encoding="utf-8")
+
+
+class TestCorruptInputs:
+    """Randomly corrupted corpora and model files end in one error line."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_corpus_is_a_data_error(self, fuzz_inputs, data):
+        corpus, _ = fuzz_inputs
+        with tempfile.TemporaryDirectory() as scratch:
+            broken = Path(scratch) / "en"
+            shutil.copytree(corpus, broken)
+            _corrupt_corpus(broken, data)
+            code, err = _run_captured(["analyze", "--input", broken, "--lang", "en"])
+        assert code == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_model_is_a_model_error(self, fuzz_inputs, data):
+        corpus, model = fuzz_inputs
+        with tempfile.TemporaryDirectory() as scratch:
+            broken = Path(scratch) / "model.txt"
+            shutil.copyfile(model, broken)
+            _corrupt_model(broken, data)
+            code, err = _run_captured(["evaluate", "--model", broken, "--input", corpus])
+        assert code == 3
+        assert err.startswith("model error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_help_exits_zero():

@@ -15,8 +15,8 @@ from spreader_profiler import cli
 from spreader_profiler.synth import generate_corpus_dir
 
 GOLDEN_SHA256 = {
-    "en": "1d84936b69c7fa78add95d89fa033d089b9557b87db63719fe8fd3fe7cee261b",
-    "es": "b89f2b34c2aac9fef2d61a0be83aff1a83e247ab0ea91578e679f0b4e4bcd440",
+    "en": "f0714882d909857ad4cea2ea0b0063e7868a79f04c86c00092e39ad0bc32fa85",
+    "es": "af8feb2d280ef75416a3b0aebd42b2f8573205cf35c24b8168c678bd302baf45",
 }
 
 

@@ -1,11 +1,13 @@
 import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from spreader_profiler import models
 from spreader_profiler.corpus import Label, Language
 from spreader_profiler.errors import (
     ConvergenceWarning,
@@ -20,7 +22,10 @@ from spreader_profiler.models import (
     LossKind,
     ModelKind,
     TrainConfig,
+    _basis,
+    _gram,
     _objective_and_grad,
+    _RowBasis,
     decision_value,
     decision_values,
     load_model,
@@ -308,6 +313,87 @@ class TestOptimizerIdentity:
             assert backtracks > 0
 
 
+class TestRowBasis:
+    """Problems whose Gram matrix is no larger than the data run in the
+    basis of the training rows; they reach the reference loop's optimum."""
+
+    @staticmethod
+    def problem(seed):
+        """24 rows over 60 features, with an empty row, a row repeated
+        under the same label and a row repeated under the other label,
+        so that the Gram matrix is singular."""
+        rng = np.random.default_rng(seed)
+        X = sp.random(24, 60, density=0.5, format="lil", random_state=rng, dtype=np.float64)
+        truth = rng.normal(size=60)
+        y_pm = np.where(X @ truth + rng.normal(scale=0.5, size=24) > 0, 1.0, -1.0)
+        X[3, :] = 0.0
+        X[5, :] = X[4, :]
+        y_pm[5] = y_pm[4]
+        X[7, :] = X[6, :]
+        y_pm[7] = -y_pm[6]
+        return X.tocsr(), y_pm
+
+    def train_both(self, loss, C, fit_intercept, max_iterations, seed):
+        X, y_pm = self.problem(seed)
+        assert isinstance(_basis(X, fit_intercept), _RowBasis)
+        config = TrainConfig(C=C, tolerance=1e-6, max_iterations=max_iterations, loss=loss,
+                             fit_intercept=fit_intercept)
+        labels = [FAKE if v > 0 else TRUE for v in y_pm]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            model = train(X, labels, config)
+        theta, history, n_iter, _ = _reference_minimize(
+            X, y_pm, C, loss, fit_intercept, config.tolerance, max_iterations
+        )
+        gradient = _objective_and_grad(theta, X, y_pm, C, loss, fit_intercept)[1]
+        reference_converged = float(np.linalg.norm(gradient)) <= config.tolerance
+        return model, theta, history, reference_converged, X.shape[1]
+
+    @pytest.mark.parametrize("loss", [LossKind.SQUARED_HINGE, LossKind.LOGISTIC])
+    @pytest.mark.parametrize("C", [1.0, 50.0])
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_reaches_the_reference_optimum(self, loss, C, fit_intercept):
+        model, theta, history, converged, n = self.train_both(
+            loss, C, fit_intercept, 1000, seed=int(C) + fit_intercept
+        )
+        assert model.converged is converged is True
+        assert model.objective_history[-1] == pytest.approx(history[-1], rel=1e-9)
+        assert np.max(np.abs(model.weights - theta[:n])) <= 2e-6
+        assert abs(model.bias - (float(theta[n]) if fit_intercept else 0.0)) <= 2e-6
+
+    @pytest.mark.parametrize("loss", [LossKind.SQUARED_HINGE, LossKind.LOGISTIC])
+    def test_capped_run_follows_the_reference_history(self, loss):
+        model, _, history, converged, _ = self.train_both(loss, 20.0, True, 7, seed=3)
+        assert model.converged is converged is False
+        assert model.n_iterations == len(history) - 1 == 7
+        assert model.objective_history == pytest.approx(history, rel=1e-12)
+
+
+class TestGram:
+    """``_gram`` sums dense blocks of columns; integer data makes every
+    sum exact, whatever the blocks."""
+
+    @staticmethod
+    def matrix(n_columns, seed=0):
+        rng = np.random.default_rng(seed)
+        dense = rng.integers(0, 4, size=(5, n_columns)).astype(np.float64)
+        dense[:, ::3] = 0.0  # empty columns
+        dense[2] = 0.0  # an empty row
+        return sp.csr_matrix(dense)
+
+    @pytest.mark.parametrize("n_columns", [1, 4, 5, 6, 11])
+    def test_blocks_of_the_byte_budget(self, n_columns, monkeypatch):
+        monkeypatch.setattr(models, "_GRAM_BLOCK_BYTES", 8 * 5 * 5)  # 5 columns
+        monkeypatch.setattr(models, "_GRAM_MIN_BLOCKS", 1)
+        X = self.matrix(n_columns)
+        assert np.array_equal(_gram(X), (X @ X.T).toarray())
+
+    @pytest.mark.parametrize("n_columns", [1, 15, 16, 17, 100])
+    def test_blocks_of_a_share_of_the_columns(self, n_columns):
+        X = self.matrix(n_columns, seed=n_columns)
+        assert np.array_equal(_gram(X), (X @ X.T).toarray())
+
+
 class TestPredict:
     def test_positive_halfplane(self):
         model = LinearModel(ModelKind.SVM, np.array([1.0, 0.0]), 0.0, (), Language.EN)
@@ -509,6 +595,26 @@ def _swap_weight_lines(lines):
     lines[weights], lines[weights + 1] = lines[weights + 1], lines[weights]
 
 
+def _set_header(key, value):
+    def edit(lines):
+        number = next(i for i, line in enumerate(lines) if line.startswith(key + "\t"))
+        lines[number] = f"{key}\t{value}"
+
+    return edit
+
+
+def _set_first_weight(value):
+    def edit(lines):
+        _, weights = _sections(lines)
+        _set_field(lines, weights, 1, value, sep=":")
+
+    return edit
+
+
+def _append_line(lines):
+    lines.append("0:0x0.0p+0")
+
+
 class TestModelFileConsistency:
     """A model file whose checksum is valid but whose sections contradict
     themselves is refused."""
@@ -532,6 +638,14 @@ class TestModelFileConsistency:
             _nudge_idf,
             _repeat_weight_index,
             _swap_weight_lines,
+            _set_first_weight("inf"),
+            _set_first_weight("nan"),
+            _set_header("bias", "inf"),
+            _set_header("tolerance", "0x0.0p+0"),
+            _set_header("tolerance", "nan"),
+            _set_header("max_iterations", "0"),
+            _set_header("fit_intercept", "7"),
+            _append_line,
         ],
         ids=[
             "index-not-position",
@@ -542,6 +656,14 @@ class TestModelFileConsistency:
             "idf-not-smooth-idf",
             "weight-index-repeated",
             "weight-lines-out-of-order",
+            "weight-infinite",
+            "weight-nan",
+            "bias-infinite",
+            "tolerance-zero",
+            "tolerance-nan",
+            "max-iterations-zero",
+            "fit-intercept-not-0-or-1",
+            "line-after-weights",
         ],
     )
     def test_inconsistent_file_rejected(self, edit, tmp_path):
