@@ -7,14 +7,17 @@ One executable, five subcommands: ``analyze`` (corpus statistics),
 ``gridsearch`` (sweep the documented hyperparameter ranges).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 model error.
-All primary outputs are deterministic: the same flags on the same
-inputs produce byte-identical files and stdout.
+A warning that the process's filters let through goes to stderr as one
+``warning: <category>: <message>`` line. All primary outputs are
+deterministic: the same flags on the same inputs produce byte-identical
+files and stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -301,7 +304,17 @@ def _read_config_overrides(path: str) -> list[str]:
     return extra
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def run(argv: list[str]) -> int:
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return _run(argv)
+
+
+def _run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

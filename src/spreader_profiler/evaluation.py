@@ -8,12 +8,13 @@ deterministic grid-search runner over the vectorizer/model space.
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .corpus import Corpus, Label, Language, SplitSpec, split_corpus
-from .errors import EmptyGrid, EmptyMatrix, LengthMismatch, UnlabeledCorpus
+from .errors import ConvergenceWarning, EmptyGrid, EmptyMatrix, LengthMismatch, UnlabeledCorpus
 from .models import (
     LinearModel,
     LossKind,
@@ -21,6 +22,7 @@ from .models import (
     TrainConfig,
     decision_values,
     label_of,
+    row_gram,
     train,
 )
 from .preprocess import StopwordList, load_stopwords, preprocess_corpus
@@ -167,12 +169,14 @@ def _features(counts: NgramCounts, vectorizers: tuple[VectorizerConfig, ...]):
     return vocabularies, union_transform(counts, vocabularies)
 
 
-def _fit(vocabularies, X, labels: list[Label], config: PipelineConfig, language) -> LinearModel:
-    """Train the configured classifier on a fitted training matrix."""
+def _fit(
+    vocabularies, X, labels: list[Label], config: PipelineConfig, language, gram=None
+) -> LinearModel:
+    """Train the configured classifier on a fitted training matrix
+    (``gram`` is ``row_gram(X)``, when the caller has it)."""
     loss = LossKind.SQUARED_HINGE if config.model_kind is ModelKind.SVM else LossKind.LOGISTIC
-    return train(
-        X, labels, replace(config.train, loss=loss), feature_spec=vocabularies, language=language
-    )
+    return train(X, labels, replace(config.train, loss=loss), feature_spec=vocabularies,
+                 language=language, gram=gram)
 
 
 def fit_pipeline(
@@ -274,7 +278,10 @@ def grid_search(
     By default each configuration is scored on the single seeded
     train/test split given by ``spec``; pass ``folds > 1`` for
     stratified cross-validation instead. Ties in accuracy break on the
-    lexicographic order of the configuration key.
+    lexicographic order of the configuration key. A warning raised while
+    training, such as a ``ConvergenceWarning``, is raised again with the
+    configuration key and the split index in its message, so that each
+    unconverged model gets its own line.
     """
     if not grid:
         raise EmptyGrid("grid search needs at least one configuration")
@@ -290,8 +297,9 @@ def grid_search(
 
     # Work that does not depend on the configuration is done once: the
     # corpus is preprocessed once, each split side is counted once, and
-    # each distinct tuple of vectorizer blocks is fitted, and both sides
-    # transformed, once per split for all the classifiers that share it.
+    # each distinct tuple of vectorizer blocks is fitted, both sides
+    # transformed and the Gram matrix built, once per split for all the
+    # classifiers that share it.
     stopwords = load_stopwords(corpus.language)
     stream_of = dict(zip(corpus.author_ids(), preprocess_corpus(corpus, stopwords)))
     groups: dict[tuple[VectorizerConfig, ...], list[int]] = {}
@@ -299,7 +307,7 @@ def grid_search(
         groups.setdefault(config.vectorizers, []).append(position)
     blocks = [vc for vectorizers in groups for vc in vectorizers]
     reports: list[list[EvalReport]] = [[] for _ in grid]
-    for train_part, test_part in pairs:
+    for split, (train_part, test_part) in enumerate(pairs):
         train_counts, test_counts = (
             NgramCounts([stream_of[author_id] for author_id in part.author_ids()])
             for part in (train_part, test_part)
@@ -310,11 +318,21 @@ def grid_search(
         for vectorizers, positions in groups.items():
             vocabularies, X = _features(train_counts, vectorizers)
             X_test = union_transform(test_counts, vocabularies)
+            gram = row_gram(X)
             for position in positions:
-                model = _fit(vocabularies, X, labels, grid[position], corpus.language)
+                config = grid[position]
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", ConvergenceWarning)
+                    model = _fit(vocabularies, X, labels, config, corpus.language, gram)
+                for warning in caught:  # said again with the configuration and split
+                    warnings.warn(
+                        f"{config.key()} split {split}: {warning.message}",
+                        warning.category,
+                        stacklevel=2,
+                    )
                 values = decision_values(model, X_test)
                 reports[position].append(_report(test_part, values, positive_class))
-            del X, X_test  # before the next group's matrices are built
+            del X, X_test, gram  # before the next group's matrices are built
 
     results = [
         GridResult(

@@ -189,6 +189,24 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("default::spreader_profiler.errors.NonStandardTweetCount")
+    @pytest.mark.parametrize("corrupt_truth", [False, True])
+    def test_warning_is_one_stderr_line(self, corrupt_truth, tmp_path, small_synth_dir, capsys):
+        """The small corpus's authors have 20 tweets, not 100."""
+        corpus = small_synth_dir
+        if corrupt_truth:
+            corpus = tmp_path / "broken"
+            shutil.copytree(small_synth_dir, corpus)
+            truth = corpus / "truth.txt"
+            truth.write_bytes(b"\xff\xfe" + truth.read_bytes())
+        assert run(["analyze", "--input", corpus, "--lang", "en"]) == (2 if corrupt_truth else 0)
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("warning: NonStandardTweetCount: 24 of 24 authors in ")
+        if corrupt_truth:
+            assert len(lines) == 2 and lines[1].startswith("data error: ")
+        else:
+            assert len(lines) == 1
+
     def test_non_alphanumeric_author_file_is_data_error(self, tmp_path, small_synth_dir, capsys):
         import shutil
 

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from spreader_profiler import evaluation, vectorize
+from spreader_profiler import evaluation, models, vectorize
 from spreader_profiler.corpus import (
     AuthorDocument,
     Corpus,
@@ -11,7 +13,13 @@ from spreader_profiler.corpus import (
     load_corpus,
     split_corpus,
 )
-from spreader_profiler.errors import EmptyGrid, EmptyMatrix, LengthMismatch, UnlabeledCorpus
+from spreader_profiler.errors import (
+    ConvergenceWarning,
+    EmptyGrid,
+    EmptyMatrix,
+    LengthMismatch,
+    UnlabeledCorpus,
+)
 from spreader_profiler.evaluation import (
     FINAL_EN_CONFIG,
     FINAL_ES_CONFIG,
@@ -31,7 +39,7 @@ from spreader_profiler.evaluation import (
     render_grid_tsv,
     render_report,
 )
-from spreader_profiler.models import ModelKind
+from spreader_profiler.models import ModelKind, TrainConfig
 from spreader_profiler.preprocess import load_stopwords, preprocess_corpus
 from spreader_profiler.synth import generate_corpus_dir
 from spreader_profiler.vectorize import (
@@ -369,6 +377,43 @@ class TestSharedGrid:
         groups = {config.vectorizers for config in self.GRID}
         assert len(groups) < len(self.GRID)  # groups hold several classifiers
         assert len(built) == 2 * folds * sum(len(vectorizers) for vectorizers in groups)
+
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_classifiers_of_a_vectorizer_group_share_one_gram(
+        self, hard_corpus, folds, monkeypatch
+    ):
+        shapes = []
+        gram = models._gram
+
+        def recording_gram(X):
+            shapes.append(X.shape)
+            return gram(X)
+
+        monkeypatch.setattr(models, "_gram", recording_gram)
+        grid_search(hard_corpus, self.GRID, SplitSpec(seed=11), folds=folds)
+        groups = {config.vectorizers for config in self.GRID}
+        kinds = {vectorizers: {c.model_kind for c in self.GRID if c.vectorizers == vectorizers}
+                 for vectorizers in groups}
+        assert set(ModelKind) in kinds.values()
+        assert len(shapes) == len(groups) * folds
+
+    def test_unconverged_configurations_are_named(self, hard_corpus):
+        """One warning per configuration and split that stops at
+        ``max_iterations``, naming both, and none for the others."""
+        capped = [replace(config, train=TrainConfig(max_iterations=1))
+                  for config in self.GRID if config.model_kind is ModelKind.LOGREG][:2]
+        converging = [config for config in self.GRID if config.model_kind is ModelKind.SVM][:2]
+        spec, folds = SplitSpec(seed=11), 3
+        with pytest.warns(ConvergenceWarning) as caught:
+            results = grid_search(hard_corpus, capped + converging, spec, folds=folds)
+        messages = sorted(str(w.message) for w in caught)
+        assert messages == sorted(
+            f"{config.key()} split {split}: optimizer hit max_iterations=1 before "
+            f"reaching tolerance {config.train.tolerance}"
+            for config in capped
+            for split in range(folds)
+        )
+        assert len(results) == len(capped + converging)
 
 
 class TestFinalConfigs:

@@ -15,7 +15,7 @@ from spreader_profiler import cli
 from spreader_profiler.synth import generate_corpus_dir
 
 GOLDEN_SHA256 = {
-    "en": "f0714882d909857ad4cea2ea0b0063e7868a79f04c86c00092e39ad0bc32fa85",
+    "en": "13332f994ef4d0e6efd36bb510b3006676b1bc0dc8197c57eae4c4f79e56345e",
     "es": "af8feb2d280ef75416a3b0aebd42b2f8573205cf35c24b8168c678bd302baf45",
 }
 

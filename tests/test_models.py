@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from spreader_profiler import models
-from spreader_profiler.corpus import Label, Language
+from spreader_profiler.corpus import Corpus, Label, Language
 from spreader_profiler.errors import (
     ConvergenceWarning,
     CorruptModelFile,
@@ -36,8 +36,10 @@ from spreader_profiler.models import (
     train_logreg,
     train_svm,
 )
-from spreader_profiler.preprocess import TokenStream
+from spreader_profiler.preprocess import TokenStream, load_stopwords, preprocess_corpus
+from spreader_profiler.synth import synth_author
 from spreader_profiler.vectorize import (
+    NgramCounts,
     NgramRange,
     SparseVector,
     VectorizerConfig,
@@ -361,12 +363,144 @@ class TestRowBasis:
         assert np.max(np.abs(model.weights - theta[:n])) <= 2e-6
         assert abs(model.bias - (float(theta[n]) if fit_intercept else 0.0)) <= 2e-6
 
-    @pytest.mark.parametrize("loss", [LossKind.SQUARED_HINGE, LossKind.LOGISTIC])
+    @pytest.mark.parametrize("loss", [LossKind.LOGISTIC])
     def test_capped_run_follows_the_reference_history(self, loss):
         model, _, history, converged, _ = self.train_both(loss, 20.0, True, 7, seed=3)
         assert model.converged is converged is False
         assert model.n_iterations == len(history) - 1 == 7
         assert model.objective_history == pytest.approx(history, rel=1e-12)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_capped_newton_run_never_increases(self, cap):
+        """The squared hinge takes Newton steps here, and this problem
+        needs 3 of them."""
+        X, y_pm = self.problem(seed=1)
+        config = TrainConfig(C=20.0, tolerance=1e-6, max_iterations=cap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            model = train(X, [FAKE if v > 0 else TRUE for v in y_pm], config)
+        history = model.objective_history
+        assert model.n_iterations == cap == len(history) - 1
+        assert all(later <= earlier for earlier, later in zip(history, history[1:]))
+        assert model.converged is (_gradient_norm(model, X, y_pm) <= config.tolerance)
+        assert model.converged is (cap == 3)
+
+
+def _gradient_norm(model, X, y_pm):
+    """The Euclidean norm of the objective's gradient at the model's
+    ``(w, b)``, in the feature basis."""
+    cfg = model.train_config
+    theta = np.append(model.weights, model.bias) if cfg.fit_intercept else model.weights
+    gradient = _objective_and_grad(theta, X, y_pm, cfg.C, cfg.loss, cfg.fit_intercept)[1]
+    return float(np.linalg.norm(gradient))
+
+
+def _count_problem(seed, authors_per_class=14, tweets_per_author=25):
+    """Shaped like the SVM of the grid's ``count,[1;3]`` configuration:
+    raw character 1- to 3-gram counts of synthetic authors, whose Gram
+    matrix has a condition number of about 5e3."""
+    rng = random.Random(seed)
+    authors = tuple(
+        synth_author(rng, label, Language.EN, tweets_per_author)
+        for label in (TRUE, FAKE)
+        for _ in range(authors_per_class)
+    )
+    counts = NgramCounts(preprocess_corpus(Corpus(Language.EN, authors),
+                                           load_stopwords(Language.EN)))
+    config = VectorizerConfig(range=NgramRange(1, 3), max_features=5000, min_df=2,
+                              weighting=Weighting.COUNT)
+    X = union_transform(counts, (fit_vocabulary(counts, config),))
+    return X, np.array([1.0 if author.label is FAKE else -1.0 for author in authors])
+
+
+class TestNewton:
+    """The squared hinge in the row basis takes generalized Newton
+    steps. Each run must converge, never increase the objective, end at
+    an objective no higher than the reference L-BFGS loop's, and end
+    with a gradient within tolerance."""
+
+    @staticmethod
+    def check(X, y_pm, C, fit_intercept, reference_cap=1000):
+        config = TrainConfig(C=C, tolerance=1e-6, fit_intercept=fit_intercept)
+        assert isinstance(_basis(X, fit_intercept), _RowBasis)
+        model = train(X, [FAKE if v > 0 else TRUE for v in y_pm], config)
+        _, reference, _, _ = _reference_minimize(
+            X, y_pm, C, LossKind.SQUARED_HINGE, fit_intercept, config.tolerance, reference_cap
+        )
+        history = model.objective_history
+        assert model.converged is True
+        assert all(later <= earlier for earlier, later in zip(history, history[1:]))
+        assert history[-1] <= reference[-1] * (1 + 1e-9)
+        assert _gradient_norm(model, X, y_pm) <= config.tolerance
+        return model, reference
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    @pytest.mark.parametrize("C", [1.0, 50.0])
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_singular_gram(self, seed, C, fit_intercept):
+        """An empty row, and rows repeated under the same label and
+        under the other label."""
+        X, y_pm = TestRowBasis.problem(seed)
+        assert np.linalg.matrix_rank(_gram(X)) < X.shape[0]
+        self.check(X, y_pm, C, fit_intercept)
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_ill_conditioned_count_problem(self, fit_intercept):
+        """L-BFGS stops at a cap of 200 steps short of the tolerance;
+        Newton converges in a few."""
+        X, y_pm = _count_problem(seed=0)
+        model, reference = self.check(X, y_pm, 1.0, fit_intercept, reference_cap=200)
+        assert len(reference) == 201
+        assert model.n_iterations <= 5
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_step_from_no_active_margin(self, fit_intercept):
+        """With every margin above 1 the data term and its slopes vanish,
+        so the step is minus the gradient, to ``w = 0`` with the bias
+        kept. (A run from zero starts with every margin at 0, and a full
+        Newton step cannot leave every margin above 1, so this state is
+        built by hand.)"""
+        rng = np.random.default_rng(4)
+        y_pm = np.repeat([1.0, -1.0], 12)
+        X = sp.csr_matrix(np.hstack([  # one set of features per class
+            rng.uniform(0.5, 1.0, size=(24, 30)) * (y_pm[:, None] > 0),
+            rng.uniform(0.5, 1.0, size=(24, 30)) * (y_pm[:, None] < 0),
+        ]))
+        basis = _RowBasis(X, _gram(X), fit_intercept)
+        theta = basis.with_image(np.append(y_pm, [0.25] * fit_intercept))
+        t = y_pm * basis.decisions(theta)[1]
+        assert np.all(t > 1.0)
+        slopes = models._data_slope(t, y_pm, 1.0, LossKind.SQUARED_HINGE)
+        g = basis.split(basis.gradient(theta, slopes))[0]
+        d = basis.newton_direction(g, t, 1.0)
+        assert np.array_equal(d, -g)
+        assert np.array_equal(d[:24], -y_pm)
+        if fit_intercept:
+            assert d[24] == 0.0
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_step_solves_the_full_system(self, fit_intercept, seed):
+        """The reduced solve over the active rows equals the solution of
+        ``[I + D K, D 1; 1^T D K, 1^T D 1] d = -(ga, gb)``."""
+        rng = np.random.default_rng(seed)
+        X, y_pm = TestRowBasis.problem(seed)
+        C = 3.0
+        basis = _RowBasis(X, _gram(X), fit_intercept)
+        n = X.shape[0]
+        theta = basis.with_image(rng.normal(scale=0.3, size=basis.half))
+        t = y_pm * basis.decisions(theta)[1]
+        assert 0 < np.count_nonzero(t < 1.0) < n
+        slopes = models._data_slope(t, y_pm, C, LossKind.SQUARED_HINGE)
+        g = basis.split(basis.gradient(theta, slopes))[0]
+        D = np.diag(np.where(t < 1.0, 2.0 * C, 0.0))
+        K = _gram(X)
+        full = np.eye(n) + D @ K
+        if fit_intercept:
+            ones = np.ones((n, 1))
+            full = np.block([[full, D @ ones], [ones.T @ D @ K, ones.T @ D @ ones]])
+        expected = np.linalg.solve(full, -g)
+        assert np.allclose(basis.newton_direction(g, t, C), expected, rtol=1e-9, atol=1e-9)
 
 
 class TestGram:
