@@ -54,7 +54,6 @@ from codecs import decode as codecs_decode
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +542,10 @@ def decision_values(
         if not model.feature_spec:
             raise WrongModelKind("model carries no feature_spec to vectorize with")
         features = union_transform(features, model.feature_spec)
+    if features.shape[1] != model.dimension:
+        raise DimensionMismatch(
+            f"matrix width {features.shape[1]} != model dimension {model.dimension}"
+        )
     return features @ model.weights + model.bias
 
 
@@ -590,6 +593,16 @@ def _unescape(text: str) -> str:
     return codecs_decode(text.encode("ascii"), "unicode_escape")
 
 
+def _escape_column(terms: list[str]) -> list[str]:
+    """``_escape`` of every term, by one encode of the joined column when
+    it splits back into one piece per term: the separator encodes as
+    backslash-n, so a term whose escape holds that text (a newline, or a
+    backslash before an n) sends the column through ``_escape`` a term
+    at a time."""
+    escaped = "\n".join(terms).encode("unicode_escape").decode("ascii").split("\\n")
+    return escaped if len(escaped) == len(terms) else list(map(_escape, terms))
+
+
 def _render_model(model: LinearModel) -> str:
     cfg = model.train_config
     lines = [
@@ -620,22 +633,24 @@ def _render_model(model: LinearModel) -> str:
                 f"terms\t{len(vocab)}",
             ]
         )
-        terms = vocab.terms()
-        if vocab.idf is None:
-            idfs = repeat("-", len(terms))
+        terms, df, idf = vocab.columns
+        # each line ends in "df<tab>idf", formatted once per distinct pair
+        if idf is None:
+            keys, tails = df, {d: f"{d}\t-" for d in set(df)}
         else:
-            idfs = [float(vocab.idf[term]).hex() for term in terms]
+            keys = list(zip(df, idf.tolist()))
+            tails = {(d, i): f"{d}\t{i.hex()}" for d, i in set(keys)}
         lines.extend(
             map(
-                "{}\t{}\t{}\t{}".format,
-                map(_escape, terms),
+                "{}\t{}\t{}".format,
+                _escape_column(terms),
                 range(len(terms)),
-                map(vocab.document_frequency.__getitem__, terms),
-                idfs,
+                map(tails.__getitem__, keys),
             )
         )
     lines.append(f"weights\t{model.dimension}")
-    lines.extend(map("{}:{}".format, range(model.dimension), map(float.hex, model.weights)))
+    weights = map(float.hex, model.weights.tolist())
+    lines.extend(map("{}:{}".format, range(model.dimension), weights))
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return body + f"checksum\tsha256:{digest}\n"
@@ -645,79 +660,147 @@ def save_model(model: LinearModel, path: str | Path) -> None:
     Path(path).write_text(_render_model(model), encoding="utf-8")
 
 
-class _LineReader:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self.pos = 0
+# Sections are read this many lines at a time, so that the split fields
+# of a whole section never exist at once.
+_CHUNK_LINES = 4096
 
-    def section(self, count: int) -> list[str]:
-        """The next ``count`` lines."""
-        end = self.pos + count
-        if count < 0 or end > len(self.lines):
+# The bytes a model file may hold once its line ends are "\n": printable
+# ASCII, tab and newline. The writer escapes every other character.
+_FILE_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
+
+
+class _LineReader:
+    """The lines of a model file's body, handed out as byte blocks of
+    whole lines; no object is made per line."""
+
+    def __init__(self, body: bytes):
+        self.body = body
+        # the end of each line, just past its newline
+        self.ends = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == 0x0A) + 1
+        self.line = 0
+
+    def at_end(self) -> bool:
+        return self.line == len(self.ends)
+
+    def take(self, count: int) -> bytes:
+        """The next ``count`` lines, each ending in a newline."""
+        if not 0 <= count <= len(self.ends) - self.line:
             raise CorruptModelFile("model file truncated")
-        lines = self.lines[self.pos : end]
-        self.pos = end
-        return lines
+        start = int(self.ends[self.line - 1]) if self.line else 0
+        self.line += count
+        return self.body[start : int(self.ends[self.line - 1])] if count else b""
+
+    def chunks(self, count: int):
+        """The next ``count`` lines, as (position, block) pairs of at most
+        ``_CHUNK_LINES`` lines each. A count past the last line is refused
+        here, before any block is read."""
+        if not 0 <= count <= len(self.ends) - self.line:
+            raise CorruptModelFile("model file truncated")
+        return (
+            (lo, self.take(min(_CHUNK_LINES, count - lo))) for lo in range(0, count, _CHUNK_LINES)
+        )
 
     def next_field(self, key: str) -> str:
-        (line,) = self.section(1)
+        line = self.take(1)[:-1].decode("utf-8")
         head, sep, tail = line.partition("\t")
         if not sep or head != key:
             raise CorruptModelFile(f"expected '{key}' line, got {line!r}")
         return tail
 
 
+def _columns(block: bytes, sep: str, width: int, what: str) -> list[list[str]]:
+    """The fields of a block of whole lines as ``width`` columns, by one
+    split; every line must hold exactly ``width - 1`` separators."""
+    shape = (sep * (width - 1) + "\n").encode("ascii")
+    marks = block.translate(None, bytes(set(range(256)).difference(shape)))
+    count = marks.count(b"\n")
+    if marks != shape * count:
+        raise CorruptModelFile(f"malformed {what} line")
+    fields = block.decode("ascii").replace("\n", sep).split(sep)
+    end = width * count
+    return [fields[column:end:width] for column in range(width)]
+
+
+def _check_positions(column: list[str], lo: int, what: str) -> None:
+    """Each index field is its line's position, written as ``str`` writes it."""
+    expected = list(map(str, range(lo, lo + len(column))))
+    if column != expected:
+        position = next(p for p, (a, b) in enumerate(zip(column, expected)) if a != b)
+        raise CorruptModelFile(f"{what} line {lo + position} has index {column[position]!r}")
+
+
+def _unescape_column(fields: list[str]) -> list[str]:
+    """``_unescape`` of every field, by one decode of the joined column
+    when it splits back into one piece per field. A decoded newline
+    splits wrongly, and a field ending in a backslash would join the
+    separator into a line continuation (where ``_unescape`` refuses the
+    field); such columns are decoded one field at a time."""
+    joined = "\n".join(fields)
+    if "\\" not in joined:
+        return fields
+    if "\\\n" not in joined and not joined.endswith("\\"):
+        terms = codecs_decode(joined.encode("ascii"), "unicode_escape").split("\n")
+        if len(terms) == len(fields):
+            return terms
+    return list(map(_unescape, fields))
+
+
 def _read_vocabulary(
-    lines: list[str], config: VectorizerConfig, corpus_size: int
+    reader: _LineReader, count: int, config: VectorizerConfig, corpus_size: int
 ) -> Vocabulary:
-    """One block's vocabulary lines, checked as they are read: each index
-    is its line's position, terms strictly ascend, ``1 <= df <=
-    corpus_size``, and a TF-IDF idf is exactly the smooth IDF of its df."""
-    term_to_index: dict[str, int] = {}
-    document_frequency: dict[str, int] = {}
-    idf: dict[str, float] | None = {} if config.weighting is Weighting.TFIDF else None
-    idf_of_df: dict[int, float] = {}
-    term = ""
-    for position, line in enumerate(lines):
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise CorruptModelFile("malformed vocabulary line")
-        previous, term = term, _unescape(fields[0])
-        if int(fields[1]) != position:
-            raise CorruptModelFile(f"vocabulary line {position} has index {fields[1]}")
-        if position and term <= previous:
+    """One block's ``count`` vocabulary lines, checked a column at a time:
+    each index is its line's position, terms strictly ascend, each df is
+    a decimal in ``[1; corpus_size]``, and a TF-IDF idf is exactly the
+    smooth IDF of its df (a count block's idf field is ``-``). Each
+    distinct df, and each distinct (df, idf) pair, is checked once."""
+    tfidf = config.weighting is Weighting.TFIDF
+    terms: list[str] = []
+    dfs: list[int] = []
+    idfs: list[float] = []
+    df_of: dict[str, int] = {}
+    idf_of: dict[str, float] = {}
+    checked: set[tuple[str, str]] = set()
+    for lo, block in reader.chunks(count):
+        fields, index_column, df_column, idf_column = _columns(block, "\t", 4, "vocabulary")
+        _check_positions(index_column, lo, "vocabulary")
+        chunk = _unescape_column(fields)
+        ordered = terms[-1:] + chunk
+        if not all(map(str.__lt__, ordered, ordered[1:])):
+            p = next(p for p in range(1, len(ordered)) if not ordered[p - 1] < ordered[p])
+            position = lo + len(chunk) - len(ordered) + p
             raise CorruptModelFile(f"vocabulary term {position} is out of order")
-        df = int(fields[2])
-        if not 1 <= df <= corpus_size:
-            raise CorruptModelFile(f"document frequency {df} outside [1; {corpus_size}]")
-        if idf is not None:
-            value = float.fromhex(fields[3])
-            if df not in idf_of_df:
-                idf_of_df[df] = smooth_idf(corpus_size, df)
-            if value != idf_of_df[df]:
-                raise CorruptModelFile(f"idf of vocabulary term {position} does not match its df")
-            idf[term] = value
-        term_to_index[term] = position
-        document_frequency[term] = df
-    return Vocabulary(
-        config=config,
-        term_to_index=term_to_index,
-        document_frequency=document_frequency,
-        corpus_size=corpus_size,
-        idf=idf,
-    )
+        for text in set(df_column).difference(df_of):
+            df = int(text)
+            if str(df) != text or not 1 <= df <= corpus_size:
+                raise CorruptModelFile(
+                    f"document frequency {text!r} is not a decimal in [1; {corpus_size}]"
+                )
+            df_of[text] = df
+            idf_of[text] = smooth_idf(corpus_size, df)
+        dfs.extend(map(df_of.__getitem__, df_column))
+        if tfidf:
+            pairs = set(zip(df_column, idf_column))
+            for df_text, idf_text in pairs.difference(checked):
+                if float.fromhex(idf_text) != idf_of[df_text]:
+                    raise CorruptModelFile(f"idf {idf_text} does not match its df {df_text}")
+            checked |= pairs
+            idfs.extend(map(idf_of.__getitem__, df_column))
+        elif set(idf_column) != {"-"}:
+            raise CorruptModelFile("the idf field of a count block's term is not '-'")
+        terms.extend(chunk)
+    return Vocabulary.from_columns(config, terms, dfs, corpus_size, idfs if tfidf else None)
 
 
-def _read_weights(lines: list[str]) -> np.ndarray:
-    """The weight lines, numbered 0, 1, ... in order."""
-    weights = np.empty(len(lines), dtype=np.float64)
-    for position, line in enumerate(lines):
-        index_text, sep, value_text = line.partition(":")
-        if not sep:
-            raise CorruptModelFile("malformed weight line")
-        if int(index_text) != position:
-            raise CorruptModelFile(f"weight line {position} has index {index_text}")
-        weights[position] = float.fromhex(value_text)
+def _read_weights(reader: _LineReader, count: int) -> np.ndarray:
+    """The ``count`` weight lines, numbered 0, 1, ... in order."""
+    chunks = reader.chunks(count)  # refuses a count past the end before allocating
+    weights = np.empty(count, dtype=np.float64)
+    for lo, block in chunks:
+        index_column, values = _columns(block, ":", 2, "weight")
+        _check_positions(index_column, lo, "weight")
+        weights[lo : lo + len(values)] = np.fromiter(
+            map(float.fromhex, values), dtype=np.float64, count=len(values)
+        )
     return weights
 
 
@@ -726,24 +809,31 @@ def load_model(path: str | Path) -> LinearModel:
     and corruption, unknown format versions are refused, and a
     vocabulary or weight section that contradicts itself is rejected."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        if not data.isascii():
+            data.decode("utf-8")
     except FileNotFoundError as exc:
         raise CorruptModelFile(f"{path}: no such model file") from exc
     except IsADirectoryError as exc:
         raise CorruptModelFile(f"{path} is a directory, not a model file") from exc
     except UnicodeDecodeError as exc:
         raise CorruptModelFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    newline = text.rfind("\n", 0, len(text) - 1)
-    last_line = text[newline + 1 :].strip()
+    if b"\r" in data:
+        # the line ends a text-mode read sees: "\r\n" and "\r" are "\n"
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    newline = data.rfind(b"\n", 0, len(data) - 1)
+    last_line = data[newline + 1 :].decode("utf-8").strip()
     if not last_line.startswith("checksum\tsha256:"):
         raise CorruptModelFile("missing checksum line")
-    body = text[: newline + 1]
+    body = data[: newline + 1]
+    del data
     expected = last_line.split("sha256:", 1)[1]
-    actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    actual = hashlib.sha256(body).hexdigest()
 
-    lines = body.splitlines()
-    reader = _LineReader(lines)
-    (header,) = reader.section(1)
+    reader = _LineReader(body)
+    # the header as a text-mode read splits it, so that another line break
+    # on it is refused with the rest of the body, not as a version
+    header = reader.take(1).decode("utf-8").splitlines()[0]
     parts = header.split(" ")
     if len(parts) != 2 or parts[0] != MODEL_FILE_MAGIC:
         raise CorruptModelFile(f"not a model file (header {header!r})")
@@ -751,6 +841,10 @@ def load_model(path: str | Path) -> LinearModel:
         raise UnsupportedVersion(f"model format version {parts[1]} is not supported")
     if actual != expected:
         raise CorruptModelFile("checksum mismatch: file is corrupt or truncated")
+    if body.translate(None, _FILE_BYTES):
+        raise CorruptModelFile(
+            "model file holds a character other than printable ASCII, tab or newline"
+        )
 
     try:
         kind = ModelKind(reader.next_field("kind"))
@@ -786,10 +880,10 @@ def load_model(path: str | Path) -> LinearModel:
                 min_df=min_df,
                 weighting=weighting,
             )
-            blocks.append(_read_vocabulary(reader.section(n_terms), config, corpus_size))
+            blocks.append(_read_vocabulary(reader, n_terms, config, corpus_size))
 
-        weights = _read_weights(reader.section(int(reader.next_field("weights"))))
-        if reader.pos != len(lines):
+        weights = _read_weights(reader, int(reader.next_field("weights")))
+        if not reader.at_end():
             raise CorruptModelFile("lines after the weights section")
         return LinearModel(
             kind=kind,
@@ -805,5 +899,7 @@ def load_model(path: str | Path) -> LinearModel:
                 fit_intercept=fit_intercept,
             ),
         )
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError, IndexError, OverflowError) as exc:
+        # float.fromhex raises OverflowError for a finite-looking hex float
+        # beyond the double range
         raise CorruptModelFile(f"cannot parse model file: {exc}") from exc

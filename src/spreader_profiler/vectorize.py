@@ -32,6 +32,8 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,15 +117,49 @@ class SparseVector:
         return math.sqrt(sum(v * v for _, v in self.entries))
 
 
+class TermColumns(NamedTuple):
+    """A vocabulary's terms in index order, with the document frequency
+    and (for TF-IDF) the idf of each."""
+
+    terms: list[str]
+    df: list[int]
+    idf: np.ndarray | None
+
+
 @dataclass(frozen=True)
 class Vocabulary:
-    """A fitted term → index mapping plus the statistics behind it."""
+    """A fitted term → index mapping plus the statistics behind it.
+
+    ``columns`` holds the same statistics in index order. It is built
+    from the dicts on first use, or handed over by ``from_columns``."""
 
     config: VectorizerConfig
     term_to_index: dict[str, int]
     document_frequency: dict[str, int]
     corpus_size: int
     idf: dict[str, float] | None = field(default=None)
+
+    @classmethod
+    def from_columns(
+        cls,
+        config: VectorizerConfig,
+        terms: list[str],
+        df: list[int],
+        corpus_size: int,
+        idf: list[float] | None,
+    ) -> Vocabulary:
+        """The vocabulary of distinct ``terms`` given in index order, with
+        their document frequencies and idfs (``None`` for counts)."""
+        vocab = cls(
+            config=config,
+            term_to_index=dict(zip(terms, range(len(terms)))),
+            document_frequency=dict(zip(terms, df)),
+            corpus_size=corpus_size,
+            idf=None if idf is None else dict(zip(terms, idf)),
+        )
+        idf_column = None if idf is None else np.array(idf, dtype=np.float64)
+        object.__setattr__(vocab, "columns", TermColumns(terms, df, idf_column))
+        return vocab
 
     def __len__(self) -> int:
         return len(self.term_to_index)
@@ -132,12 +168,23 @@ class Vocabulary:
     def dimension(self) -> int:
         return len(self.term_to_index)
 
+    @cached_property
+    def columns(self) -> TermColumns:
+        """The terms in index order, with their df and idf; a ValueError
+        unless the indices are exactly 0..n-1."""
+        terms = sorted(self.term_to_index, key=self.term_to_index.__getitem__)
+        if list(map(self.term_to_index.__getitem__, terms)) != list(range(len(terms))):
+            raise ValueError(
+                f"vocabulary indices are not exactly 0..{len(terms) - 1}, one per term"
+            )
+        idf = None
+        if self.idf is not None:
+            idf = np.fromiter(map(self.idf.__getitem__, terms), dtype=np.float64, count=len(terms))
+        return TermColumns(terms, list(map(self.document_frequency.__getitem__, terms)), idf)
+
     def terms(self) -> list[str]:
-        """Terms in index order."""
-        ordered = [""] * len(self.term_to_index)
-        for term, index in self.term_to_index.items():
-            ordered[index] = term
-        return ordered
+        """Terms in index order (shared, not a copy)."""
+        return self.columns.terms
 
 
 # ----------------------------------------------------------------------
@@ -388,21 +435,16 @@ def fit_vocabulary(
     if not len(kept):
         raise EmptyVocabulary(f"no term survived min_df={config.min_df}")
 
-    terms = sorted(
-        (symbols.term(p, n), d)
-        for p, n, d in zip(where[kept].tolist(), lengths[kept].tolist(), df[kept].tolist())
-    )
+    found = list(map(symbols.term, where[kept].tolist(), lengths[kept].tolist()))
+    order = sorted(range(len(found)), key=found.__getitem__)
+    terms = list(map(found.__getitem__, order))
+    document_frequency = df[kept][order].tolist()
     corpus_size = len(counts)
     idf = None
     if config.weighting is Weighting.TFIDF:
-        idf = {term: smooth_idf(corpus_size, d) for term, d in terms}
-    return Vocabulary(
-        config=config,
-        term_to_index={term: index for index, (term, _) in enumerate(terms)},
-        document_frequency=dict(terms),
-        corpus_size=corpus_size,
-        idf=idf,
-    )
+        idf_of = {d: smooth_idf(corpus_size, d) for d in set(document_frequency)}
+        idf = list(map(idf_of.__getitem__, document_frequency))
+    return Vocabulary.from_columns(config, terms, document_frequency, corpus_size, idf)
 
 
 def _block(counts: NgramCounts, vocab: Vocabulary) -> sp.csr_matrix:
@@ -431,8 +473,7 @@ def _block(counts: NgramCounts, vocab: Vocabulary) -> sp.csr_matrix:
         )
     block.sort_indices()
     if config.weighting is Weighting.TFIDF:
-        idf = np.array([vocab.idf[t] for t in terms])
-        values = block.data * idf[block.indices]
+        values = block.data * vocab.columns.idf[block.indices]
         squares = values * values
         for start, end in zip(block.indptr[:-1].tolist(), block.indptr[1:].tolist()):
             if end > start:

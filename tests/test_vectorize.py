@@ -2,11 +2,14 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spreader_profiler.corpus import Language
 from spreader_profiler.errors import EmptyVocabulary
+from spreader_profiler.models import LinearModel, ModelKind, save_model
 from spreader_profiler.preprocess import TokenStream
 from spreader_profiler.vectorize import (
     Analyzer,
@@ -14,6 +17,7 @@ from spreader_profiler.vectorize import (
     NgramRange,
     SparseVector,
     VectorizerConfig,
+    Vocabulary,
     Weighting,
     extract_char_ngrams,
     extract_token_ngrams,
@@ -142,6 +146,38 @@ class TestFitVocabulary:
         terms = vocab.terms()
         assert terms == sorted(terms)
         assert sorted(vocab.term_to_index.values()) == list(range(len(vocab)))
+
+    def test_columns_follow_the_dicts(self):
+        fitted = fit_vocabulary(
+            [stream_of("cab ba"), stream_of("ab c"), stream_of("b")], char_config(1, 2)
+        )
+        rebuilt = Vocabulary(
+            config=fitted.config,
+            term_to_index=dict(reversed(fitted.term_to_index.items())),
+            document_frequency=fitted.document_frequency,
+            corpus_size=fitted.corpus_size,
+            idf=fitted.idf,
+        )
+        terms, df, idf = rebuilt.columns
+        assert terms == fitted.terms() == sorted(fitted.term_to_index)
+        assert df == fitted.columns.df == [fitted.document_frequency[t] for t in terms]
+        assert idf.tolist() == fitted.columns.idf.tolist() == [fitted.idf[t] for t in terms]
+
+    @pytest.mark.parametrize(
+        "term_to_index", [{"a": 0, "b": 0}, {"a": 0, "b": 2}, {"a": 1, "b": 2}, {"a": -1, "b": 0}]
+    )
+    def test_indices_other_than_0_to_n_are_refused(self, term_to_index, tmp_path):
+        vocab = Vocabulary(
+            config=char_config(weighting=Weighting.COUNT),
+            term_to_index=term_to_index,
+            document_frequency={"a": 1, "b": 1},
+            corpus_size=1,
+        )
+        with pytest.raises(ValueError, match="indices are not exactly 0..1"):
+            vocab.terms()
+        model = LinearModel(ModelKind.SVM, np.zeros(2), 0.0, (vocab,), Language.EN)
+        with pytest.raises(ValueError, match="indices"):
+            save_model(model, tmp_path / "model.txt")
 
     def test_idf_bounds(self):
         vocab = fit_vocabulary(
