@@ -261,6 +261,26 @@ def load_corpus(directory: str | Path, language: Language | str) -> Corpus:
     return Corpus(language=language, authors=tuple(authors))
 
 
+def _shuffled_classes(corpus: Corpus, seed: int) -> list[tuple[Label, list[str]]]:
+    """The author ids of each class, credible users first, shuffled in
+    turn by one generator seeded with ``seed``: every split's one draw."""
+    if not corpus.is_labeled:
+        raise UnlabeledCorpus("splitting needs a fully labeled corpus")
+    rng = random.Random(seed)
+    classes = []
+    for label in (Label.TRUE_NEWS_SPREADER, Label.FAKE_NEWS_SPREADER):
+        members = [a.author_id for a in corpus if a.label == label]
+        rng.shuffle(members)  # an empty class draws nothing
+        classes.append((label, members))
+    return classes
+
+
+def _sides(corpus: Corpus, held_out: set[str]) -> tuple[Corpus, Corpus]:
+    train = Corpus(corpus.language, tuple(a for a in corpus if a.author_id not in held_out))
+    test = Corpus(corpus.language, tuple(a for a in corpus if a.author_id in held_out))
+    return train, test
+
+
 def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
     """Stratified seeded train/test split of a labeled corpus.
 
@@ -269,22 +289,38 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
     uniform shuffle, so the same (corpus, spec) pair always produces
     the identical partition.
     """
-    if not corpus.is_labeled:
-        raise UnlabeledCorpus("split_corpus needs a fully labeled corpus")
-    rng = random.Random(spec.seed)
     frac = spec.train_fraction
-    train_ids: set[str] = set()
-    for label in (Label.TRUE_NEWS_SPREADER, Label.FAKE_NEWS_SPREADER):
-        members = [a.author_id for a in corpus if a.label == label]
-        if not members:
-            continue
-        rng.shuffle(members)
+    held_out: set[str] = set()
+    for label, members in _shuffled_classes(corpus, spec.seed):
         n_train = (len(members) * frac.numerator) // frac.denominator
-        if n_train == 0:
+        if members and n_train == 0:
             raise DegenerateSplit(
                 f"train fraction {frac} leaves class {label.name} with no training authors"
             )
-        train_ids.update(members[:n_train])
-    train = Corpus(corpus.language, tuple(a for a in corpus if a.author_id in train_ids))
-    test = Corpus(corpus.language, tuple(a for a in corpus if a.author_id not in train_ids))
-    return train, test
+        held_out.update(members[n_train:])
+    return _sides(corpus, held_out)
+
+
+def split_folds(corpus: Corpus, spec: SplitSpec, folds: int) -> list[tuple[Corpus, Corpus]]:
+    """The split of ``spec`` when ``folds`` is 1, else stratified folds:
+    each class's shuffled authors dealt round-robin into the test sides.
+    A training side without a class, or an empty test side, is refused."""
+    if folds < 1:
+        raise ValueError("folds must be >= 1")
+    if folds == 1:
+        return [split_corpus(corpus, spec)]
+    classes = _shuffled_classes(corpus, spec.seed)
+    # dealt round-robin, a class of 2 or more authors has one outside every
+    # test side, and the last test side is empty unless a class has `folds`
+    label, members = min(classes, key=lambda c: len(c[1]))
+    if len(members) < 2:
+        raise DegenerateSplit(
+            f"{folds} folds need 2 authors of class {label.name}, got {len(members)}"
+        )
+    label, members = max(classes, key=lambda c: len(c[1]))
+    if len(members) < folds:
+        raise DegenerateSplit(
+            f"{folds} folds need {folds} authors of one class; {label.name} has {len(members)}"
+        )
+    return [_sides(corpus, {a for _, members in classes for a in members[f::folds]})
+            for f in range(folds)]

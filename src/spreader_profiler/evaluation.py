@@ -7,17 +7,16 @@ deterministic grid-search runner over the vectorizer/model space.
 
 from __future__ import annotations
 
-import random
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import Corpus, Label, Language, SplitSpec, split_corpus
+from .corpus import Corpus, Label, Language, SplitSpec, split_folds
 from .errors import ConvergenceWarning, EmptyGrid, EmptyMatrix, LengthMismatch, UnlabeledCorpus
 from .models import (
+    LOSS_FOR_KIND,
     LinearModel,
-    LossKind,
     ModelKind,
     TrainConfig,
     decision_values,
@@ -174,7 +173,7 @@ def _fit(
 ) -> LinearModel:
     """Train the configured classifier on a fitted training matrix
     (``gram`` is ``row_gram(X)``, when the caller has it)."""
-    loss = LossKind.SQUARED_HINGE if config.model_kind is ModelKind.SVM else LossKind.LOGISTIC
+    loss = LOSS_FOR_KIND[config.model_kind]
     return train(X, labels, replace(config.train, loss=loss), feature_spec=vocabularies,
                  language=language, gram=gram)
 
@@ -247,25 +246,6 @@ def evaluate_pipeline(
     return evaluate_model(model, test_corpus, positive_class, stopwords=stopwords)
 
 
-def _stratified_folds(corpus: Corpus, folds: int, seed: int) -> list[tuple[Corpus, Corpus]]:
-    rng = random.Random(seed)
-    buckets: list[list[str]] = [[] for _ in range(folds)]
-    for label in (Label.TRUE_NEWS_SPREADER, Label.FAKE_NEWS_SPREADER):
-        members = [a.author_id for a in corpus if a.label == label]
-        rng.shuffle(members)
-        for position, author_id in enumerate(members):
-            buckets[position % folds].append(author_id)
-    pairs = []
-    for fold in range(folds):
-        held_out = set(buckets[fold])
-        train_part = Corpus(
-            corpus.language, tuple(a for a in corpus if a.author_id not in held_out)
-        )
-        test_part = Corpus(corpus.language, tuple(a for a in corpus if a.author_id in held_out))
-        pairs.append((train_part, test_part))
-    return pairs
-
-
 def grid_search(
     corpus: Corpus,
     grid: list[PipelineConfig],
@@ -287,13 +267,7 @@ def grid_search(
         raise EmptyGrid("grid search needs at least one configuration")
     if not corpus.is_labeled:
         raise UnlabeledCorpus("grid search needs labels")
-    if folds < 1:
-        raise ValueError("folds must be >= 1")
-
-    if folds == 1:
-        pairs = [split_corpus(corpus, spec)]
-    else:
-        pairs = _stratified_folds(corpus, folds, spec.seed)
+    pairs = split_folds(corpus, spec, folds)
 
     # Work that does not depend on the configuration is done once: the
     # corpus is preprocessed once, each split side is counted once, and
@@ -308,12 +282,12 @@ def grid_search(
     blocks = [vc for vectorizers in groups for vc in vectorizers]
     reports: list[list[EvalReport]] = [[] for _ in grid]
     for split, (train_part, test_part) in enumerate(pairs):
-        train_counts, test_counts = (
-            NgramCounts([stream_of[author_id] for author_id in part.author_ids()])
-            for part in (train_part, test_part)
-        )
-        for counts in (train_counts, test_counts):
-            counts.settle(blocks)
+        sides = []
+        for part in (train_part, test_part):
+            counts = NgramCounts([stream_of[author_id] for author_id in part.author_ids()])
+            counts.settle(blocks)  # frees its counting scratch before the next side's is made
+            sides.append(counts)
+        train_counts, test_counts = sides
         labels = [author.label for author in train_part]
         for vectorizers, positions in groups.items():
             vocabularies, X = _features(train_counts, vectorizers)

@@ -101,10 +101,9 @@ class LossKind(enum.Enum):
     LOGISTIC = "logistic"
 
 
-_KIND_FOR_LOSS = {
-    LossKind.SQUARED_HINGE: ModelKind.SVM,
-    LossKind.LOGISTIC: ModelKind.LOGREG,
-}
+# The loss each model kind is trained on, and the kind a loss trains.
+LOSS_FOR_KIND = {ModelKind.SVM: LossKind.SQUARED_HINGE, ModelKind.LOGREG: LossKind.LOGISTIC}
+_KIND_FOR_LOSS = {loss: kind for kind, loss in LOSS_FOR_KIND.items()}
 
 
 @dataclass(frozen=True)
@@ -734,15 +733,20 @@ def _unescape_column(fields: list[str]) -> list[str]:
     when it splits back into one piece per field. A decoded newline
     splits wrongly, and a field ending in a backslash would join the
     separator into a line continuation (where ``_unescape`` refuses the
-    field); such columns are decoded one field at a time."""
+    field); such columns are decoded one field at a time. Each field must
+    be ``_escape`` of its term, so a column with a backslash is re-escaped."""
     joined = "\n".join(fields)
     if "\\" not in joined:
         return fields
+    terms = []
     if "\\\n" not in joined and not joined.endswith("\\"):
         terms = codecs_decode(joined.encode("ascii"), "unicode_escape").split("\n")
-        if len(terms) == len(fields):
-            return terms
-    return list(map(_unescape, fields))
+    if len(terms) != len(fields):
+        terms = list(map(_unescape, fields))
+    if _escape_column(terms) != fields:
+        field = next(f for f, t in zip(fields, terms) if _escape(t) != f)
+        raise CorruptModelFile(f"term field {field!r} is not the escaped form of its term")
+    return terms
 
 
 def _read_vocabulary(

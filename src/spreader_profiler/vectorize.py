@@ -1,7 +1,7 @@
-"""Character and token n-gram vectorization.
+"""Character n-gram vectorization.
 
 A vocabulary is fitted over the preprocessed token streams of the
-training corpus: n-grams are counted, rare ones dropped via
+training corpus: character n-grams are counted, rare ones dropped via
 ``min_df``, the vocabulary optionally capped to the ``max_features``
 most frequent terms, and feature indices assigned in lexicographic
 term order. Documents then become sparse rows, either raw counts or
@@ -9,7 +9,9 @@ L2-normalized TF-IDF with the smooth IDF ``ln((1+N)/(1+df)) + 1``.
 
 Character n-grams are read from the space-joined token stream, so the
 space is part of the alphabet and n-grams may straddle token
-boundaries. The alphabet is Unicode codepoints, never bytes.
+boundaries. The alphabet is Unicode codepoints, never bytes. Character
+n-grams are the only analyzer: ``Analyzer`` has the single member
+``CHAR``, which model files and configuration keys name.
 
 Counting is corpus-level (``NgramCounts``): the symbols of every
 document are mapped to dense codes ``1..A`` in sorted order, and each
@@ -47,7 +49,6 @@ MAX_FEATURE_CAP = 10**7
 
 class Analyzer(enum.Enum):
     CHAR = "char"
-    WORD_TOKEN = "word"
 
 
 class Weighting(enum.Enum):
@@ -205,23 +206,19 @@ class _Level:
     where: np.ndarray
 
 
-class _Symbols:
-    """The documents of one analyzer as one array of dense symbol codes,
-    with n-gram levels counted on first use."""
+class NgramCounts:
+    """Exact per-document counts of every character n-gram of a list of
+    token streams. The streams' joined texts are held as one array of
+    dense symbol codes, and each n-gram length is counted once, on first
+    use, so vocabularies and transforms that share one ``NgramCounts``
+    share the counting."""
 
-    def __init__(self, documents: Sequence, analyzer: Analyzer):
-        self.analyzer = analyzer
-        sizes = np.fromiter((len(d) for d in documents), dtype=np.int64, count=len(documents))
-        if analyzer is Analyzer.CHAR:
-            self.surface = "".join(documents)
-            points = np.frombuffer(self.surface.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-            self.alphabet, codes = np.unique(points, return_inverse=True)
-        else:
-            self.surface = [token for tokens in documents for token in tokens]
-            self.alphabet = sorted(set(self.surface))
-            index = {token: position for position, token in enumerate(self.alphabet)}
-            codes = np.fromiter((index[t] for t in self.surface), dtype=np.int64,
-                                count=len(self.surface))
+    def __init__(self, streams: Sequence[TokenStream]):
+        documents = [stream.joined_text for stream in streams]
+        sizes = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
+        self.surface = "".join(documents)
+        points = np.frombuffer(self.surface.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        self.alphabet, codes = np.unique(points, return_inverse=True)
         index = np.int32 if len(codes) < 2**31 else np.int64
         self.codes = codes.astype(index) + 1
         self.base = len(self.alphabet) + 1
@@ -232,6 +229,9 @@ class _Symbols:
         self._positions = np.arange(len(codes), dtype=index)
         self._ranks = np.zeros(len(codes), dtype=index)
 
+    def __len__(self) -> int:
+        return len(self.starts)
+
     def level(self, n: int) -> _Level:
         if n > len(self.levels) and self.codes is None:
             raise ValueError(f"n-grams of length {n} were not counted before settle()")
@@ -239,10 +239,12 @@ class _Symbols:
             self._count_next_length()
         return self.levels[n - 1]
 
-    def settle(self, n: int) -> None:
-        """Count every length up to ``n``, then free the counting scratch
-        (about four integers per symbol); no longer length can follow."""
-        self.level(n)
+    def settle(self, configs: Iterable[VectorizerConfig]) -> None:
+        """Count every length up to the longest the configs reach, then
+        free the counting scratch (about four integers per symbol). Counts
+        that outlive their fit (a grid search keeps one per split side)
+        hold only the matrices; no longer length can follow."""
+        self.level(max(config.range.max_n for config in configs))
         self.codes = self.remaining = self._positions = self._ranks = None
 
     def _count_next_length(self) -> None:
@@ -300,27 +302,17 @@ class _Symbols:
         self._positions, self._ranks = positions, ranks
 
     def term(self, position: int, n: int) -> str:
-        piece = self.surface[position : position + n]
-        return piece if self.analyzer is Analyzer.CHAR else " ".join(piece)
+        return self.surface[position : position + n]
 
     def columns(self, terms: list[str], n: int) -> np.ndarray:
         """Column of each length-n term in level ``n``, or -1 for a term
         this corpus does not contain: the terms are keyed exactly as the
         corpus was, one symbol at a time, and looked up per prefix."""
-        if self.analyzer is Analyzer.CHAR:
-            points = np.frombuffer("".join(terms).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-            found = np.searchsorted(self.alphabet, points)
-            known = found < len(self.alphabet)
-            known[known] = self.alphabet[found[known]] == points[known]
-            codes = np.where(known, found + 1, 0)
-        else:
-            index = {token: position + 1 for position, token in enumerate(self.alphabet)}
-            codes = np.fromiter(
-                (index.get(token, 0) for term in terms for token in term.split(" ")),
-                dtype=np.int64,
-                count=len(terms) * n,
-            )
-        codes = codes.reshape(len(terms), n)
+        points = np.frombuffer("".join(terms).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        found = np.searchsorted(self.alphabet, points)
+        known = found < len(self.alphabet)
+        known[known] = self.alphabet[found[known]] == points[known]
+        codes = np.where(known, found + 1, 0).reshape(len(terms), n)
         ranks = np.zeros(len(terms), dtype=np.int64)
         hit = np.ones(len(terms), dtype=bool)
         for j in range(n):
@@ -334,65 +326,18 @@ class _Symbols:
         return np.where(hit, ranks, -1)
 
 
-class NgramCounts:
-    """Exact per-document counts of every n-gram of a list of token
-    streams. Each (analyzer, length) is counted once, on first use, so
-    vocabularies and transforms that share one ``NgramCounts`` share
-    the counting."""
-
-    def __init__(self, streams: Sequence[TokenStream]):
-        self.streams: list[TokenStream] | None = list(streams)
-        self._size = len(self.streams)
-        self._symbols: dict[Analyzer, _Symbols] = {}
-
-    def __len__(self) -> int:
-        return self._size
-
-    def settle(self, configs: Iterable[VectorizerConfig]) -> None:
-        """Count every analyzer and length the configs reach, then let go
-        of the streams and the counting scratch. Counts that outlive
-        their fit (a grid search keeps one per split side) hold only the
-        matrices; an analyzer or length past these can no longer be
-        counted."""
-        longest: dict[Analyzer, int] = {}
-        for config in configs:
-            longest[config.analyzer] = max(longest.get(config.analyzer, 0), config.range.max_n)
-        for analyzer, n in longest.items():
-            self.symbols(analyzer).settle(n)
-        self.streams = None
-
-    def symbols(self, analyzer: Analyzer) -> _Symbols:
-        if analyzer not in self._symbols:
-            if self.streams is None:
-                raise ValueError(f"{analyzer.value} n-grams were not counted before settle()")
-            if analyzer is Analyzer.CHAR:
-                documents = [stream.joined_text for stream in self.streams]
-            else:
-                documents = [stream.tokens for stream in self.streams]
-            self._symbols[analyzer] = _Symbols(documents, analyzer)
-        return self._symbols[analyzer]
-
-
 def _as_counts(streams: Sequence[TokenStream] | NgramCounts) -> NgramCounts:
     return streams if isinstance(streams, NgramCounts) else NgramCounts(streams)
 
 
-def _counter(symbols: _Symbols, ngram_range: NgramRange) -> Counter:
-    counts: Counter = Counter()
-    for n in range(ngram_range.min_n, ngram_range.max_n + 1):
-        level = symbols.level(n)
-        counts.update({symbols.term(p, n): c for p, c in zip(level.where.tolist(), level.tf.tolist())})
-    return counts
-
-
 def extract_char_ngrams(text: str, ngram_range: NgramRange) -> Counter:
     """Count every contiguous codepoint n-gram of the configured lengths."""
-    return _counter(_Symbols([text], Analyzer.CHAR), ngram_range)
-
-
-def extract_token_ngrams(tokens: tuple[str, ...], ngram_range: NgramRange) -> Counter:
-    """Count token n-grams; multi-token grams join with single spaces."""
-    return _counter(_Symbols([tokens], Analyzer.WORD_TOKEN), ngram_range)
+    counts = NgramCounts([TokenStream("text", (text,))])
+    found: Counter = Counter()
+    for n in range(ngram_range.min_n, ngram_range.max_n + 1):
+        level = counts.level(n)
+        found.update({counts.term(p, n): c for p, c in zip(level.where.tolist(), level.tf.tolist())})
+    return found
 
 
 def smooth_idf(corpus_size: int, df: int) -> float:
@@ -412,10 +357,9 @@ def fit_vocabulary(
     counts = _as_counts(streams)
     if not len(counts):
         raise ValueError("fit_vocabulary needs at least one stream")
-    symbols = counts.symbols(config.analyzer)
     lengths, where, tf, df = [], [], [], []
     for n in range(config.range.min_n, config.range.max_n + 1):
-        level = symbols.level(n)
+        level = counts.level(n)
         columns = np.flatnonzero(level.df >= config.min_df)
         lengths.append(np.full(len(columns), n))
         where.append(level.where[columns])
@@ -428,14 +372,14 @@ def fit_vocabulary(
     if cap is not None and len(kept) > cap:
         threshold = np.partition(tf, len(tf) - cap)[len(tf) - cap]
         tied = np.flatnonzero(tf == threshold)
-        tied_terms = [symbols.term(p, n) for p, n in zip(where[tied].tolist(), lengths[tied].tolist())]
+        tied_terms = [counts.term(p, n) for p, n in zip(where[tied].tolist(), lengths[tied].tolist())]
         slots = cap - int(np.count_nonzero(tf > threshold))
         by_term = sorted(range(len(tied)), key=tied_terms.__getitem__)[:slots]
         kept = np.sort(np.concatenate([np.flatnonzero(tf > threshold), tied[by_term]]))
     if not len(kept):
         raise EmptyVocabulary(f"no term survived min_df={config.min_df}")
 
-    found = list(map(symbols.term, where[kept].tolist(), lengths[kept].tolist()))
+    found = list(map(counts.term, where[kept].tolist(), lengths[kept].tolist()))
     order = sorted(range(len(found)), key=found.__getitem__)
     terms = list(map(found.__getitem__, order))
     document_frequency = df[kept][order].tolist()
@@ -450,19 +394,15 @@ def fit_vocabulary(
 def _block(counts: NgramCounts, vocab: Vocabulary) -> sp.csr_matrix:
     """One vocabulary's documents x terms matrix, weighted."""
     config = vocab.config
-    symbols = counts.symbols(config.analyzer)
     terms = vocab.terms()
-    if config.analyzer is Analyzer.CHAR:
-        term_lengths = np.array([len(t) for t in terms], dtype=np.int64)
-    else:
-        term_lengths = np.array([t.count(" ") + 1 for t in terms], dtype=np.int64)
+    term_lengths = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
     block = sp.csr_matrix((len(counts), len(terms)))
     for n in range(config.range.min_n, config.range.max_n + 1):
         wanted = np.flatnonzero(term_lengths == n)
         if not len(wanted):
             continue
-        found = symbols.columns([terms[i] for i in wanted.tolist()], n)
-        level = symbols.level(n)
+        found = counts.columns([terms[i] for i in wanted.tolist()], n)
+        level = counts.level(n)
         to_term = np.full(len(level.keys), -1, dtype=np.int32)
         to_term[found[found >= 0]] = wanted[found >= 0]
         mapped = to_term[level.counts.indices]

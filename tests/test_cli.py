@@ -261,6 +261,51 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def few_authors(tmp_path_factory):
+    """Corpora of 3 credible users and 3 spreaders, and of 3 and 1."""
+    root = tmp_path_factory.mktemp("few")
+    generate_corpus_dir(root / "3-3", authors_per_class=3, tweets_per_author=100, seed=5,
+                        language="en")
+    shutil.copytree(root / "3-3", root / "3-1")
+    truth = root / "3-1" / "truth.txt"
+    lines = truth.read_text(encoding="utf-8").splitlines()
+    dropped = [line for line in lines if line.endswith(":::1")][1:]
+    for line in dropped:
+        (root / "3-1" / f"{line.partition(':::')[0]}.xml").unlink()
+    truth.write_text("".join(f"{line}\n" for line in lines if line not in dropped),
+                     encoding="utf-8")
+    return root
+
+
+class TestDegenerateFolds:
+    """Folds that would leave a training side without a class, or a test
+    side without authors, are a data error."""
+
+    @pytest.mark.parametrize(
+        "corpus, folds, message",
+        [
+            ("3-1", 2, "2 folds need 2 authors of class FAKE_NEWS_SPREADER, got 1"),
+            ("3-1", 3, "3 folds need 2 authors of class FAKE_NEWS_SPREADER, got 1"),
+            ("3-3", 4, "4 folds need 4 authors of one class; TRUE_NEWS_SPREADER has 3"),
+        ],
+    )
+    def test_degenerate_folds_are_one_data_error_line(
+        self, few_authors, corpus, folds, message, tmp_path
+    ):
+        code, err = _run_captured(["gridsearch", "--input", few_authors / corpus, "--lang", "en",
+                                   "--folds", folds, "--out", tmp_path / "grid.tsv"])
+        assert code == 2
+        assert err.startswith(f"data error: {message}") and err.count("\n") == 1
+        assert "SPREADER" in err and "Traceback" not in err
+
+    def test_folds_up_to_the_larger_class_run(self, few_authors, tmp_path):
+        code, err = _run_captured(["gridsearch", "--input", few_authors / "3-3", "--lang", "en",
+                                   "--folds", 3, "--ranges", "1:2", "--max-features", "100",
+                                   "--min-df", "1", "--out", tmp_path / "grid.tsv"])
+        assert code == 0 and "error" not in err
+
+
 class TestConfigFile:
     def test_config_overrides_flags(self, small_synth_dir, tmp_path, capsys):
         config = tmp_path / "run.conf"
@@ -407,6 +452,21 @@ class TestCorruptInputs:
         assert code == 3
         assert err.startswith("model error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_model_naming_the_word_analyzer_is_a_model_error(fuzz_inputs, tmp_path):
+    corpus, model = fuzz_inputs
+    *lines, _ = model.read_text(encoding="utf-8").splitlines()
+    assert lines.count("analyzer\tchar") == 1
+    lines[lines.index("analyzer\tchar")] = "analyzer\tword"
+    body = "\n".join(lines) + "\n"
+    broken = tmp_path / "model.txt"
+    broken.write_text(body + f"checksum\tsha256:{hashlib.sha256(body.encode()).hexdigest()}\n",
+                      encoding="utf-8")
+    code, err = _run_captured(["evaluate", "--model", broken, "--input", corpus])
+    assert code == 3
+    assert err.startswith("model error: ") and err.count("\n") == 1
+    assert "'word' is not a valid Analyzer" in err and "Traceback" not in err
 
 
 def test_help_exits_zero():

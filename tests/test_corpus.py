@@ -16,6 +16,7 @@ from spreader_profiler.corpus import (
     parse_truth_file,
     render_author_xml,
     split_corpus,
+    split_folds,
 )
 from spreader_profiler.errors import (
     DegenerateSplit,
@@ -277,6 +278,80 @@ class TestSplitCorpus:
             assert count == expected_train
         for count in test.class_counts().values():
             assert count == per_class - expected_train
+
+
+def _corpus_of_sizes(n_true, n_fake):
+    pairs = [(f"t{i:03d}x", ["true tweet"], 0) for i in range(n_true)]
+    pairs += [(f"f{i:03d}x", ["fake tweet"], 1) for i in range(n_fake)]
+    return make_corpus(pairs)
+
+
+class TestSplitFolds:
+    def test_one_fold_is_the_seeded_split(self):
+        corpus, spec = _balanced_corpus(9), SplitSpec(seed=3)
+        assert split_folds(corpus, spec, 1) == [split_corpus(corpus, spec)]
+
+    def test_folds_and_split_draw_one_shuffle(self):
+        # with as many folds as the larger class has authors, fold f holds
+        # the author at position f of each shuffled class
+        corpus = _corpus_of_sizes(7, 5)
+        spec = SplitSpec(train_fraction=Fraction(1, 2), seed=21)
+        order = {label: [] for label in Label}
+        for _, test in split_folds(corpus, spec, 7):
+            for author in test:
+                order[author.label].append(author.author_id)
+        train, _ = split_corpus(corpus, spec)
+        kept = order[Label.TRUE_NEWS_SPREADER][:3] + order[Label.FAKE_NEWS_SPREADER][:2]
+        assert sorted(kept) == train.author_ids()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_true=st.integers(0, 7),
+        n_fake=st.integers(0, 7),
+        folds=st.integers(2, 9),
+        seed=st.integers(0, 2**32),
+    )
+    def test_refuses_exactly_the_degenerate_folds(self, n_true, n_fake, folds, seed):
+        if n_true + n_fake == 0:
+            return
+        corpus = _corpus_of_sizes(n_true, n_fake)
+        sizes = {Label.TRUE_NEWS_SPREADER: n_true, Label.FAKE_NEWS_SPREADER: n_fake}
+        # dealt round-robin, fold f tests positions f, f + folds, ... of each class
+        tested = [{label: len(range(f, size, folds)) for label, size in sizes.items()}
+                  for f in range(folds)]
+        degenerate = any(
+            sum(counts.values()) == 0 or any(counts[c] == sizes[c] for c in sizes)
+            for counts in tested
+        )
+        if degenerate:
+            with pytest.raises(DegenerateSplit, match=f"^{folds} folds need "):
+                split_folds(corpus, SplitSpec(seed=seed), folds)
+            return
+        pairs = split_folds(corpus, SplitSpec(seed=seed), folds)
+        held_out = [author for _, test in pairs for author in test.author_ids()]
+        assert sorted(held_out) == corpus.author_ids()  # each author held out once
+        for (train, test), counts in zip(pairs, tested):
+            assert set(train.author_ids()).isdisjoint(test.author_ids())
+            assert {label: sum(a.label is label for a in test) for label in sizes} == counts
+            assert 0 not in train.class_counts().values()
+
+    @pytest.mark.parametrize(
+        "n_true, n_fake, folds, message",
+        [
+            (3, 1, 2, "2 folds need 2 authors of class FAKE_NEWS_SPREADER, got 1"),
+            (3, 1, 3, "3 folds need 2 authors of class FAKE_NEWS_SPREADER, got 1"),
+            (3, 0, 2, "2 folds need 2 authors of class FAKE_NEWS_SPREADER, got 0"),
+            (3, 3, 4, "4 folds need 4 authors of one class; TRUE_NEWS_SPREADER has 3"),
+        ],
+    )
+    def test_degenerate_folds_name_the_count_and_the_class(self, n_true, n_fake, folds, message):
+        with pytest.raises(DegenerateSplit, match=message) as refused:
+            split_folds(_corpus_of_sizes(n_true, n_fake), SplitSpec(), folds)
+        assert "SPREADER" in str(refused.value)
+
+    def test_fold_count_validation(self):
+        with pytest.raises(ValueError):
+            split_folds(_balanced_corpus(3), SplitSpec(), 0)
 
 
 def test_load_corpus_order_independent(tmp_path):

@@ -12,6 +12,7 @@ from spreader_profiler.corpus import (
     SplitSpec,
     load_corpus,
     split_corpus,
+    split_folds,
 )
 from spreader_profiler.errors import (
     ConvergenceWarning,
@@ -26,7 +27,6 @@ from spreader_profiler.evaluation import (
     ConfusionMatrix,
     GridResult,
     PipelineConfig,
-    _stratified_folds,
     confusion,
     default_grid,
     evaluate_model,
@@ -270,12 +270,6 @@ TWO_BLOCKS = PipelineConfig(
 )
 
 
-def _split_pairs(corpus, spec, folds):
-    if folds == 1:
-        return [split_corpus(corpus, spec)]
-    return _stratified_folds(corpus, folds, spec.seed)
-
-
 @pytest.fixture(scope="module")
 def hard_corpus(tmp_path_factory):
     """Few tweets per author, so configurations disagree on accuracy."""
@@ -299,7 +293,7 @@ class TestSharedGrid:
     @pytest.mark.parametrize("folds", [1, 3])
     def test_equals_per_config_evaluation(self, hard_corpus, folds):
         spec = SplitSpec(seed=11)
-        pairs = _split_pairs(hard_corpus, spec, folds)
+        pairs = split_folds(hard_corpus, spec, folds)
         expected = []
         for config in self.GRID:
             reports = tuple(evaluate_pipeline(train, test, config) for train, test in pairs)
@@ -318,7 +312,7 @@ class TestSharedGrid:
         self, hard_corpus, folds, monkeypatch
     ):
         spec = SplitSpec(seed=11)
-        pairs = _split_pairs(hard_corpus, spec, folds)
+        pairs = split_folds(hard_corpus, spec, folds)
         # On the single split, give every test author an n-gram that no
         # training author has.
         tagged = set(pairs[0][1].author_ids()) if folds == 1 else set()

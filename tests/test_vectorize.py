@@ -20,7 +20,6 @@ from spreader_profiler.vectorize import (
     Vocabulary,
     Weighting,
     extract_char_ngrams,
-    extract_token_ngrams,
     fit_vocabulary,
     smooth_idf,
     transform,
@@ -53,42 +52,6 @@ class TestExtractCharNgrams:
 
     def test_text_shorter_than_n(self):
         assert dict(extract_char_ngrams("ab", NgramRange(3, 5))) == {}
-
-
-class TestExtractTokenNgrams:
-    def test_unigrams_and_bigrams(self):
-        counts = extract_token_ngrams(("to", "be", "to"), NgramRange(1, 2))
-        assert dict(counts) == {"to": 2, "be": 1, "to be": 1, "be to": 1}
-
-    def test_word_token_analyzer_end_to_end(self):
-        streams = [
-            TokenStream("d0", ("nice", "day", "today")),
-            TokenStream("d1", ("nice", "game", "today")),
-        ]
-        config = VectorizerConfig(
-            analyzer=Analyzer.WORD_TOKEN, range=NgramRange(1, 2), weighting=Weighting.COUNT
-        )
-        vocab = fit_vocabulary(streams, config)
-        assert "nice day" in vocab.term_to_index
-        vector = transform(streams[0], vocab)
-        dense = dense_from_sparse(vector)
-        assert dense[vocab.term_to_index["nice"]] == 1.0
-        assert dense[vocab.term_to_index["nice day"]] == 1.0
-        assert dense[vocab.term_to_index["nice game"]] == 0.0
-
-
-    def test_word_grams_index_in_string_order(self):
-        # '\x01' sorts before the joining space, so token order and
-        # joined-string order disagree on these bigrams
-        stream = TokenStream("d0", ("a", "b", "a\x01", "c", "a", "b"))
-        config = VectorizerConfig(
-            analyzer=Analyzer.WORD_TOKEN, range=NgramRange(2, 2), weighting=Weighting.COUNT
-        )
-        vocab = fit_vocabulary([stream], config)
-        assert vocab.terms() == sorted(["a b", "b a\x01", "a\x01 c", "c a"])
-        counts = dict(transform(stream, vocab).entries)
-        assert counts == {vocab.term_to_index["a b"]: 2.0, vocab.term_to_index["b a\x01"]: 1.0,
-                          vocab.term_to_index["a\x01 c"]: 1.0, vocab.term_to_index["c a"]: 1.0}
 
 
 class TestNgramRangeValidation:
@@ -456,7 +419,7 @@ def test_batch_builder_shares_counts_across_blocks():
     shared = tuple(fit_vocabulary(counts, c) for c in blocks)
     separate = tuple(fit_vocabulary(streams, c) for c in blocks)
     assert shared == separate
-    assert len(counts.symbols(Analyzer.CHAR).levels) == 5
+    assert len(counts.levels) == 5  # lengths 1 to 5, each counted once
     assert (union_transform(counts, shared) != union_transform(streams, separate)).nnz == 0
 
 
@@ -465,15 +428,14 @@ def test_settled_counts_keep_only_the_matrices():
     blocks = (char_config(1, 3, max_features=6), char_config(2, 4, weighting=Weighting.COUNT))
     settled = NgramCounts(streams)
     settled.settle(blocks)
-    assert settled.streams is None and len(settled) == len(streams)
-    assert len(settled.symbols(Analyzer.CHAR).levels) == 4
+    assert len(settled) == len(streams)
+    assert len(settled.levels) == 4  # up to the longest max_n, no further
+    assert settled.codes is None and settled.remaining is None  # the scratch is freed
     vocabs = tuple(fit_vocabulary(settled, c) for c in blocks)
     assert vocabs == tuple(fit_vocabulary(streams, c) for c in blocks)
     assert (union_transform(settled, vocabs) != union_transform(streams, vocabs)).nnz == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="length 5 were not counted before settle"):
         fit_vocabulary(settled, char_config(1, 5))
-    with pytest.raises(ValueError):
-        fit_vocabulary(settled, VectorizerConfig(analyzer=Analyzer.WORD_TOKEN))
 
 
 @st.composite
@@ -497,11 +459,11 @@ def level_corpora(draw):
 @settings(max_examples=60, deadline=None)
 @given(docs=level_corpora())
 def test_levels_match_brute_force_counts(docs):
-    symbols = NgramCounts([stream_of(text) for text in docs]).symbols(Analyzer.CHAR)
+    ngram_counts = NgramCounts([stream_of(text) for text in docs])
     for n in range(1, 8):
-        level = symbols.level(n)
+        level = ngram_counts.level(n)
         counts = level.counts
-        terms = [symbols.term(p, n) for p in level.where.tolist()]
+        terms = [ngram_counts.term(p, n) for p in level.where.tolist()]
         assert terms == sorted(set(terms)) and len(terms) == len(level.keys)
         assert counts.shape == (len(docs), len(terms))
         expected_tf, expected_df = Counter(), Counter()
