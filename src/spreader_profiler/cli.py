@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analysis import corpus_stats, render_stats_table
-from .corpus import Label, Language, SplitSpec, load_corpus, split_corpus
+from .corpus import Label, Language, SplitSpec, load_corpus, split_corpus, split_folds
 from .errors import DataError, ModelError, UsageError
 from .evaluation import (
     GRID_MAX_FEATURES,
@@ -214,7 +214,7 @@ def cmd_train(args) -> int:
         spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
         config = _pipeline_config(args, language)
     corpus = load_corpus(args.input, language)
-    train_part, test_part = split_corpus(corpus, spec)
+    ((train_part, test_part),) = split_folds(corpus, spec, 1)
     model = fit_pipeline(train_part, config)
     report = evaluate_model(model, test_part, args.positive_class)
     heading = "\n".join(

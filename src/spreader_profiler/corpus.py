@@ -304,15 +304,18 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
 def split_folds(corpus: Corpus, spec: SplitSpec, folds: int) -> list[tuple[Corpus, Corpus]]:
     """The split of ``spec`` when ``folds`` is 1, else stratified folds:
     each class's shuffled authors dealt round-robin into the test sides.
-    A training side without a class, or an empty test side, is refused."""
+    A class with no authors, a training side without a class, or an
+    empty test side is refused."""
     if folds < 1:
         raise ValueError("folds must be >= 1")
-    if folds == 1:
-        return [split_corpus(corpus, spec)]
     classes = _shuffled_classes(corpus, spec.seed)
+    label, members = min(classes, key=lambda c: len(c[1]))
+    if folds == 1:
+        if not members:
+            raise DegenerateSplit(f"the split needs authors of class {label.name}, got 0")
+        return [split_corpus(corpus, spec)]
     # dealt round-robin, a class of 2 or more authors has one outside every
     # test side, and the last test side is empty unless a class has `folds`
-    label, members = min(classes, key=lambda c: len(c[1]))
     if len(members) < 2:
         raise DegenerateSplit(
             f"{folds} folds need 2 authors of class {label.name}, got {len(members)}"

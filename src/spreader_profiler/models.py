@@ -13,35 +13,27 @@ guarantees the objective never increases between outer iterations.
 Training stops when the L2 norm of the gradient drops to the
 configured tolerance.
 
-The loop runs in one of two bases. Since the penalty is on w alone and
-w starts at zero, every iterate, gradient and step lies in the span of
-the training rows (plus the intercept). When the Gram matrix
-K = X X^T has no more entries than X has stored values
-(``n_samples**2 <= nnz``; authors are far fewer than n-gram features),
-the loop works on the n_samples (+1) coordinates ``a`` of ``w = X^T a``
-with the inner product ``<u, v> = u . (K (+) 1) v``, so that its
-vectors are sized by authors, not by features, and the margins of a
-line-search candidate need no product with X. Otherwise it works on
-``(w, b)`` directly with the Euclidean inner product.
+Since the penalty is on w alone and w starts at zero, every iterate,
+gradient and step lies in the span of the training rows (plus the
+intercept; Chapelle 2007, "Training a Support Vector Machine in the
+Primal"). So the loop works on the n_samples (+1) coordinates ``a`` of
+``w = X^T a`` with the inner product ``<u, v> = u . (K (+) 1) v`` for
+the Gram matrix K = X X^T: its vectors are sized by authors, not by
+n-gram features, and the margins of a line-search candidate need no
+product with X.
 
-Which step the loop takes depends on the loss and the basis:
+Which step the loop takes depends on the loss:
 
-* squared hinge in the row basis: the generalized Newton step of the
-  finite Newton method (Keerthi & DeCoste 2005, "A Modified Finite
-  Newton Method for Fast Solution of Large Scale Linear SVMs"). The
-  loss is piecewise quadratic, so the step is exact on the current set
-  of active margins (``t < 1``) and the loop stops after a few steps,
-  where L-BFGS needs hundreds on ill-conditioned count-weighted data.
-  Inactive rows take the gradient's coordinate; only the active rows
-  need a linear solve, so a step costs O(|active|^3) on top of the
-  O(n_samples^2) products with K.
-* logistic loss in the row basis, and both losses in the feature
-  basis: L-BFGS. In the feature basis a Newton system would be sized
-  by the features. The logistic problems converge in tens of L-BFGS
-  steps, and their models are kept exactly as they were.
-
-The two bases take the same L-BFGS steps in exact arithmetic; they
-differ by rounding.
+* squared hinge: the generalized Newton step of the finite Newton
+  method (Keerthi & DeCoste 2005, "A Modified Finite Newton Method for
+  Fast Solution of Large Scale Linear SVMs"). The loss is piecewise
+  quadratic, so the step is exact on the current set of active margins
+  (``t < 1``) and the loop stops after a few steps, where L-BFGS needs
+  hundreds on ill-conditioned count-weighted data. Inactive rows take
+  the gradient's coordinate; only the active rows need a linear solve,
+  so a step costs O(|active|^3) on top of the O(n_samples^2) products
+  with K.
+* logistic loss: L-BFGS. These problems converge in tens of steps.
 """
 
 from __future__ import annotations
@@ -199,42 +191,6 @@ def _data_slope(t, y_pm, C, loss):
     return -C * y_pm * expit(-t)
 
 
-class _FeatureBasis:
-    """Coordinates ``theta = (w, b)`` with the Euclidean inner product:
-    a vector is its own image."""
-
-    def __init__(self, X: sp.csr_matrix, fit_intercept: bool):
-        self.X, self.XT = X, X.T
-        self.fit_intercept = fit_intercept
-        self.size = X.shape[1] + fit_intercept
-
-    @staticmethod
-    def split(v: np.ndarray):
-        return v, v
-
-    @staticmethod
-    def with_image(coordinates: np.ndarray) -> np.ndarray:
-        return coordinates
-
-    def weights(self, theta: np.ndarray):
-        if self.fit_intercept:
-            return theta[:-1], float(theta[-1])
-        return theta, 0.0
-
-    def decisions(self, theta: np.ndarray):
-        """``w . w`` and the decision values ``X w + b``."""
-        w, b = self.weights(theta)
-        return float(w @ w), self.X @ w + b
-
-    def gradient(self, theta: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-        """The gradient at ``theta`` from the data term's ``slopes``."""
-        w, _ = self.weights(theta)
-        grad_w = self.XT @ slopes + w
-        if self.fit_intercept:
-            return np.concatenate([grad_w, [float(slopes.sum())]])
-        return grad_w
-
-
 # Dense blocks of columns for the Gram matrix: at most this many bytes,
 # and at most 1/_GRAM_MIN_BLOCKS of X as a dense array, so that building
 # it holds little more than X itself.
@@ -242,8 +198,9 @@ _GRAM_BLOCK_BYTES = 1 << 22
 _GRAM_MIN_BLOCKS = 16
 
 
-def _gram(X: sp.csr_matrix) -> np.ndarray:
-    """``X X^T`` as a dense array, summed over dense blocks of columns."""
+def row_gram(X: sp.csr_matrix) -> np.ndarray:
+    """``X X^T`` as a dense array, summed over dense blocks of columns.
+    ``train`` takes it, so that the models fitted to one matrix share it."""
     n_rows, n_columns = X.shape
     width = max(1, min(_GRAM_BLOCK_BYTES // (8 * n_rows), -(-n_columns // _GRAM_MIN_BLOCKS)))
     gram = np.zeros((n_rows, n_rows))
@@ -347,29 +304,16 @@ class _RowBasis:
         return d
 
 
-def row_gram(X: sp.csr_matrix) -> np.ndarray | None:
-    """``X X^T`` when training on ``X`` runs in the basis of its rows
-    (its Gram matrix is no larger than the data), else None. ``train``
-    takes it, so that the models fitted to one matrix share it."""
-    return _gram(X) if X.shape[0] ** 2 <= X.nnz else None
-
-
-def _basis(X: sp.csr_matrix, fit_intercept: bool, gram: np.ndarray | None = None):
-    """The row basis when its Gram matrix is no larger than the data;
-    ``gram`` is ``row_gram(X)`` when the caller has it already."""
-    if gram is None:
-        gram = row_gram(X)
-    if gram is None:
-        return _FeatureBasis(X, fit_intercept)
-    return _RowBasis(X, gram, fit_intercept)
-
-
 def _objective_and_grad(theta, X, y_pm, C, loss, fit_intercept):
-    """The objective and its gradient at ``theta = (w, b)``."""
-    basis = _FeatureBasis(X, fit_intercept)
-    ww, decisions = basis.decisions(theta)
-    t = y_pm * decisions
-    return 0.5 * ww + _data_term(t, C, loss), basis.gradient(theta, _data_slope(t, y_pm, C, loss))
+    """The objective and its gradient at ``theta = (w, b)``, in the
+    coordinates of the features."""
+    w, b = (theta[:-1], float(theta[-1])) if fit_intercept else (theta, 0.0)
+    t = y_pm * (X @ w + b)
+    slopes = _data_slope(t, y_pm, C, loss)
+    grad = X.T @ slopes + w
+    if fit_intercept:
+        grad = np.append(grad, slopes.sum())
+    return 0.5 * float(w @ w) + _data_term(t, C, loss), grad
 
 
 def _norm(v: np.ndarray, image: np.ndarray) -> float:
@@ -397,12 +341,14 @@ def _lbfgs_direction(grad, pairs):
 
 
 def _minimize(X, y_pm, C, loss, fit_intercept, tolerance, max_iterations, gram=None):
-    """Descent with Armijo backtracking from zero, by Newton steps for
-    the squared hinge in the row basis and by L-BFGS otherwise (see the
-    module docstring); returns the weights, the bias, the objective
-    history, the convergence flag and the iteration count."""
-    basis = _basis(X, fit_intercept, gram)
-    newton = loss is LossKind.SQUARED_HINGE and isinstance(basis, _RowBasis)
+    """Descent with Armijo backtracking from zero in the basis of the
+    rows of ``X``, by Newton steps for the squared hinge and by L-BFGS
+    for the logistic loss (see the module docstring); ``gram`` is
+    ``row_gram(X)``, when the caller has it. Returns the weights, the
+    bias, the objective history, the convergence flag and the iteration
+    count."""
+    basis = _RowBasis(X, row_gram(X) if gram is None else gram, fit_intercept)
+    newton = loss is LossKind.SQUARED_HINGE
 
     def evaluate(theta):
         ww, decisions = basis.decisions(theta)
@@ -523,12 +469,8 @@ def train_logreg(X, y, config: TrainConfig = TrainConfig(), **kwargs) -> LinearM
 
 
 def decision_value(model: LinearModel, x: SparseVector) -> float:
-    if x.dimension != model.dimension:
-        raise DimensionMismatch(
-            f"vector dimension {x.dimension} != model dimension {model.dimension}"
-        )
-    w = model.weights
-    return float(sum(w[i] * v for i, v in x.entries) + model.bias)
+    """The decision value of one vector, scored as a one-row matrix."""
+    return float(decision_values(model, _to_csr([x]))[0])
 
 
 def decision_values(

@@ -263,18 +263,20 @@ class TestExitCodes:
 
 @pytest.fixture(scope="module")
 def few_authors(tmp_path_factory):
-    """Corpora of 3 credible users and 3 spreaders, and of 3 and 1."""
+    """Corpora of 3 credible users and 3 spreaders, of 3 and 1, and of 3
+    and none."""
     root = tmp_path_factory.mktemp("few")
     generate_corpus_dir(root / "3-3", authors_per_class=3, tweets_per_author=100, seed=5,
                         language="en")
-    shutil.copytree(root / "3-3", root / "3-1")
-    truth = root / "3-1" / "truth.txt"
-    lines = truth.read_text(encoding="utf-8").splitlines()
-    dropped = [line for line in lines if line.endswith(":::1")][1:]
-    for line in dropped:
-        (root / "3-1" / f"{line.partition(':::')[0]}.xml").unlink()
-    truth.write_text("".join(f"{line}\n" for line in lines if line not in dropped),
-                     encoding="utf-8")
+    for name, kept in (("3-1", 1), ("3-0", 0)):
+        shutil.copytree(root / "3-3", root / name)
+        truth = root / name / "truth.txt"
+        lines = truth.read_text(encoding="utf-8").splitlines()
+        dropped = [line for line in lines if line.endswith(":::1")][kept:]
+        for line in dropped:
+            (root / name / f"{line.partition(':::')[0]}.xml").unlink()
+        truth.write_text("".join(f"{line}\n" for line in lines if line not in dropped),
+                         encoding="utf-8")
     return root
 
 
@@ -303,6 +305,39 @@ class TestDegenerateFolds:
         code, err = _run_captured(["gridsearch", "--input", few_authors / "3-3", "--lang", "en",
                                    "--folds", 3, "--ranges", "1:2", "--max-features", "100",
                                    "--min-df", "1", "--out", tmp_path / "grid.tsv"])
+        assert code == 0 and "error" not in err
+
+
+class TestOneClassCorpus:
+    """A labeled corpus without a spreader is a data error for every
+    command that splits it to train, whatever the fold count."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train"], "the split needs authors of class FAKE_NEWS_SPREADER, got 0"),
+            (["gridsearch", "--folds", 1],
+             "the split needs authors of class FAKE_NEWS_SPREADER, got 0"),
+            (["gridsearch", "--folds", 2],
+             "2 folds need 2 authors of class FAKE_NEWS_SPREADER, got 0"),
+        ],
+        ids=["train", "folds-1", "folds-2"],
+    )
+    def test_is_one_data_error_line(self, few_authors, argv, message, tmp_path):
+        command, *flags = argv
+        code, err = _run_captured([command, "--input", few_authors / "3-0", "--lang", "en",
+                                   *flags, "--out", tmp_path / "out.txt"])
+        assert code == 2
+        assert err == f"data error: {message}\n"
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_evaluating_its_test_side_runs(self, few_authors, tmp_path):
+        model = tmp_path / "model.txt"
+        code, err = _run_captured(["train", "--input", few_authors / "3-3", "--lang", "en",
+                                   "--out", model])
+        assert code == 0 and "error" not in err
+        code, err = _run_captured(["evaluate", "--model", model, "--input", few_authors / "3-0",
+                                   "--split", "test"])
         assert code == 0 and "error" not in err
 
 

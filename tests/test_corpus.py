@@ -349,6 +349,19 @@ class TestSplitFolds:
             split_folds(_corpus_of_sizes(n_true, n_fake), SplitSpec(), folds)
         assert "SPREADER" in str(refused.value)
 
+    @pytest.mark.parametrize(
+        "n_true, n_fake, label",
+        [(3, 0, "FAKE_NEWS_SPREADER"), (0, 2, "TRUE_NEWS_SPREADER")],
+    )
+    def test_one_fold_refuses_a_class_with_no_authors(self, n_true, n_fake, label):
+        corpus = _corpus_of_sizes(n_true, n_fake)
+        with pytest.raises(DegenerateSplit, match=f"^the split needs authors of class {label}, "
+                                                  "got 0$"):
+            split_folds(corpus, SplitSpec(), 1)
+        # the seeded split alone still passes the one class through
+        train, test = split_corpus(corpus, SplitSpec())
+        assert len(train) + len(test) == n_true + n_fake
+
     def test_fold_count_validation(self):
         with pytest.raises(ValueError):
             split_folds(_balanced_corpus(3), SplitSpec(), 0)

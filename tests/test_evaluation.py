@@ -377,13 +377,15 @@ class TestSharedGrid:
         self, hard_corpus, folds, monkeypatch
     ):
         shapes = []
-        gram = models._gram
+        gram = models.row_gram
 
         def recording_gram(X):
             shapes.append(X.shape)
             return gram(X)
 
-        monkeypatch.setattr(models, "_gram", recording_gram)
+        # the grid's own builds and any the trainer would make itself
+        monkeypatch.setattr(evaluation, "row_gram", recording_gram)
+        monkeypatch.setattr(models, "row_gram", recording_gram)
         grid_search(hard_corpus, self.GRID, SplitSpec(seed=11), folds=folds)
         groups = {config.vectorizers for config in self.GRID}
         kinds = {vectorizers: {c.model_kind for c in self.GRID if c.vectorizers == vectorizers}

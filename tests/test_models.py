@@ -22,8 +22,6 @@ from spreader_profiler.models import (
     LossKind,
     ModelKind,
     TrainConfig,
-    _basis,
-    _gram,
     _objective_and_grad,
     _RowBasis,
     decision_value,
@@ -31,6 +29,7 @@ from spreader_profiler.models import (
     load_model,
     predict,
     predict_proba,
+    row_gram,
     save_model,
     train,
     train_logreg,
@@ -277,47 +276,11 @@ def _reference_minimize(X, y_pm, C, loss, fit_intercept, tolerance, max_iteratio
     return theta, history, n_iter, backtracks
 
 
-class TestOptimizerIdentity:
-    """``train`` reproduces the reference loop bit for bit."""
-
-    @staticmethod
-    def problem(seed):
-        rng = np.random.default_rng(seed)
-        X = sp.random(48, 150, density=0.08, format="csr", random_state=rng, dtype=np.float64)
-        truth = rng.normal(size=150)
-        y_pm = np.where(X @ truth + rng.normal(scale=0.5, size=48) > 0, 1.0, -1.0)
-        return X, y_pm
-
-    @pytest.mark.parametrize("loss", [LossKind.SQUARED_HINGE, LossKind.LOGISTIC])
-    @pytest.mark.parametrize(
-        "C, fit_intercept, max_iterations",
-        [(1.0, True, 1000), (50.0, True, 1000), (3.0, False, 1000), (20.0, True, 7)],
-    )
-    def test_train_equals_reference_loop(self, loss, C, fit_intercept, max_iterations, recwarn):
-        X, y_pm = self.problem(seed=int(C) * 7 + fit_intercept)
-        config = TrainConfig(C=C, tolerance=1e-6, max_iterations=max_iterations, loss=loss,
-                             fit_intercept=fit_intercept)
-        labels = [FAKE if v > 0 else TRUE for v in y_pm]
-        model = train(X, labels, config)
-        theta, history, n_iter, _ = _reference_minimize(
-            X, y_pm, C, loss, fit_intercept, config.tolerance, max_iterations
-        )
-        n = X.shape[1]
-        assert model.objective_history == history
-        assert model.n_iterations == n_iter
-        assert model.weights.tolist() == theta[:n].tolist()
-        assert model.bias == (float(theta[n]) if fit_intercept else 0.0)
-
-    def test_reference_problems_backtrack(self):
-        for loss in (LossKind.SQUARED_HINGE, LossKind.LOGISTIC):
-            X, y_pm = self.problem(seed=50 * 7 + 1)
-            *_, backtracks = _reference_minimize(X, y_pm, 50.0, loss, True, 1e-6, 1000)
-            assert backtracks > 0
-
-
 class TestRowBasis:
-    """Problems whose Gram matrix is no larger than the data run in the
-    basis of the training rows; they reach the reference loop's optimum."""
+    """Training runs in the basis of the training rows. It reaches the
+    reference loop's optimum both on problems whose Gram matrix is
+    singular and on wide sparse problems whose Gram matrix is larger
+    than the data."""
 
     @staticmethod
     def problem(seed):
@@ -335,9 +298,19 @@ class TestRowBasis:
         y_pm[7] = -y_pm[6]
         return X.tocsr(), y_pm
 
-    def train_both(self, loss, C, fit_intercept, max_iterations, seed):
-        X, y_pm = self.problem(seed)
-        assert isinstance(_basis(X, fit_intercept), _RowBasis)
+    @staticmethod
+    def wide_problem(seed):
+        """48 rows over 150 features at density 0.08, so that
+        ``n_samples**2 > nnz``."""
+        rng = np.random.default_rng(seed)
+        X = sp.random(48, 150, density=0.08, format="csr", random_state=rng, dtype=np.float64)
+        truth = rng.normal(size=150)
+        y_pm = np.where(X @ truth + rng.normal(scale=0.5, size=48) > 0, 1.0, -1.0)
+        assert X.shape[0] ** 2 > X.nnz
+        return X, y_pm
+
+    def train_both(self, loss, C, fit_intercept, max_iterations, seed, problem=None):
+        X, y_pm = (problem or self.problem)(seed)
         config = TrainConfig(C=C, tolerance=1e-6, max_iterations=max_iterations, loss=loss,
                              fit_intercept=fit_intercept)
         labels = [FAKE if v > 0 else TRUE for v in y_pm]
@@ -351,17 +324,26 @@ class TestRowBasis:
         reference_converged = float(np.linalg.norm(gradient)) <= config.tolerance
         return model, theta, history, reference_converged, X.shape[1]
 
-    @pytest.mark.parametrize("loss", [LossKind.SQUARED_HINGE, LossKind.LOGISTIC])
-    @pytest.mark.parametrize("C", [1.0, 50.0])
-    @pytest.mark.parametrize("fit_intercept", [True, False])
-    def test_reaches_the_reference_optimum(self, loss, C, fit_intercept):
-        model, theta, history, converged, n = self.train_both(
-            loss, C, fit_intercept, 1000, seed=int(C) + fit_intercept
-        )
+    @staticmethod
+    def check_optimum(model, theta, history, converged, n, fit_intercept):
         assert model.converged is converged is True
         assert model.objective_history[-1] == pytest.approx(history[-1], rel=1e-9)
         assert np.max(np.abs(model.weights - theta[:n])) <= 2e-6
         assert abs(model.bias - (float(theta[n]) if fit_intercept else 0.0)) <= 2e-6
+
+    @pytest.mark.parametrize("loss", [LossKind.SQUARED_HINGE, LossKind.LOGISTIC])
+    @pytest.mark.parametrize("C", [1.0, 50.0])
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_reaches_the_reference_optimum(self, loss, C, fit_intercept):
+        run = self.train_both(loss, C, fit_intercept, 1000, seed=int(C) + fit_intercept)
+        self.check_optimum(*run, fit_intercept)
+
+    @pytest.mark.parametrize("loss", [LossKind.SQUARED_HINGE, LossKind.LOGISTIC])
+    @pytest.mark.parametrize("C, fit_intercept", [(1.0, True), (50.0, True), (3.0, False)])
+    def test_wide_problems_reach_the_reference_optimum(self, loss, C, fit_intercept):
+        run = self.train_both(loss, C, fit_intercept, 1000, seed=int(C) * 7 + fit_intercept,
+                              problem=self.wide_problem)
+        self.check_optimum(*run, fit_intercept)
 
     @pytest.mark.parametrize("loss", [LossKind.LOGISTIC])
     def test_capped_run_follows_the_reference_history(self, loss):
@@ -369,6 +351,44 @@ class TestRowBasis:
         assert model.converged is converged is False
         assert model.n_iterations == len(history) - 1 == 7
         assert model.objective_history == pytest.approx(history, rel=1e-12)
+
+    def test_capped_wide_run_follows_the_reference_history(self):
+        model, _, history, converged, _ = self.train_both(
+            LossKind.LOGISTIC, 20.0, True, 7, seed=20 * 7 + 1, problem=self.wide_problem
+        )
+        assert model.converged is converged is False
+        assert model.n_iterations == len(history) - 1 == 7
+        assert model.objective_history == pytest.approx(history, rel=1e-12)
+
+    def test_wide_reference_problems_backtrack(self):
+        for loss in (LossKind.SQUARED_HINGE, LossKind.LOGISTIC):
+            X, y_pm = self.wide_problem(seed=50 * 7 + 1)
+            *_, backtracks = _reference_minimize(X, y_pm, 50.0, loss, True, 1e-6, 1000)
+            assert backtracks > 0
+
+    @pytest.mark.parametrize("loss", [LossKind.SQUARED_HINGE, LossKind.LOGISTIC])
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_gradient_is_the_feature_gradient(self, loss, fit_intercept, wide):
+        """The gradient the trainer steps on, mapped back through ``X^T``
+        (its intercept entry kept), is ``_objective_and_grad``'s at
+        ``w = X^T a``; so is the objective."""
+        X, y_pm = self.wide_problem(seed=5) if wide else self.problem(seed=5)
+        assert (X.shape[0] ** 2 > X.nnz) is wide
+        C = 3.0
+        basis = _RowBasis(X, row_gram(X), fit_intercept)
+        theta = basis.with_image(np.random.default_rng(6).normal(scale=0.3, size=basis.half))
+        ww, decisions = basis.decisions(theta)
+        t = y_pm * decisions
+        g = basis.split(basis.gradient(theta, models._data_slope(t, y_pm, C, loss)))[0]
+        n = X.shape[0]
+        mapped = np.append(X.T @ g[:n], g[n:])
+        w, b = basis.weights(theta)
+        value, expected = _objective_and_grad(
+            np.append(w, [b] * fit_intercept), X, y_pm, C, loss, fit_intercept
+        )
+        assert relative_error(mapped, expected) <= 1e-12
+        assert 0.5 * ww + models._data_term(t, C, loss) == pytest.approx(value, rel=1e-12)
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_capped_newton_run_never_increases(self, cap):
@@ -414,15 +434,13 @@ def _count_problem(seed, authors_per_class=14, tweets_per_author=25):
 
 
 class TestNewton:
-    """The squared hinge in the row basis takes generalized Newton
-    steps. Each run must converge, never increase the objective, end at
+    """The squared hinge takes generalized Newton steps. Each run must converge, never increase the objective, end at
     an objective no higher than the reference L-BFGS loop's, and end
     with a gradient within tolerance."""
 
     @staticmethod
     def check(X, y_pm, C, fit_intercept, reference_cap=1000):
         config = TrainConfig(C=C, tolerance=1e-6, fit_intercept=fit_intercept)
-        assert isinstance(_basis(X, fit_intercept), _RowBasis)
         model = train(X, [FAKE if v > 0 else TRUE for v in y_pm], config)
         _, reference, _, _ = _reference_minimize(
             X, y_pm, C, LossKind.SQUARED_HINGE, fit_intercept, config.tolerance, reference_cap
@@ -441,7 +459,14 @@ class TestNewton:
         """An empty row, and rows repeated under the same label and
         under the other label."""
         X, y_pm = TestRowBasis.problem(seed)
-        assert np.linalg.matrix_rank(_gram(X)) < X.shape[0]
+        assert np.linalg.matrix_rank(row_gram(X)) < X.shape[0]
+        self.check(X, y_pm, C, fit_intercept)
+
+    @pytest.mark.parametrize("C, fit_intercept", [(1.0, True), (50.0, True), (3.0, False)])
+    def test_wide_problem(self, C, fit_intercept):
+        """More rows than stored values per row: the Gram matrix is
+        larger than the data."""
+        X, y_pm = TestRowBasis.wide_problem(seed=int(C) * 7 + fit_intercept)
         self.check(X, y_pm, C, fit_intercept)
 
     @pytest.mark.parametrize("fit_intercept", [True, False])
@@ -466,7 +491,7 @@ class TestNewton:
             rng.uniform(0.5, 1.0, size=(24, 30)) * (y_pm[:, None] > 0),
             rng.uniform(0.5, 1.0, size=(24, 30)) * (y_pm[:, None] < 0),
         ]))
-        basis = _RowBasis(X, _gram(X), fit_intercept)
+        basis = _RowBasis(X, row_gram(X), fit_intercept)
         theta = basis.with_image(np.append(y_pm, [0.25] * fit_intercept))
         t = y_pm * basis.decisions(theta)[1]
         assert np.all(t > 1.0)
@@ -486,7 +511,7 @@ class TestNewton:
         rng = np.random.default_rng(seed)
         X, y_pm = TestRowBasis.problem(seed)
         C = 3.0
-        basis = _RowBasis(X, _gram(X), fit_intercept)
+        basis = _RowBasis(X, row_gram(X), fit_intercept)
         n = X.shape[0]
         theta = basis.with_image(rng.normal(scale=0.3, size=basis.half))
         t = y_pm * basis.decisions(theta)[1]
@@ -494,7 +519,7 @@ class TestNewton:
         slopes = models._data_slope(t, y_pm, C, LossKind.SQUARED_HINGE)
         g = basis.split(basis.gradient(theta, slopes))[0]
         D = np.diag(np.where(t < 1.0, 2.0 * C, 0.0))
-        K = _gram(X)
+        K = row_gram(X)
         full = np.eye(n) + D @ K
         if fit_intercept:
             ones = np.ones((n, 1))
@@ -504,7 +529,7 @@ class TestNewton:
 
 
 class TestGram:
-    """``_gram`` sums dense blocks of columns; integer data makes every
+    """``row_gram`` sums dense blocks of columns; integer data makes every
     sum exact, whatever the blocks."""
 
     @staticmethod
@@ -520,12 +545,12 @@ class TestGram:
         monkeypatch.setattr(models, "_GRAM_BLOCK_BYTES", 8 * 5 * 5)  # 5 columns
         monkeypatch.setattr(models, "_GRAM_MIN_BLOCKS", 1)
         X = self.matrix(n_columns)
-        assert np.array_equal(_gram(X), (X @ X.T).toarray())
+        assert np.array_equal(row_gram(X), (X @ X.T).toarray())
 
     @pytest.mark.parametrize("n_columns", [1, 15, 16, 17, 100])
     def test_blocks_of_a_share_of_the_columns(self, n_columns):
         X = self.matrix(n_columns, seed=n_columns)
-        assert np.array_equal(_gram(X), (X @ X.T).toarray())
+        assert np.array_equal(row_gram(X), (X @ X.T).toarray())
 
 
 class TestPredict:
