@@ -264,6 +264,9 @@ def cmd_predict(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     language = Language.parse(args.lang)
+    for flag in ("ranges", "min_df", "max_features", "weighting", "models"):
+        if not getattr(args, flag):
+            raise UsageError(f"--{flag.replace('_', '-')} needs at least one value")
     with _usage_errors():
         spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
         grid = default_grid(
@@ -337,7 +340,7 @@ def _run(argv: list[str]) -> int:
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that cannot be read or written
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -185,13 +185,14 @@ def fit_pipeline(
 ) -> LinearModel:
     """Preprocess the training corpus, fit every vectorizer block on it,
     and train the classifier. Nothing outside ``train_corpus`` is seen.
-    The blocks share one ``NgramCounts``, so each n-gram length is
-    counted once for fit and transform together."""
+    The blocks share one ``NgramCounts`` of every length up to their
+    longest, counted once for fit and transform together."""
     if not train_corpus.is_labeled:
         raise UnlabeledCorpus("training needs labels")
     if stopwords is None:
         stopwords = load_stopwords(train_corpus.language)
-    counts = NgramCounts(preprocess_corpus(train_corpus, stopwords))
+    longest = max(vc.range.max_n for vc in config.vectorizers)
+    counts = NgramCounts(preprocess_corpus(train_corpus, stopwords), longest)
     vocabularies, X = _features(counts, config.vectorizers)
     labels = [author.label for author in train_corpus]
     return _fit(vocabularies, X, labels, config, train_corpus.language)
@@ -270,24 +271,22 @@ def grid_search(
     pairs = split_folds(corpus, spec, folds)
 
     # Work that does not depend on the configuration is done once: the
-    # corpus is preprocessed once, each split side is counted once, and
-    # each distinct tuple of vectorizer blocks is fitted, both sides
-    # transformed and the Gram matrix built, once per split for all the
-    # classifiers that share it.
+    # corpus is preprocessed once, each split side is counted once, up to
+    # the longest n-gram of any block, and each distinct tuple of
+    # vectorizer blocks is fitted, both sides transformed and the Gram
+    # matrix built, once per split for all the classifiers that share it.
     stopwords = load_stopwords(corpus.language)
     stream_of = dict(zip(corpus.author_ids(), preprocess_corpus(corpus, stopwords)))
     groups: dict[tuple[VectorizerConfig, ...], list[int]] = {}
     for position, config in enumerate(grid):
         groups.setdefault(config.vectorizers, []).append(position)
-    blocks = [vc for vectorizers in groups for vc in vectorizers]
+    max_n = max(vc.range.max_n for vectorizers in groups for vc in vectorizers)
     reports: list[list[EvalReport]] = [[] for _ in grid]
     for split, (train_part, test_part) in enumerate(pairs):
-        sides = []
-        for part in (train_part, test_part):
-            counts = NgramCounts([stream_of[author_id] for author_id in part.author_ids()])
-            counts.settle(blocks)  # frees its counting scratch before the next side's is made
-            sides.append(counts)
-        train_counts, test_counts = sides
+        train_counts, test_counts = (
+            NgramCounts([stream_of[author_id] for author_id in part.author_ids()], max_n)
+            for part in (train_part, test_part)
+        )
         labels = [author.label for author in train_part]
         for vectorizers, positions in groups.items():
             vocabularies, X = _features(train_counts, vectorizers)

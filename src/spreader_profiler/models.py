@@ -520,17 +520,11 @@ def predict_proba(model: LinearModel, x: SparseVector) -> float:
 
 
 def _escape(term: str) -> str:
-    # the codec leaves printable ASCII other than the backslash as it is
-    if term.isascii() and term.isprintable() and "\\" not in term:
-        return term
     return term.encode("unicode_escape").decode("ascii")
 
 
 def _unescape(text: str) -> str:
-    # decoding is the identity on ASCII with no backslash; any other
     # non-ASCII text fails the encode, as a raw field should
-    if text.isascii() and "\\" not in text:
-        return text
     return codecs_decode(text.encode("ascii"), "unicode_escape")
 
 
@@ -641,12 +635,24 @@ class _LineReader:
             (lo, self.take(min(_CHUNK_LINES, count - lo))) for lo in range(0, count, _CHUNK_LINES)
         )
 
-    def next_field(self, key: str) -> str:
+    def next_field(self, key: str, parse=str, write=str):
+        """The next line's field, which must be ``key``'s, parsed (see
+        ``_canonical``)."""
         line = self.take(1)[:-1].decode("utf-8")
         head, sep, tail = line.partition("\t")
         if not sep or head != key:
             raise CorruptModelFile(f"expected '{key}' line, got {line!r}")
-        return tail
+        return _canonical(key, tail, parse, write)
+
+
+def _canonical(key: str, text: str, parse, write):
+    """``parse(text)``, refused unless ``write`` gives ``text`` back, so
+    that every value has one spelling and a loaded model saves to the
+    file it came from."""
+    value = parse(text)
+    if write(value) != text:
+        raise CorruptModelFile(f"{key} {text!r} is not written as {write(value)!r}")
+    return value
 
 
 def _columns(block: bytes, sep: str, width: int, what: str) -> list[list[str]]:
@@ -795,30 +801,30 @@ def load_model(path: str | Path) -> LinearModel:
     try:
         kind = ModelKind(reader.next_field("kind"))
         language = Language(reader.next_field("language"))
-        c = float.fromhex(reader.next_field("c"))
-        tolerance = float.fromhex(reader.next_field("tolerance"))
-        max_iterations = int(reader.next_field("max_iterations"))
+        c = reader.next_field("c", float.fromhex, float.hex)
+        tolerance = reader.next_field("tolerance", float.fromhex, float.hex)
+        max_iterations = reader.next_field("max_iterations", int)
         loss = LossKind(reader.next_field("loss"))
         fit_intercept_text = reader.next_field("fit_intercept")
         if fit_intercept_text not in ("0", "1"):
             raise CorruptModelFile(f"fit_intercept must be 0 or 1, got {fit_intercept_text!r}")
         fit_intercept = fit_intercept_text == "1"
-        bias = float.fromhex(reader.next_field("bias"))
-        n_blocks = int(reader.next_field("blocks"))
+        bias = reader.next_field("bias", float.fromhex, float.hex)
+        n_blocks = reader.next_field("blocks", int)
 
         blocks = []
         for position in range(n_blocks):
-            if int(reader.next_field("block")) != position:
+            if reader.next_field("block", int) != position:
                 raise CorruptModelFile("block sections out of order")
             analyzer = Analyzer(reader.next_field("analyzer"))
             weighting = Weighting(reader.next_field("weighting"))
-            min_n = int(reader.next_field("min_n"))
-            max_n = int(reader.next_field("max_n"))
-            cap_text = reader.next_field("max_features")
-            max_features = None if cap_text == "none" else int(cap_text)
-            min_df = int(reader.next_field("min_df"))
-            corpus_size = int(reader.next_field("corpus_size"))
-            n_terms = int(reader.next_field("terms"))
+            min_n = reader.next_field("min_n", int)
+            max_n = reader.next_field("max_n", int)
+            cap = reader.next_field("max_features")
+            max_features = None if cap == "none" else _canonical("max_features", cap, int, str)
+            min_df = reader.next_field("min_df", int)
+            corpus_size = reader.next_field("corpus_size", int)
+            n_terms = reader.next_field("terms", int)
             config = VectorizerConfig(
                 analyzer=analyzer,
                 range=NgramRange(min_n, max_n),
@@ -828,7 +834,7 @@ def load_model(path: str | Path) -> LinearModel:
             )
             blocks.append(_read_vocabulary(reader, n_terms, config, corpus_size))
 
-        weights = _read_weights(reader, int(reader.next_field("weights")))
+        weights = _read_weights(reader, reader.next_field("weights", int))
         if not reader.at_end():
             raise CorruptModelFile("lines after the weights section")
         return LinearModel(

@@ -13,16 +13,18 @@ boundaries. The alphabet is Unicode codepoints, never bytes. Character
 n-grams are the only analyzer: ``Analyzer`` has the single member
 ``CHAR``, which model files and configuration keys name.
 
-Counting is corpus-level (``NgramCounts``): the symbols of every
-document are mapped to dense codes ``1..A`` in sorted order, and each
-n-gram gets the exact integer key ``rank(its (n-1)-prefix) * (A + 1) +
-code(its last symbol)``, where the rank is the prefix's position among
-the corpus's distinct (n-1)-grams. Keys therefore sort like the terms
-and stay below ``positions * (A + 1)`` for any alphabet. Each length's
-distinct keys become its columns, and its per-document counts a CSR
-matrix built in linear time: two counting sorts (occurrences by column,
-then by document) leave every row's columns ascending, so repeats are
-summed with no comparison sort. Vocabulary selection, weighting and
+Counting is corpus-level (``NgramCounts``) and complete: every length
+from 1 to the longest that its caller's configurations reach is counted
+when the counts are built. The symbols of every document are mapped to
+dense codes ``1..A`` in sorted order, and each n-gram gets the exact
+integer key ``rank(its (n-1)-prefix) * (A + 1) + code(its last
+symbol)``, where the rank is the prefix's position among the corpus's
+distinct (n-1)-grams. Keys therefore sort like the terms and stay below
+``positions * (A + 1)`` for any alphabet. Each length's distinct keys
+become its columns, and its per-document counts a CSR matrix built in
+linear time: two counting sorts (occurrences by column, then by
+document) leave every row's columns ascending, so repeats are summed
+with no comparison sort. Vocabulary selection, weighting and
 normalization are then column and row operations on those matrices,
 and Python strings are made only for the terms a vocabulary keeps.
 """
@@ -32,7 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -207,99 +209,86 @@ class _Level:
 
 
 class NgramCounts:
-    """Exact per-document counts of every character n-gram of a list of
-    token streams. The streams' joined texts are held as one array of
-    dense symbol codes, and each n-gram length is counted once, on first
-    use, so vocabularies and transforms that share one ``NgramCounts``
-    share the counting."""
+    """Exact per-document counts of every character n-gram of lengths
+    1..``max_n`` of a list of token streams, all counted when it is built,
+    so vocabularies and transforms that share one ``NgramCounts`` share
+    the counting. The counting scratch (about four integers per symbol)
+    is freed before the constructor returns."""
 
-    def __init__(self, streams: Sequence[TokenStream]):
+    def __init__(self, streams: Sequence[TokenStream], max_n: int):
         documents = [stream.joined_text for stream in streams]
         sizes = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
         self.surface = "".join(documents)
         points = np.frombuffer(self.surface.encode("utf-32-le", "surrogatepass"), dtype="<u4")
         self.alphabet, codes = np.unique(points, return_inverse=True)
+        del documents, points  # counting needs only the codes
         index = np.int32 if len(codes) < 2**31 else np.int64
-        self.codes = codes.astype(index) + 1
+        codes = codes.astype(index) + 1
         self.base = len(self.alphabet) + 1
         self.starts = np.cumsum(sizes) - sizes
         # symbols left in the document from each position onwards
-        self.remaining = (np.repeat(self.starts + sizes, sizes) - np.arange(len(codes))).astype(index)
+        remaining = (np.repeat(self.starts + sizes, sizes) - np.arange(len(codes))).astype(index)
         self.levels: list[_Level] = []
-        self._positions = np.arange(len(codes), dtype=index)
-        self._ranks = np.zeros(len(codes), dtype=index)
+        positions = np.arange(len(codes), dtype=index)
+        ranks = np.zeros(len(codes), dtype=index)
+        for n in range(1, max_n + 1):
+            alive = remaining[positions] >= n
+            positions = positions[alive]
+            keys = ranks[alive].astype(np.int64)
+            del alive, ranks  # the previous length's, freed before this one's are made
+            keys *= self.base
+            keys += codes[positions + (n - 1)]
+            # keys, ranks = np.unique(keys, return_inverse=True), in less
+            # memory: by marking the possible keys when they are fewer than
+            # the n-grams, else by sorting
+            bound = (len(self.levels[-1].keys) if self.levels else 1) * self.base
+            if bound <= len(keys):
+                present = np.zeros(bound, dtype=bool)
+                present[keys] = True
+                ranks = (np.cumsum(present, dtype=index) - 1)[keys]
+                keys = np.flatnonzero(present)
+                del present
+            else:
+                order = np.argsort(keys)
+                keys = keys[order]
+                first = np.empty(len(keys), dtype=bool)
+                first[:1] = True
+                np.not_equal(keys[1:], keys[:-1], out=first[1:])
+                keys = keys[first]
+                ranks = np.empty(len(positions), dtype=index)
+                ranks[order] = np.cumsum(first, dtype=index) - 1
+                del order, first
+            # positions ascend, so each document's n-grams are contiguous.
+            # The rows are unsorted and repeat columns; the round trip
+            # through CSC sorts them by two counting passes (each column's
+            # rows, then each row's columns, come out ascending), so summing
+            # the repeats needs no per-row comparison sort.
+            indptr = np.append(np.searchsorted(positions, self.starts), len(positions))
+            counts = sp.csr_matrix(
+                (np.ones(len(positions), dtype=np.int32), ranks, indptr),
+                shape=(len(self.starts), len(keys)),
+            ).tocsc()
+            counts.sum_duplicates()
+            counts = counts.tocsr()
+            where = np.empty(len(keys), dtype=index)
+            where[ranks] = positions
+            self.levels.append(
+                _Level(
+                    keys=keys,
+                    counts=counts,
+                    tf=np.bincount(ranks, minlength=len(keys)),
+                    df=np.bincount(counts.indices, minlength=len(keys)),
+                    where=where,
+                )
+            )
 
     def __len__(self) -> int:
         return len(self.starts)
 
     def level(self, n: int) -> _Level:
-        if n > len(self.levels) and self.codes is None:
-            raise ValueError(f"n-grams of length {n} were not counted before settle()")
-        while len(self.levels) < n:
-            self._count_next_length()
+        if not 1 <= n <= len(self.levels):
+            raise ValueError(f"n-grams of length {n} were not counted (max_n={len(self.levels)})")
         return self.levels[n - 1]
-
-    def settle(self, configs: Iterable[VectorizerConfig]) -> None:
-        """Count every length up to the longest the configs reach, then
-        free the counting scratch (about four integers per symbol). Counts
-        that outlive their fit (a grid search keeps one per split side)
-        hold only the matrices; no longer length can follow."""
-        self.level(max(config.range.max_n for config in configs))
-        self.codes = self.remaining = self._positions = self._ranks = None
-
-    def _count_next_length(self) -> None:
-        n = len(self.levels) + 1
-        alive = self.remaining[self._positions] >= n
-        positions = self._positions[alive]
-        keys = self._ranks[alive].astype(np.int64)
-        del alive
-        self._positions = self._ranks = None  # the next length needs only this one's
-        keys *= self.base
-        keys += self.codes[positions + (n - 1)]
-        # keys, ranks = np.unique(keys, return_inverse=True), in less memory:
-        # by marking the possible keys when they are fewer than the n-grams,
-        # else by sorting
-        bound = (len(self.levels[-1].keys) if self.levels else 1) * self.base
-        if bound <= len(keys):
-            present = np.zeros(bound, dtype=bool)
-            present[keys] = True
-            ranks = (np.cumsum(present, dtype=positions.dtype) - 1)[keys]
-            keys = np.flatnonzero(present)
-            del present
-        else:
-            order = np.argsort(keys)
-            keys = keys[order]
-            first = np.empty(len(keys), dtype=bool)
-            first[:1] = True
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            keys = keys[first]
-            ranks = np.empty(len(positions), dtype=positions.dtype)
-            ranks[order] = np.cumsum(first, dtype=positions.dtype) - 1
-            del order, first
-        # positions ascend, so each document's n-grams are contiguous. The
-        # rows are unsorted and repeat columns; the round trip through CSC
-        # sorts them by two counting passes (each column's rows, then each
-        # row's columns, come out ascending), so summing the repeats needs
-        # no per-row comparison sort.
-        indptr = np.append(np.searchsorted(positions, self.starts), len(positions))
-        counts = sp.csr_matrix(
-            (np.ones(len(positions), dtype=np.int32), ranks, indptr),
-            shape=(len(self.starts), len(keys)),
-        ).tocsc()
-        counts.sum_duplicates()
-        counts = counts.tocsr()
-        where = np.empty(len(keys), dtype=positions.dtype)
-        where[ranks] = positions
-        self.levels.append(
-            _Level(
-                keys=keys,
-                counts=counts,
-                tf=np.bincount(ranks, minlength=len(keys)),
-                df=np.bincount(counts.indices, minlength=len(keys)),
-                where=where,
-            )
-        )
-        self._positions, self._ranks = positions, ranks
 
     def term(self, position: int, n: int) -> str:
         return self.surface[position : position + n]
@@ -326,13 +315,13 @@ class NgramCounts:
         return np.where(hit, ranks, -1)
 
 
-def _as_counts(streams: Sequence[TokenStream] | NgramCounts) -> NgramCounts:
-    return streams if isinstance(streams, NgramCounts) else NgramCounts(streams)
+def _as_counts(streams: Sequence[TokenStream] | NgramCounts, max_n: int) -> NgramCounts:
+    return streams if isinstance(streams, NgramCounts) else NgramCounts(streams, max_n)
 
 
 def extract_char_ngrams(text: str, ngram_range: NgramRange) -> Counter:
     """Count every contiguous codepoint n-gram of the configured lengths."""
-    counts = NgramCounts([TokenStream("text", (text,))])
+    counts = NgramCounts([TokenStream("text", (text,))], ngram_range.max_n)
     found: Counter = Counter()
     for n in range(ngram_range.min_n, ngram_range.max_n + 1):
         level = counts.level(n)
@@ -354,7 +343,7 @@ def fit_vocabulary(
     term frequency (ties broken toward the lexicographically smaller
     term) and the top slice kept. Indices run lexicographically.
     """
-    counts = _as_counts(streams)
+    counts = _as_counts(streams, config.range.max_n)
     if not len(counts):
         raise ValueError("fit_vocabulary needs at least one stream")
     lengths, where, tf, df = [], [], [], []
@@ -434,7 +423,7 @@ def union_transform(
     row. Unknown n-grams are ignored; a fully out-of-vocabulary stream
     becomes an empty row.
     """
-    counts = _as_counts(streams)
+    counts = _as_counts(streams, max(vocab.config.range.max_n for vocab in vocabs))
     blocks = [_block(counts, vocab) for vocab in vocabs]
     return blocks[0] if len(blocks) == 1 else sp.hstack(blocks, format="csr")
 

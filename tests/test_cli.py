@@ -251,6 +251,12 @@ class TestExitCodes:
             ["gridsearch", "--lang", "en", "--max-features", "100,0"],
             ["gridsearch", "--lang", "en", "--folds", "0"],
             ["evaluate", "--model", "unused.model", "--split", "test", "--seed", "-1"],
+            ["gridsearch", "--lang", "en", "--models", ""],
+            ["gridsearch", "--lang", "en", "--models", ","],
+            ["gridsearch", "--lang", "en", "--ranges", ""],
+            ["gridsearch", "--lang", "en", "--min-df", ""],
+            ["gridsearch", "--lang", "en", "--max-features", ""],
+            ["gridsearch", "--lang", "en", "--weighting", ""],
         ],
     )
     def test_invalid_configuration_is_usage_error(self, argv, small_synth_dir, capsys):
@@ -259,6 +265,52 @@ class TestExitCodes:
         assert err.startswith("usage error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_empty_grid_flag_is_refused_before_the_corpus_is_read(self, tmp_path, capsys):
+        assert run(["gridsearch", "--lang", "en", "--models", "", "--input", tmp_path / "none"]) == 1
+        self.assert_one_line(capsys, "usage error: --models needs at least one value")
+
+
+class TestUnusablePaths:
+    """A path that names a directory where a file is read or written is a
+    data error: one line, exit 2."""
+
+    GRID = ["--ranges", "1:2", "--models", "svm", "--weighting", "count",
+            "--max-features", "50", "--min-df", "1"]
+
+    @pytest.fixture(scope="class")
+    def model(self, small_synth_dir, tmp_path_factory):
+        path = tmp_path_factory.mktemp("model") / "model.en"
+        assert run(["train", "--input", small_synth_dir, "--lang", "en", "--out", path]) == 0
+        return path
+
+    @pytest.mark.parametrize("subcommand", ["train", "predict", "analyze", "gridsearch"])
+    def test_out_naming_a_directory(self, subcommand, model, small_synth_dir, tmp_path, capsys):
+        flags = {
+            "train": ["--lang", "en"],
+            "predict": ["--model", model],
+            "analyze": ["--lang", "en"],
+            "gridsearch": ["--lang", "en", *self.GRID],
+        }[subcommand]
+        argv = [subcommand, "--input", small_synth_dir, *flags, "--out", tmp_path]
+        assert run(argv) == 2
+        TestExitCodes.assert_one_line(capsys, "data error: ")
+
+    def test_grid_report_sibling_naming_a_directory(self, small_synth_dir, tmp_path, capsys):
+        (tmp_path / "grid.tsv.report.txt").mkdir()
+        argv = ["gridsearch", "--input", small_synth_dir, "--lang", "en", *self.GRID,
+                "--out", tmp_path / "grid.tsv"]
+        assert run(argv) == 2
+        TestExitCodes.assert_one_line(capsys, "data error: ")
+
+    def test_corpus_holding_a_directory_named_like_an_author(
+        self, small_synth_dir, tmp_path, capsys
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_synth_dir, corpus)
+        (corpus / "abc123.xml").mkdir()
+        assert run(["analyze", "--input", corpus, "--lang", "en"]) == 2
+        TestExitCodes.assert_one_line(capsys, "data error: ")
 
 
 @pytest.fixture(scope="module")

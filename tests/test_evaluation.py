@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spreader_profiler import evaluation, models, vectorize
+from spreader_profiler import cli, evaluation, models, vectorize
 from spreader_profiler.corpus import (
     AuthorDocument,
     Corpus,
@@ -328,8 +328,8 @@ class TestSharedGrid:
         authors_of, fitted = {}, []
 
         class RecordingCounts(NgramCounts):
-            def __init__(self, streams):
-                super().__init__(streams)
+            def __init__(self, streams, max_n):
+                super().__init__(streams, max_n)
                 authors_of[id(self)] = [stream.author_id for stream in streams]
 
         def recording_fit(counts, config):
@@ -410,6 +410,44 @@ class TestSharedGrid:
             for split in range(folds)
         )
         assert len(results) == len(capped + converging)
+
+
+class TestCountedLengths:
+    """Every ``NgramCounts`` counts each length up to the longest of its
+    caller's configurations, and no further."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        lengths = []
+        init = NgramCounts.__init__
+
+        def recording_init(self, streams, max_n):
+            init(self, streams, max_n)
+            lengths.append(len(self.levels))
+
+        monkeypatch.setattr(NgramCounts, "__init__", recording_init)
+        return lengths
+
+    def test_stock_es_fit_and_evaluate_count_to_seven(self, counted, tmp_path):
+        generate_corpus_dir(tmp_path / "es", authors_per_class=6, tweets_per_author=10, seed=7,
+                            language="es")
+        with pytest.warns(UserWarning):
+            train_part, test_part = split_corpus(load_corpus(tmp_path / "es", "es"), SplitSpec())
+        model = fit_pipeline(train_part, FINAL_ES_CONFIG)
+        assert counted == [7]
+        evaluate_model(model, test_part)
+        assert counted == [7, 7]
+
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_golden_grid_counts_to_four_per_side(self, counted, folds, tmp_path, capsys):
+        from test_golden_grid import GRID_FLAGS
+
+        generate_corpus_dir(tmp_path / "en", authors_per_class=10, tweets_per_author=2, seed=3,
+                            language="en")
+        assert cli.run(["gridsearch", "--input", str(tmp_path / "en"), "--lang", "en",
+                        "--seed", "3", "--folds", str(folds), *GRID_FLAGS]) == 0
+        capsys.readouterr()
+        assert counted == [4] * (2 * folds)
 
 
 class TestFinalConfigs:

@@ -65,6 +65,7 @@ _STRICTER = (
     "is not '-'",  # a count block's idf field other than "-"
     "character other than printable ASCII",  # any other byte in the file
     "is not the escaped form",  # a term field the writer would escape otherwise
+    "is not written as",  # a header numeral other than the writer's spelling of its value
 )
 
 
@@ -340,6 +341,40 @@ class TestOnlyTheReaderRefuses:
         assert oracle_render_model(accepted) != path.read_text(encoding="utf-8")
         with pytest.raises(CorruptModelFile, match="is not the escaped form of its term"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("max_iterations", "+1000"),
+            ("max_iterations", "1_000"),
+            ("min_n", "01"),
+            ("terms", "+930"),
+            ("c", " 0X1P0"),
+            ("c", "0x1p0"),
+            ("tolerance", "0X1.A36E2EB1C432DP-14"),
+            ("bias", "0x1.0p-1"),
+            ("blocks", "+1"),
+            ("block", "-0"),
+            ("max_n", "3 "),
+            ("max_features", "+5"),
+            ("min_df", "+1"),
+            ("corpus_size", " 1"),
+            ("weights", "0930"),
+        ],
+    )
+    def test_header_field_other_than_the_written_value(self, key, text, tmp_path, capsys):
+        lines = _render_model(_hand_model([f"t{i:03d}" for i in range(930)])).split("\n")[:-2]
+        (number,) = [n for n, line in enumerate(lines) if line.startswith(key + "\t")]
+        lines[number] = f"{key}\t{text}"
+        path = tmp_path / "model.txt"
+        path.write_text(_file(lines), encoding="utf-8")
+        accepted = oracle_load_model(path)  # and saved, it is another file
+        assert oracle_render_model(accepted) != path.read_text(encoding="utf-8")
+        with pytest.raises(CorruptModelFile, match="is not written as"):
+            load_model(path)
+        assert cli.run(["evaluate", "--model", str(path), "--input", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("model error: ") and err.count("\n") == 1
 
     def test_escaped_terms_still_load(self, tmp_path):
         terms = sorted([" #N\\:", "A", "a\xe9", "\\", "\t\n", "\u2028😀", "{"])

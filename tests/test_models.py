@@ -426,7 +426,7 @@ def _count_problem(seed, authors_per_class=14, tweets_per_author=25):
         for _ in range(authors_per_class)
     )
     counts = NgramCounts(preprocess_corpus(Corpus(Language.EN, authors),
-                                           load_stopwords(Language.EN)))
+                                           load_stopwords(Language.EN)), 3)
     config = VectorizerConfig(range=NgramRange(1, 3), max_features=5000, min_df=2,
                               weighting=Weighting.COUNT)
     X = union_transform(counts, (fit_vocabulary(counts, config),))

@@ -414,7 +414,7 @@ def test_batch_builder_matches_oracle(docs, scoring, min_n, span, min_df, weight
 
 def test_batch_builder_shares_counts_across_blocks():
     streams = [stream_of(t) for t in ("abcab", "", "bca cab", "😀ab😀")]
-    counts = NgramCounts(streams)
+    counts = NgramCounts(streams, 5)
     blocks = (char_config(1, 3, max_features=6), char_config(3, 5, weighting=Weighting.COUNT))
     shared = tuple(fit_vocabulary(counts, c) for c in blocks)
     separate = tuple(fit_vocabulary(streams, c) for c in blocks)
@@ -423,19 +423,21 @@ def test_batch_builder_shares_counts_across_blocks():
     assert (union_transform(counts, shared) != union_transform(streams, separate)).nnz == 0
 
 
-def test_settled_counts_keep_only_the_matrices():
+def test_counts_hold_every_length_up_to_max_n_and_no_scratch():
     streams = [stream_of(t) for t in ("abcab", "", "bca cab", "😀ab😀")]
     blocks = (char_config(1, 3, max_features=6), char_config(2, 4, weighting=Weighting.COUNT))
-    settled = NgramCounts(streams)
-    settled.settle(blocks)
-    assert len(settled) == len(streams)
-    assert len(settled.levels) == 4  # up to the longest max_n, no further
-    assert settled.codes is None and settled.remaining is None  # the scratch is freed
-    vocabs = tuple(fit_vocabulary(settled, c) for c in blocks)
+    counts = NgramCounts(streams, 4)
+    assert len(counts) == len(streams)
+    assert len(counts.levels) == 4  # lengths 1 to 4, no further
+    # the counting scratch does not outlive the constructor
+    assert set(vars(counts)) == {"surface", "alphabet", "base", "starts", "levels"}
+    vocabs = tuple(fit_vocabulary(counts, c) for c in blocks)
     assert vocabs == tuple(fit_vocabulary(streams, c) for c in blocks)
-    assert (union_transform(settled, vocabs) != union_transform(streams, vocabs)).nnz == 0
-    with pytest.raises(ValueError, match="length 5 were not counted before settle"):
-        fit_vocabulary(settled, char_config(1, 5))
+    assert (union_transform(counts, vocabs) != union_transform(streams, vocabs)).nnz == 0
+    with pytest.raises(ValueError, match="length 5 were not counted"):
+        counts.level(5)
+    with pytest.raises(ValueError, match="length 5 were not counted"):
+        fit_vocabulary(counts, char_config(1, 5))
 
 
 @st.composite
@@ -457,10 +459,11 @@ def level_corpora(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(docs=level_corpora())
-def test_levels_match_brute_force_counts(docs):
-    ngram_counts = NgramCounts([stream_of(text) for text in docs])
-    for n in range(1, 8):
+@given(docs=level_corpora(), max_n=st.integers(1, 7))
+def test_levels_match_brute_force_counts(docs, max_n):
+    ngram_counts = NgramCounts([stream_of(text) for text in docs], max_n)
+    assert len(ngram_counts.levels) == max_n
+    for n in range(1, max_n + 1):
         level = ngram_counts.level(n)
         counts = level.counts
         terms = [ngram_counts.term(p, n) for p in level.where.tolist()]
