@@ -224,9 +224,10 @@ def cmd_train(args) -> int:
             f"features: {'+'.join(v.key() for v in config.vectorizers)}",
         ]
     )
+    if args.out:  # before the report, so that a failed write leaves stdout empty
+        save_model(model, args.out)
     sys.stdout.write(render_report(report, heading))
     if args.out:
-        save_model(model, args.out)
         sys.stdout.write(f"model written to {args.out}\n")
     return 0
 

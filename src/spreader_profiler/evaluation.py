@@ -11,6 +11,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import Corpus, Label, Language, SplitSpec, split_folds
 from .errors import ConvergenceWarning, EmptyGrid, EmptyMatrix, LengthMismatch, UnlabeledCorpus
@@ -30,9 +31,13 @@ from .vectorize import (
     NgramCounts,
     NgramRange,
     VectorizerConfig,
+    Vocabulary,
     Weighting,
     fit_vocabulary,
+    join_blocks,
     union_transform,
+    weigh,
+    with_weighting,
 )
 
 
@@ -161,13 +166,6 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
     )
 
 
-def _features(counts: NgramCounts, vectorizers: tuple[VectorizerConfig, ...]):
-    """Fit every vectorizer block on the counts and transform them: the
-    vocabularies and the training matrix."""
-    vocabularies = tuple(fit_vocabulary(counts, vc) for vc in vectorizers)
-    return vocabularies, union_transform(counts, vocabularies)
-
-
 def _fit(
     vocabularies, X, labels: list[Label], config: PipelineConfig, language, gram=None
 ) -> LinearModel:
@@ -193,7 +191,8 @@ def fit_pipeline(
         stopwords = load_stopwords(train_corpus.language)
     longest = max(vc.range.max_n for vc in config.vectorizers)
     counts = NgramCounts(preprocess_corpus(train_corpus, stopwords), longest)
-    vocabularies, X = _features(counts, config.vectorizers)
+    vocabularies = tuple(fit_vocabulary(counts, vc) for vc in config.vectorizers)
+    X = union_transform(counts, vocabularies, fitted=True)
     labels = [author.label for author in train_corpus]
     return _fit(vocabularies, X, labels, config, train_corpus.language)
 
@@ -247,6 +246,65 @@ def evaluate_pipeline(
     return evaluate_model(model, test_corpus, positive_class, stopwords=stopwords)
 
 
+class _GroupMatrices:
+    """The matrices of one grid group (configurations whose blocks differ
+    at most in weighting) on one split, built on first use. The group's
+    vocabularies are fitted with count weighting, so that their transform
+    is each block's count matrix, built once per side for every weighting.
+
+    The group is asked for one tuple of block weightings after another,
+    in the order given, and holds one tuple's matrices at a time. The
+    count matrices are freed once the last tuple is built from them, so
+    with counts asked for before TF-IDF, TF-IDF replaces them."""
+
+    def __init__(
+        self,
+        vocabularies: list[Vocabulary],
+        train_counts: NgramCounts,
+        test_counts: NgramCounts,
+        weightings: list[tuple[Weighting, ...]],
+    ):
+        self.vocabularies = vocabularies
+        self.sides = (train_counts, test_counts)
+        self._pending = list(dict.fromkeys(weightings))
+        self._counted: list[tuple[sp.csr_matrix, sp.csr_matrix]] = []
+        self._built: tuple = ((), None)
+
+    def matrices(self, weightings: tuple[Weighting, ...]):
+        """The vocabularies, training matrix, test matrix and Gram matrix of
+        the group's configurations with these block weightings."""
+        if self._built[0] != weightings:
+            self._built = ((), None)  # freed before the next are built
+            if not self._counted:
+                train_counts, test_counts = self.sides
+                self._counted = [
+                    (union_transform(train_counts, (vocab,), fitted=True),
+                     union_transform(test_counts, (vocab,)))
+                    for vocab in self.vocabularies
+                ]
+            spec = tuple(map(with_weighting, self.vocabularies, weightings))
+            X, X_test = (
+                join_blocks([weigh(pair[side], vocab) for pair, vocab in zip(self._counted, spec)])
+                for side in (0, 1)
+            )
+            self._pending.remove(weightings)
+            if not self._pending:
+                self._counted = []
+            self._built = weightings, (spec, X, X_test, row_gram(X))
+        return self._built[1]
+
+
+def _scored(matrices, labels: list[Label], config: PipelineConfig, language: Language):
+    """Train ``config``'s classifier on a grid group's ``matrices``: its
+    decision values on the test matrix, and the warnings that training
+    raised. No matrix outlives the call."""
+    vocabs, X, X_test, gram = matrices
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        model = _fit(vocabs, X, labels, config, language, gram)
+    return decision_values(model, X_test), caught
+
+
 def grid_search(
     corpus: Corpus,
     grid: list[PipelineConfig],
@@ -270,17 +328,29 @@ def grid_search(
         raise UnlabeledCorpus("grid search needs labels")
     pairs = split_folds(corpus, spec, folds)
 
-    # Work that does not depend on the configuration is done once: the
-    # corpus is preprocessed once, each split side is counted once, up to
-    # the longest n-gram of any block, and each distinct tuple of
-    # vectorizer blocks is fitted, both sides transformed and the Gram
-    # matrix built, once per split for all the classifiers that share it.
+    # Work is keyed on what it computes. The corpus is preprocessed once,
+    # and each split side counted once, up to the longest n-gram of any
+    # block. Configurations whose blocks differ at most in weighting (which
+    # keeps the same terms) form a group, whose blocks are fitted once per
+    # split. Term lists are told apart by their fitted columns, so caps
+    # above the term count share one list, and each classifier is trained
+    # once per split for each distinct (term lists, weightings, classifier,
+    # training config); the configurations that share it share its
+    # decision values. A group's matrices are freed before the next
+    # group's are built, and a split's counts before the next split's.
     stopwords = load_stopwords(corpus.language)
     stream_of = dict(zip(corpus.author_ids(), preprocess_corpus(corpus, stopwords)))
+
+    def weightings_of(position: int) -> tuple[Weighting, ...]:
+        return tuple(vc.weighting for vc in grid[position].vectorizers)
+
     groups: dict[tuple[VectorizerConfig, ...], list[int]] = {}
     for position, config in enumerate(grid):
-        groups.setdefault(config.vectorizers, []).append(position)
-    max_n = max(vc.range.max_n for vectorizers in groups for vc in vectorizers)
+        terms_only = tuple(replace(vc, weighting=Weighting.COUNT) for vc in config.vectorizers)
+        groups.setdefault(terms_only, []).append(position)
+    for positions in groups.values():  # counts first: TF-IDF is derived from them
+        positions.sort(key=lambda p: [w is Weighting.TFIDF for w in weightings_of(p)])
+    max_n = max(vc.range.max_n for blocks in groups for vc in blocks)
     reports: list[list[EvalReport]] = [[] for _ in grid]
     for split, (train_part, test_part) in enumerate(pairs):
         train_counts, test_counts = (
@@ -288,24 +358,33 @@ def grid_search(
             for part in (train_part, test_part)
         )
         labels = [author.label for author in train_part]
-        for vectorizers, positions in groups.items():
-            vocabularies, X = _features(train_counts, vectorizers)
-            X_test = union_transform(test_counts, vocabularies)
-            gram = row_gram(X)
-            for position in positions:
+        term_lists: dict[bytes, int] = {}
+        outcomes: dict[tuple, tuple[np.ndarray, list]] = {}  # values, warnings
+        for blocks, positions in groups.items():
+            vocabularies = [fit_vocabulary(train_counts, vc) for vc in blocks]
+            lists = tuple(
+                term_lists.setdefault(vocab.fitted_columns.tobytes(), len(term_lists))
+                for vocab in vocabularies
+            )
+            asked = [weightings_of(p) for p in positions]
+            group = _GroupMatrices(vocabularies, train_counts, test_counts, asked)
+            for position, weightings in zip(positions, asked):
                 config = grid[position]
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always", ConvergenceWarning)
-                    model = _fit(vocabularies, X, labels, config, corpus.language, gram)
+                outcome = (lists, weightings, config.model_kind, config.train)
+                if outcome not in outcomes:
+                    outcomes[outcome] = _scored(
+                        group.matrices(weightings), labels, config, corpus.language
+                    )
+                values, caught = outcomes[outcome]
                 for warning in caught:  # said again with the configuration and split
                     warnings.warn(
                         f"{config.key()} split {split}: {warning.message}",
                         warning.category,
                         stacklevel=2,
                     )
-                values = decision_values(model, X_test)
                 reports[position].append(_report(test_part, values, positive_class))
-            del X, X_test, gram  # before the next group's matrices are built
+            del vocabularies, group
+        del train_counts, test_counts
 
     results = [
         GridResult(

@@ -703,8 +703,9 @@ def _read_vocabulary(
     """One block's ``count`` vocabulary lines, checked a column at a time:
     each index is its line's position, terms strictly ascend, each df is
     a decimal in ``[1; corpus_size]``, and a TF-IDF idf is exactly the
-    smooth IDF of its df (a count block's idf field is ``-``). Each
-    distinct df, and each distinct (df, idf) pair, is checked once."""
+    smooth IDF of its df, in ``float.hex`` spelling (a count block's idf
+    field is ``-``). Each distinct df, and each distinct (df, idf) pair,
+    is checked once."""
     tfidf = config.weighting is Weighting.TFIDF
     terms: list[str] = []
     dfs: list[int] = []
@@ -733,7 +734,7 @@ def _read_vocabulary(
         if tfidf:
             pairs = set(zip(df_column, idf_column))
             for df_text, idf_text in pairs.difference(checked):
-                if float.fromhex(idf_text) != idf_of[df_text]:
+                if _canonical("idf", idf_text, float.fromhex, float.hex) != idf_of[df_text]:
                     raise CorruptModelFile(f"idf {idf_text} does not match its df {df_text}")
             checked |= pairs
             idfs.extend(map(idf_of.__getitem__, df_column))

@@ -35,7 +35,7 @@ import enum
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -134,13 +134,18 @@ class Vocabulary:
     """A fitted term → index mapping plus the statistics behind it.
 
     ``columns`` holds the same statistics in index order. It is built
-    from the dicts on first use, or handed over by ``from_columns``."""
+    from the dicts on first use, or handed over by ``from_columns``.
+    ``fitted_columns`` is set by ``fit_vocabulary`` alone: each term's
+    column in the ``NgramCounts`` it was fitted on (see
+    ``NgramCounts.offset``), so that a transform of those counts need
+    not look the terms up. It is not part of the vocabulary's value."""
 
     config: VectorizerConfig
     term_to_index: dict[str, int]
     document_frequency: dict[str, int]
     corpus_size: int
     idf: dict[str, float] | None = field(default=None)
+    fitted_columns: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_columns(
@@ -150,6 +155,7 @@ class Vocabulary:
         df: list[int],
         corpus_size: int,
         idf: list[float] | None,
+        fitted_columns: np.ndarray | None = None,
     ) -> Vocabulary:
         """The vocabulary of distinct ``terms`` given in index order, with
         their document frequencies and idfs (``None`` for counts)."""
@@ -159,6 +165,7 @@ class Vocabulary:
             document_frequency=dict(zip(terms, df)),
             corpus_size=corpus_size,
             idf=None if idf is None else dict(zip(terms, idf)),
+            fitted_columns=fitted_columns,
         )
         idf_column = None if idf is None else np.array(idf, dtype=np.float64)
         object.__setattr__(vocab, "columns", TermColumns(terms, df, idf_column))
@@ -293,6 +300,11 @@ class NgramCounts:
     def term(self, position: int, n: int) -> str:
         return self.surface[position : position + n]
 
+    def offset(self, n: int) -> int:
+        """The first column of length n when the columns of every level
+        are numbered in one sequence, level 1's first."""
+        return sum(len(level.keys) for level in self.levels[: n - 1])
+
     def columns(self, terms: list[str], n: int) -> np.ndarray:
         """Column of each length-n term in level ``n``, or -1 for a term
         this corpus does not contain: the terms are keyed exactly as the
@@ -346,15 +358,16 @@ def fit_vocabulary(
     counts = _as_counts(streams, config.range.max_n)
     if not len(counts):
         raise ValueError("fit_vocabulary needs at least one stream")
-    lengths, where, tf, df = [], [], [], []
+    lengths, numbers, where, tf, df = [], [], [], [], []
     for n in range(config.range.min_n, config.range.max_n + 1):
         level = counts.level(n)
         columns = np.flatnonzero(level.df >= config.min_df)
         lengths.append(np.full(len(columns), n))
+        numbers.append(columns + counts.offset(n))
         where.append(level.where[columns])
         tf.append(level.tf[columns])
         df.append(level.df[columns])
-    lengths, where, tf, df = (np.concatenate(a) for a in (lengths, where, tf, df))
+    lengths, numbers, where, tf, df = map(np.concatenate, (lengths, numbers, where, tf, df))
 
     kept = np.arange(len(tf))
     cap = config.max_features
@@ -375,22 +388,53 @@ def fit_vocabulary(
     corpus_size = len(counts)
     idf = None
     if config.weighting is Weighting.TFIDF:
-        idf_of = {d: smooth_idf(corpus_size, d) for d in set(document_frequency)}
-        idf = list(map(idf_of.__getitem__, document_frequency))
-    return Vocabulary.from_columns(config, terms, document_frequency, corpus_size, idf)
+        idf = _smooth_idfs(corpus_size, document_frequency)
+    return Vocabulary.from_columns(
+        config, terms, document_frequency, corpus_size, idf, numbers[kept][order]
+    )
 
 
-def _block(counts: NgramCounts, vocab: Vocabulary) -> sp.csr_matrix:
-    """One vocabulary's documents x terms matrix, weighted."""
-    config = vocab.config
+def _smooth_idfs(corpus_size: int, document_frequency: list[int]) -> list[float]:
+    idf_of = {d: smooth_idf(corpus_size, d) for d in set(document_frequency)}
+    return list(map(idf_of.__getitem__, document_frequency))
+
+
+def with_weighting(vocab: Vocabulary, weighting: Weighting) -> Vocabulary:
+    """The same fit under ``weighting``: the same terms, document
+    frequencies and fitted columns (shared, not copied), with the smooth
+    idf for TF-IDF."""
+    if weighting is vocab.config.weighting:
+        return vocab
+    terms, df, _ = vocab.columns
+    idf = _smooth_idfs(vocab.corpus_size, df) if weighting is Weighting.TFIDF else None
+    weighted = replace(
+        vocab,
+        config=replace(vocab.config, weighting=weighting),
+        idf=None if idf is None else dict(zip(terms, idf)),
+    )
+    idf_column = None if idf is None else np.array(idf, dtype=np.float64)
+    object.__setattr__(weighted, "columns", TermColumns(terms, df, idf_column))
+    return weighted
+
+
+def _block(
+    counts: NgramCounts, vocab: Vocabulary, columns: np.ndarray | None = None
+) -> sp.csr_matrix:
+    """One vocabulary's documents x terms occurrence counts, with each
+    row's columns ascending. ``columns`` is ``vocab.fitted_columns`` when
+    ``counts`` are the counts the vocabulary was fitted on: the terms are
+    then not looked up."""
     terms = vocab.terms()
     term_lengths = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
     block = sp.csr_matrix((len(counts), len(terms)))
-    for n in range(config.range.min_n, config.range.max_n + 1):
+    for n in range(vocab.config.range.min_n, vocab.config.range.max_n + 1):
         wanted = np.flatnonzero(term_lengths == n)
         if not len(wanted):
             continue
-        found = counts.columns([terms[i] for i in wanted.tolist()], n)
+        if columns is None:
+            found = counts.columns([terms[i] for i in wanted.tolist()], n)
+        else:
+            found = columns[wanted] - counts.offset(n)
         level = counts.level(n)
         to_term = np.full(len(level.keys), -1, dtype=np.int32)
         to_term[found[found >= 0]] = wanted[found >= 0]
@@ -401,19 +445,30 @@ def _block(counts: NgramCounts, vocab: Vocabulary) -> sp.csr_matrix:
             (level.counts.data[hit], mapped[hit], indptr), shape=block.shape
         )
     block.sort_indices()
-    if config.weighting is Weighting.TFIDF:
-        values = block.data * vocab.columns.idf[block.indices]
-        squares = values * values
-        for start, end in zip(block.indptr[:-1].tolist(), block.indptr[1:].tolist()):
-            if end > start:
-                # summed in index order, one term at a time
-                values[start:end] /= math.sqrt(sum(squares[start:end].tolist()))
-        block.data = values
     return block
 
 
+def weigh(block: sp.csr_matrix, vocab: Vocabulary) -> sp.csr_matrix:
+    """A count matrix of ``vocab``'s terms, weighted as ``vocab`` says: the
+    counts themselves, or a new matrix of TF-IDF values with each row
+    L2-normalized."""
+    if vocab.config.weighting is Weighting.COUNT:
+        return block
+    values = block.data * vocab.columns.idf[block.indices]
+    for start, end in zip(block.indptr[:-1].tolist(), block.indptr[1:].tolist()):
+        if end > start:
+            row = values[start:end]
+            # the squares summed in index order, one term at a time
+            row /= math.sqrt(sum((row * row).tolist()))
+    weighted = sp.csr_matrix((values, block.indices, block.indptr), shape=block.shape)
+    weighted.has_sorted_indices = True
+    return weighted
+
+
 def union_transform(
-    streams: Sequence[TokenStream] | NgramCounts, vocabs: tuple[Vocabulary, ...]
+    streams: Sequence[TokenStream] | NgramCounts,
+    vocabs: tuple[Vocabulary, ...],
+    fitted: bool = False,
 ) -> sp.csr_matrix:
     """Vectorize the streams against each vocabulary block and
     concatenate the blocks column-wise: one row per stream.
@@ -421,10 +476,20 @@ def union_transform(
     Count weighting stores raw occurrence counts; TF-IDF weighting
     multiplies counts by the term IDF and L2-normalizes each block's
     row. Unknown n-grams are ignored; a fully out-of-vocabulary stream
-    becomes an empty row.
+    becomes an empty row. ``fitted`` says that ``streams`` are the
+    ``NgramCounts`` every vocabulary was fitted on, so that their
+    ``fitted_columns`` stand in for looking the terms up.
     """
     counts = _as_counts(streams, max(vocab.config.range.max_n for vocab in vocabs))
-    blocks = [_block(counts, vocab) for vocab in vocabs]
+    blocks = [
+        weigh(_block(counts, vocab, vocab.fitted_columns if fitted else None), vocab)
+        for vocab in vocabs
+    ]
+    return join_blocks(blocks)
+
+
+def join_blocks(blocks: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
+    """The blocks side by side, in order, as one matrix."""
     return blocks[0] if len(blocks) == 1 else sp.hstack(blocks, format="csr")
 
 

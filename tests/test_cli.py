@@ -184,10 +184,13 @@ class TestExitCodes:
 
     @staticmethod
     def assert_one_line(capsys, prefix):
-        err = capsys.readouterr().err
+        """The captured stderr is one line starting with ``prefix``; the
+        captured stdout is returned."""
+        out, err = capsys.readouterr()
         assert err.startswith(prefix)
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        return out
 
     @pytest.mark.filterwarnings("default::spreader_profiler.errors.NonStandardTweetCount")
     @pytest.mark.parametrize("corrupt_truth", [False, True])
@@ -294,7 +297,8 @@ class TestUnusablePaths:
         }[subcommand]
         argv = [subcommand, "--input", small_synth_dir, *flags, "--out", tmp_path]
         assert run(argv) == 2
-        TestExitCodes.assert_one_line(capsys, "data error: ")
+        # nothing on stdout: train reports no model that it failed to write
+        assert TestExitCodes.assert_one_line(capsys, "data error: ") == ""
 
     def test_grid_report_sibling_naming_a_directory(self, small_synth_dir, tmp_path, capsys):
         (tmp_path / "grid.tsv.report.txt").mkdir()

@@ -49,6 +49,7 @@ from spreader_profiler.vectorize import (
     VectorizerConfig,
     Weighting,
     fit_vocabulary,
+    union_transform,
 )
 
 from conftest import make_corpus
@@ -341,8 +342,9 @@ class TestSharedGrid:
         monkeypatch.setattr(evaluation, "fit_vocabulary", recording_fit)
         grid_search(corpus, grid, spec, folds=folds)
 
-        blocks = {vc for config in grid for vc in config.vectorizers}
-        assert len(fitted) == len(blocks) * len(pairs)
+        # one fit per split for each block's terms, whatever its weighting
+        fits = {replace(vc, weighting=Weighting.COUNT) for c in grid for vc in c.vectorizers}
+        assert len(fitted) == len(fits) * len(pairs)
         streams = {s.author_id: s for s in
                    preprocess_corpus(corpus, load_stopwords(corpus.language))}
         train_sides = [train.author_ids() for train, _ in pairs]
@@ -355,22 +357,54 @@ class TestSharedGrid:
             everyone = fit_vocabulary(list(streams.values()), grid[-1].vectorizers[0])
             assert "qxj" in everyone.term_to_index
 
-    @pytest.mark.parametrize("folds", [1, 3])
-    def test_each_side_is_transformed_once_per_vectorizer_group(
-        self, hard_corpus, folds, monkeypatch
-    ):
-        built = []
-        block = vectorize._block
+    @staticmethod
+    def _distinct_matrices(grid, corpus, pairs):
+        """Per split, each distinct training matrix of the grid, named by
+        its blocks' terms (fitted alone) and weightings."""
+        streams = {s.author_id: s for s in
+                   preprocess_corpus(corpus, load_stopwords(corpus.language))}
+        return [
+            {
+                tuple(
+                    (tuple(fit_vocabulary(train_streams, vc).terms()), vc.weighting)
+                    for vc in config.vectorizers
+                )
+                for config in grid
+            }
+            for train_streams in (
+                [streams[author_id] for author_id in train.author_ids()] for train, _ in pairs
+            )
+        ]
 
-        def recording_block(counts, vocab):
-            built.append(vocab.config)
-            return block(counts, vocab)
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_each_side_is_counted_once_per_term_list(self, hard_corpus, folds, monkeypatch):
+        """One count matrix per side for each distinct term list of a
+        split, the training side's from the fit's columns, never looked up."""
+        built, lookups = [], []
+        block, columns = vectorize._block, NgramCounts.columns
+
+        def recording_block(counts, vocab, fitted_columns=None):
+            built.append((counts, fitted_columns is not None))
+            return block(counts, vocab, fitted_columns)
+
+        def recording_columns(counts, terms, n):
+            lookups.append(counts)
+            return columns(counts, terms, n)
 
         monkeypatch.setattr(vectorize, "_block", recording_block)
-        grid_search(hard_corpus, self.GRID, SplitSpec(seed=11), folds=folds)
-        groups = {config.vectorizers for config in self.GRID}
-        assert len(groups) < len(self.GRID)  # groups hold several classifiers
-        assert len(built) == 2 * folds * sum(len(vectorizers) for vectorizers in groups)
+        monkeypatch.setattr(NgramCounts, "columns", recording_columns)
+        spec = SplitSpec(seed=11)
+        grid_search(hard_corpus, self.GRID, spec, folds=folds)
+        pairs = split_folds(hard_corpus, spec, folds)
+        term_lists = sum(
+            len({terms for matrix in matrices for terms, _ in matrix})
+            for matrices in self._distinct_matrices(self.GRID, hard_corpus, pairs)
+        )
+        assert term_lists < sum(len(c.vectorizers) for c in self.GRID) * folds  # some shared
+        assert len(built) == 2 * term_lists
+        assert sum(fitted for _, fitted in built) == term_lists
+        assert lookups
+        assert not any(looked is counts for looked in lookups for counts, fitted in built if fitted)
 
     @pytest.mark.parametrize("folds", [1, 3])
     def test_classifiers_of_a_vectorizer_group_share_one_gram(
@@ -386,12 +420,114 @@ class TestSharedGrid:
         # the grid's own builds and any the trainer would make itself
         monkeypatch.setattr(evaluation, "row_gram", recording_gram)
         monkeypatch.setattr(models, "row_gram", recording_gram)
-        grid_search(hard_corpus, self.GRID, SplitSpec(seed=11), folds=folds)
+        spec = SplitSpec(seed=11)
+        grid_search(hard_corpus, self.GRID, spec, folds=folds)
         groups = {config.vectorizers for config in self.GRID}
         kinds = {vectorizers: {c.model_kind for c in self.GRID if c.vectorizers == vectorizers}
                  for vectorizers in groups}
         assert set(ModelKind) in kinds.values()
-        assert len(shapes) == len(groups) * folds
+        # one Gram per distinct matrix: groups whose terms are equal share it too
+        pairs = split_folds(hard_corpus, spec, folds)
+        matrices = self._distinct_matrices(self.GRID, hard_corpus, pairs)
+        assert len(shapes) == sum(map(len, matrices)) < len(groups) * folds
+
+    # Both caps are above the term count, so each (range, min_df) keeps one
+    # term list under two caps.
+    SATURATING = default_grid(
+        ranges=(NgramRange(1, 2), NgramRange(1, 3)), min_dfs=(1, 2), max_features=(10**5, 10**6)
+    )
+
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_builds_per_split_on_a_grid_whose_caps_saturate(
+        self, hard_corpus, folds, monkeypatch
+    ):
+        events = []
+
+        def record(name, function, event):
+            def recording(*args, **kwargs):
+                events.append((name, event(*args, **kwargs)))
+                return function(*args, **kwargs)
+            return recording
+
+        def matrix(X):
+            return X.shape, X.data.tobytes(), X.indices.tobytes(), X.indptr.tobytes()
+
+        monkeypatch.setattr(NgramCounts, "__init__",
+                            record("counts", NgramCounts.__init__, lambda *a: None))
+        monkeypatch.setattr(evaluation, "fit_vocabulary", record(
+            "fit", fit_vocabulary, lambda counts, vc: (vc.range, vc.min_df, vc.max_features)))
+        monkeypatch.setattr(vectorize, "_block", record(
+            "block", vectorize._block, lambda counts, vocab, *a: tuple(vocab.terms())))
+        gram = record("gram", models.row_gram, matrix)
+        monkeypatch.setattr(evaluation, "row_gram", gram)
+        monkeypatch.setattr(models, "row_gram", gram)
+        monkeypatch.setattr(evaluation, "train", record(
+            "train", models.train, lambda X, y, config, **kw: (matrix(X), config.loss)))
+        grid_search(hard_corpus, self.SATURATING, SplitSpec(seed=11), folds=folds)
+
+        assert len(self.SATURATING) == 32
+        starts = [i for i, (name, _) in enumerate(events) if name == "counts"][::2]
+        assert len(starts) == folds
+        for start, end in zip(starts, starts[1:] + [len(events)]):
+            split = {}
+            for name, event in events[start:end]:
+                split.setdefault(name, []).append(event)
+            assert len(split["counts"]) == 2  # one NgramCounts per side
+            # one fit per (range, min_df, max_features); 4 term lists of 8 fits
+            assert len(split["fit"]) == len(set(split["fit"])) == 8
+            assert len(split["block"]) == 2 * len(set(split["block"])) == 2 * 4
+            # one Gram per (weighting, term list); one model per (matrix, classifier)
+            assert len(split["gram"]) == len(set(split["gram"])) == 2 * 4
+            assert len(split["train"]) == len(set(split["train"])) == 2 * 2 * 4
+
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_every_matrix_equals_its_configuration_transformed_alone(
+        self, hard_corpus, folds, monkeypatch
+    ):
+        """Bit for bit: the synthetic grids' scores cannot show a drifted
+        matrix."""
+        sides, trained = [], []
+
+        class RecordingCounts(NgramCounts):
+            def __init__(self, streams, max_n):
+                super().__init__(streams, max_n)
+                sides.append(tuple(stream.author_id for stream in streams))
+
+        fit, values = evaluation._fit, evaluation.decision_values
+
+        def recording_fit(vocabularies, X, labels, config, *args):
+            trained.append([tuple(sides[-2:]), config, X])
+            return fit(vocabularies, X, labels, config, *args)
+
+        def recording_values(model, X_test):
+            trained[-1].append(X_test)
+            return values(model, X_test)
+
+        monkeypatch.setattr(evaluation, "NgramCounts", RecordingCounts)
+        monkeypatch.setattr(evaluation, "_fit", recording_fit)
+        monkeypatch.setattr(evaluation, "decision_values", recording_values)
+        grid_search(hard_corpus, self.GRID, SplitSpec(seed=11), folds=folds)
+
+        streams = {s.author_id: s for s in
+                   preprocess_corpus(hard_corpus, load_stopwords(hard_corpus.language))}
+
+        def signature(X):
+            return (X.shape, X.dtype, X.indices.dtype, X.data.tobytes(), X.indices.tobytes(),
+                    X.indptr.tobytes())
+
+        def alone(split, config):
+            train_side, test_side = ([streams[a] for a in side] for side in split)
+            vocabs = tuple(fit_vocabulary(train_side, vc) for vc in config.vectorizers)
+            return signature(union_transform(train_side, vocabs)), signature(
+                union_transform(test_side, vocabs))
+
+        built = {}
+        for split, config, X, X_test in trained:
+            assert alone(split, config) == (signature(X), signature(X_test))
+            built.setdefault(split, set()).add((signature(X), signature(X_test)))
+        assert len(built) == folds
+        for split, matrices in built.items():
+            assert {alone(split, config) for config in self.GRID} == matrices
 
     def test_unconverged_configurations_are_named(self, hard_corpus):
         """One warning per configuration and split that stops at

@@ -376,6 +376,23 @@ class TestOnlyTheReaderRefuses:
         err = capsys.readouterr().err
         assert err.startswith("model error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["0X1.67CC8FB2FE613P+0", "+0x1.67cc8fb2fe613p+0"])
+    def test_idf_field_other_than_the_written_value(self, text, tmp_path):
+        vocab = Vocabulary.from_columns(VectorizerConfig(), ["a", "b"], [1, 2], 2,
+                                        [math.log(3 / 2) + 1, 1.0])
+        model = LinearModel(ModelKind.SVM, np.array([1.0, -1.0]), 0.5, (vocab,), Language.ES)
+        lines = _render_model(model).split("\n")[:-2]
+        start = _vocabulary_start(lines)
+        assert lines[start] == "a\t0\t1\t0x1.67cc8fb2fe613p+0"
+        lines[start] = "a\t0\t1\t" + text
+        path = tmp_path / "model.txt"
+        path.write_text(_file(lines), encoding="utf-8")
+        accepted = oracle_load_model(path)  # the same idf, and saved, another file
+        assert accepted.feature_spec[0].columns.idf.tolist() == vocab.columns.idf.tolist()
+        assert oracle_render_model(accepted) != path.read_text(encoding="utf-8")
+        with pytest.raises(CorruptModelFile, match="is not written as"):
+            load_model(path)
+
     def test_escaped_terms_still_load(self, tmp_path):
         terms = sorted([" #N\\:", "A", "a\xe9", "\\", "\t\n", "\u2028😀", "{"])
         path = tmp_path / "model.txt"
