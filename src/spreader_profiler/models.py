@@ -46,6 +46,7 @@ from codecs import decode as codecs_decode
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -538,9 +539,75 @@ def _escape_column(terms: list[str]) -> list[str]:
     return escaped if len(escaped) == len(terms) else list(map(_escape, terms))
 
 
+# Tables for the weights section; 0 is a pad byte, deleted at the end.
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
+# the two lowercase hex digits of each byte value, as one uint16 each
+_HEX_PAIRS = np.frombuffer(bytes(range(256)).hex().encode("ascii"), dtype=np.uint16)
+# "p" and the exponent written for each biased exponent, 0 (subnormals,
+# p-1022) to 2046, padded to 6 bytes after the "p"
+_EXPONENTS = np.frombuffer(
+    ("p%+5d" * 2047 % (-1022, *range(-1022, 1024))).replace(" ", "\0").encode("ascii"),
+    dtype=np.uint8,
+).reshape(2047, 6)
+
+
+def _index_columns(first: int, count: int) -> np.ndarray:
+    """The decimal digits of ``first``, ..., ``first + count - 1`` as ASCII
+    rows, right-aligned, with pad bytes before the leading digit."""
+    width = len(str(first + count - 1))
+    columns = np.empty((count, width), dtype=np.uint8)
+    for k in range(width):
+        place = 10 ** (width - 1 - k)
+        # i // place runs through consecutive quotients, each for up to `place` rows
+        quotients = np.arange(first // place, (first + count - 1) // place + 1)
+        runs = np.full(len(quotients), place)
+        runs[0] -= first % place
+        runs[-1] += count - runs.sum()
+        columns[:, k] = np.repeat(_DIGITS[quotients % 10], runs)
+        if place > 1:
+            columns[: max(place - first, 0), k] = 0
+    return columns
+
+
+def _weight_lines(weights: np.ndarray, first: int = 0) -> bytes:
+    """The lines ``f"{i}:{float.hex(w)}\\n"`` of finite ``weights``,
+    numbered from ``first``, made in one pass over the IEEE-754 bits.
+    Each line is a row of fixed columns: index, ``:``, sign, ``0x1.`` or
+    ``0x0.`` lead, 13 hex digits, ``p`` and the exponent. A field written
+    shorter (a positive sign, the 12 digits a zero does not write,
+    leading zeros) is padded."""
+    count = len(weights)
+    if not count:
+        return b""
+    bits = np.ascontiguousarray(weights, dtype=np.float64).view(np.uint64)
+    biased = (bits >> np.uint64(52) & np.uint64(0x7FF)).astype(np.intp)
+    fraction = bits & np.uint64((1 << 52) - 1)
+    small = biased == 0
+    zeros = np.flatnonzero(small & (fraction == 0))
+    index = _index_columns(first, count)
+    rows = np.empty((count, index.shape[1] + 26), dtype=np.uint8)
+    rows[:, : index.shape[1]] = index
+    value = rows[:, index.shape[1] :]
+    value[:, :6] = np.frombuffer(b":-0x1.", dtype=np.uint8)
+    value[:, 1] *= (bits >> np.uint64(63)).astype(np.uint8)
+    value[small, 4] = ord("0")
+    # the 52 fraction bits, shifted to fill 7 bytes, are 14 hex digits; the last is 0
+    fraction_bytes = (fraction << np.uint64(4)).astype(">u8").view(np.uint8).reshape(count, 8)
+    value[:, 6:19] = np.take(_HEX_PAIRS, fraction_bytes[:, 1:]).view(np.uint8)[:, :13]
+    value[:, 19:25] = _EXPONENTS[biased]
+    # a zero is written 0x0.0p+0
+    value[zeros, 7:19] = 0
+    value[zeros, 19:25] = _EXPONENTS[1023]
+    value[:, 25] = ord("\n")
+    return rows.tobytes().translate(None, b"\0")
+
+
 def _render_model(model: LinearModel) -> str:
+    """The model file's text. Each block's vocabulary lines come from one
+    ``%`` template over its columns, and the weights section from one
+    numpy pass (``_weight_lines``), so no Python call is made per line."""
     cfg = model.train_config
-    lines = [
+    header = [
         f"{MODEL_FILE_MAGIC} {MODEL_FILE_VERSION}",
         f"kind\t{model.kind.value}",
         f"language\t{model.language.value}",
@@ -552,22 +619,21 @@ def _render_model(model: LinearModel) -> str:
         f"bias\t{float(model.bias).hex()}",
         f"blocks\t{len(model.feature_spec)}",
     ]
+    sections = ["\n".join(header) + "\n"]
     for position, vocab in enumerate(model.feature_spec):
         vc = vocab.config
         cap = "none" if vc.max_features is None else str(vc.max_features)
-        lines.extend(
-            [
-                f"block\t{position}",
-                f"analyzer\t{vc.analyzer.value}",
-                f"weighting\t{vc.weighting.value}",
-                f"min_n\t{vc.range.min_n}",
-                f"max_n\t{vc.range.max_n}",
-                f"max_features\t{cap}",
-                f"min_df\t{vc.min_df}",
-                f"corpus_size\t{vocab.corpus_size}",
-                f"terms\t{len(vocab)}",
-            ]
-        )
+        header = [
+            f"block\t{position}",
+            f"analyzer\t{vc.analyzer.value}",
+            f"weighting\t{vc.weighting.value}",
+            f"min_n\t{vc.range.min_n}",
+            f"max_n\t{vc.range.max_n}",
+            f"max_features\t{cap}",
+            f"min_df\t{vc.min_df}",
+            f"corpus_size\t{vocab.corpus_size}",
+            f"terms\t{len(vocab)}",
+        ]
         terms, df, idf = vocab.columns
         # each line ends in "df<tab>idf", formatted once per distinct pair
         if idf is None:
@@ -575,20 +641,16 @@ def _render_model(model: LinearModel) -> str:
         else:
             keys = list(zip(df, idf.tolist()))
             tails = {(d, i): f"{d}\t{i.hex()}" for d, i in set(keys)}
-        lines.extend(
-            map(
-                "{}\t{}\t{}".format,
-                _escape_column(terms),
-                range(len(terms)),
-                map(tails.__getitem__, keys),
-            )
-        )
-    lines.append(f"weights\t{model.dimension}")
-    weights = map(float.hex, model.weights.tolist())
-    lines.extend(map("{}:{}".format, range(model.dimension), weights))
-    body = "\n".join(lines) + "\n"
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return body + f"checksum\tsha256:{digest}\n"
+        fields = zip(_escape_column(terms), range(len(terms)), map(tails.__getitem__, keys))
+        sections.append("\n".join(header) + "\n")
+        sections.append("%s\t%d\t%s\n" * len(terms) % tuple(chain.from_iterable(fields)))
+    sections.append(f"weights\t{model.dimension}\n")
+    sections.append(_weight_lines(model.weights).decode("ascii"))
+    digest = hashlib.sha256()
+    for section in sections:
+        digest.update(section.encode("utf-8"))
+    sections.append(f"checksum\tsha256:{digest.hexdigest()}\n")
+    return "".join(sections)
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:
@@ -670,9 +732,8 @@ def _columns(block: bytes, sep: str, width: int, what: str) -> list[list[str]]:
 
 def _check_positions(column: list[str], lo: int, what: str) -> None:
     """Each index field is its line's position, written as ``str`` writes it."""
-    expected = list(map(str, range(lo, lo + len(column))))
-    if column != expected:
-        position = next(p for p, (a, b) in enumerate(zip(column, expected)) if a != b)
+    if "\n".join(column) + "\n" != "%d\n" * len(column) % tuple(range(lo, lo + len(column))):
+        position = next(p for p, text in enumerate(column) if text != str(lo + p))
         raise CorruptModelFile(f"{what} line {lo + position} has index {column[position]!r}")
 
 
@@ -745,15 +806,26 @@ def _read_vocabulary(
 
 
 def _read_weights(reader: _LineReader, count: int) -> np.ndarray:
-    """The ``count`` weight lines, numbered 0, 1, ... in order."""
+    """The ``count`` weight lines, each the writer's line for its position
+    and value: numbered 0, 1, ... in order, the value a finite double in
+    ``float.hex`` spelling. A block is parsed, then written again and
+    compared; only a block that differs is checked a line at a time."""
     chunks = reader.chunks(count)  # refuses a count past the end before allocating
     weights = np.empty(count, dtype=np.float64)
     for lo, block in chunks:
         index_column, values = _columns(block, ":", 2, "weight")
-        _check_positions(index_column, lo, "weight")
-        weights[lo : lo + len(values)] = np.fromiter(
-            map(float.fromhex, values), dtype=np.float64, count=len(values)
-        )
+        chunk = weights[lo : lo + len(values)]
+        chunk[:] = np.fromiter(map(float.fromhex, values), dtype=np.float64, count=len(values))
+        if not np.isfinite(chunk).all() or _weight_lines(chunk, lo) != block:
+            _check_positions(index_column, lo, "weight")
+            p, text = next(
+                (p, text)
+                for p, (text, w) in enumerate(zip(values, chunk.tolist()))
+                if not math.isfinite(w) or text != w.hex()
+            )
+            raise CorruptModelFile(
+                f"weight {lo + p} {text!r} is not written as float.hex writes a finite double"
+            )
     return weights
 
 

@@ -94,6 +94,19 @@ def _vocabulary(rng: random.Random, alphabet: str, size: int, weighting: Weighti
     )
 
 
+# Zeros, the least subnormal, the least normal and the greatest double.
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, np.finfo(np.float64).max]
+
+
+def _any_doubles(np_rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` finite doubles from raw 64-bit patterns (the non-finite
+    ones replaced by zeros), with ``_EDGE_DOUBLES`` at random places."""
+    doubles = np_rng.integers(0, 2**64, size=count, dtype=np.uint64).view(np.float64)
+    doubles[~np.isfinite(doubles)] = 0.0
+    doubles[np_rng.integers(0, count, size=len(_EDGE_DOUBLES))] = _EDGE_DOUBLES
+    return doubles
+
+
 @st.composite
 def models(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -108,9 +121,12 @@ def models(draw):
     )
     dimension = sum(len(v) for v in blocks)
     np_rng = np.random.default_rng(rng.randrange(2**32))
+    weights = np_rng.standard_normal(dimension) * 10.0 ** rng.randint(-6, 4)
+    if draw(st.booleans()):
+        weights = _any_doubles(np_rng, dimension)
     return LinearModel(
         kind=rng.choice([ModelKind.SVM, ModelKind.LOGREG]),
-        weights=np_rng.standard_normal(dimension) * 10.0 ** rng.randint(-6, 4),
+        weights=weights,
         bias=float(np_rng.standard_normal()),
         feature_spec=blocks,
         language=rng.choice([Language.EN, Language.ES]),
@@ -393,6 +409,28 @@ class TestOnlyTheReaderRefuses:
         with pytest.raises(CorruptModelFile, match="is not written as"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "+0X1P0",
+            "0x1p0",
+            "0x2.0000000000000p-1",
+            "0x1.0000000000000p+00",
+            "0x1.0000000000000p-1023",  # a subnormal: 0x0.8000000000000p-1022
+            "0x0.0000000000000p-1022",  # zero: 0x0.0p+0
+        ],
+    )
+    def test_weight_other_than_the_written_value(self, text, tmp_path):
+        lines = _render_model(_hand_model(["a", "b", "c"])).split("\n")[:-2]
+        number = lines.index("1:0x1.0000000000000p+0")
+        lines[number] = "1:" + text
+        path = tmp_path / "model.txt"
+        path.write_text(_file(lines), encoding="utf-8")
+        accepted = oracle_load_model(path)  # and saved, it is another file
+        assert oracle_render_model(accepted) != path.read_text(encoding="utf-8")
+        with pytest.raises(CorruptModelFile, match="weight 1 .* is not written as"):
+            load_model(path)
+
     def test_escaped_terms_still_load(self, tmp_path):
         terms = sorted([" #N\\:", "A", "a\xe9", "\\", "\t\n", "\u2028😀", "{"])
         path = tmp_path / "model.txt"
@@ -432,6 +470,34 @@ def test_loading_allocates_little_beyond_the_model(bench_es_model):
         tracemalloc.stop()
     assert model.dimension == 27_630
     assert peak <= 2.6 * retained, (peak, retained)
+
+
+# index widths change at 10, 100 and 10,000 lines; the last crosses a
+# chunk of the reader as well
+@pytest.mark.parametrize("count", [1, 9, 10, 11, 99, 100, 101, 10_001, 100_000])
+def test_weight_lines_are_float_hex(count, tmp_path):
+    weights = _any_doubles(np.random.default_rng(count), count)
+    model = LinearModel(ModelKind.SVM, weights, 0.0, (), Language.EN)
+    text = _render_model(model)
+    section = text[text.index(f"\nweights\t{count}\n") :].split("\n", 2)[2]
+    expected = "".join(f"{i}:{float.hex(w)}\n" for i, w in enumerate(weights.tolist()))
+    assert section[: section.rindex("checksum\t")] == expected
+    path = tmp_path / "model.txt"
+    path.write_text(text, encoding="utf-8")
+    assert np.array_equal(load_model(path).weights.view(np.uint64), weights.view(np.uint64))
+
+
+def test_writing_allocates_little_beyond_the_file(bench_es_model):
+    model = load_model(bench_es_model)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = _render_model(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 1_267_092
+    assert peak <= 4 * len(text), (peak, len(text))
 
 
 def test_decision_values_of_a_matrix_of_the_wrong_width(bench_es_model):
