@@ -46,7 +46,7 @@ from codecs import decode as codecs_decode
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -110,10 +110,10 @@ class TrainConfig:
     fit_intercept: bool = True
 
     def __post_init__(self) -> None:
-        if not self.C > 0:
-            raise ValueError(f"C must be positive, got {self.C}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not (self.C > 0 and math.isfinite(self.C)):
+            raise ValueError(f"C must be positive and finite, got {self.C}")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
 
@@ -520,23 +520,16 @@ def predict_proba(model: LinearModel, x: SparseVector) -> float:
 # a trailing SHA-256 checksum over everything above it.
 
 
-def _escape(term: str) -> str:
-    return term.encode("unicode_escape").decode("ascii")
-
-
-def _unescape(text: str) -> str:
-    # non-ASCII text fails the encode, as a raw field should
-    return codecs_decode(text.encode("ascii"), "unicode_escape")
-
-
 def _escape_column(terms: list[str]) -> list[str]:
-    """``_escape`` of every term, by one encode of the joined column when
-    it splits back into one piece per term: the separator encodes as
-    backslash-n, so a term whose escape holds that text (a newline, or a
-    backslash before an n) sends the column through ``_escape`` a term
-    at a time."""
+    """The backslash escape of every term, by one encode of the joined
+    column when it splits back into one piece per term: the separator
+    encodes as backslash-n, so a term whose escape holds that text (a
+    newline, or a backslash before an n) sends the column through the
+    encoder a term at a time."""
     escaped = "\n".join(terms).encode("unicode_escape").decode("ascii").split("\\n")
-    return escaped if len(escaped) == len(terms) else list(map(_escape, terms))
+    if len(escaped) != len(terms):
+        escaped = [term.encode("unicode_escape").decode("ascii") for term in terms]
+    return escaped
 
 
 # Tables for the weights section; 0 is a pad byte, deleted at the end.
@@ -602,54 +595,82 @@ def _weight_lines(weights: np.ndarray, first: int = 0) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
+def _field_lines(*fields) -> str:
+    """One ``key<tab>value`` line per (key, value) pair."""
+    return "".join(f"{key}\t{value}\n" for key, value in fields)
+
+
+def _model_header(
+    kind: ModelKind, language: Language, cfg: TrainConfig, bias: float, blocks: int
+) -> str:
+    return f"{MODEL_FILE_MAGIC} {MODEL_FILE_VERSION}\n" + _field_lines(
+        ("kind", kind.value),
+        ("language", language.value),
+        ("c", float(cfg.C).hex()),
+        ("tolerance", float(cfg.tolerance).hex()),
+        ("max_iterations", cfg.max_iterations),
+        ("loss", cfg.loss.value),
+        ("fit_intercept", int(cfg.fit_intercept)),
+        ("bias", float(bias).hex()),
+        ("blocks", blocks),
+    )
+
+
+def _block_header(position: int, config: VectorizerConfig, corpus_size: int, terms: int) -> str:
+    return _field_lines(
+        ("block", position),
+        ("analyzer", config.analyzer.value),
+        ("weighting", config.weighting.value),
+        ("min_n", config.range.min_n),
+        ("max_n", config.range.max_n),
+        ("max_features", "none" if config.max_features is None else config.max_features),
+        ("min_df", config.min_df),
+        ("corpus_size", corpus_size),
+        ("terms", terms),
+    )
+
+
+def _vocabulary_lines(
+    terms: list[str], df: list[int], idf: list[float] | None, first: int = 0
+) -> str:
+    """The vocabulary lines of ``terms``, numbered from ``first``, from one
+    ``%`` template over the columns, interleaved by slice assignment. Each
+    line ends in ``df<tab>idf`` (the idf ``-`` for a count block),
+    formatted once per distinct pair."""
+    if idf is None:
+        keys, tails = df, {d: f"{d}\t-" for d in set(df)}
+    else:
+        keys = list(zip(df, idf))
+        tails = {(d, i): f"{d}\t{i.hex()}" for d, i in set(keys)}
+    fields = [None] * (3 * len(terms))
+    fields[0::3] = _escape_column(terms)
+    fields[1::3] = range(first, first + len(terms))
+    fields[2::3] = map(tails.__getitem__, keys)
+    return "%s\t%d\t%s\n" * len(terms) % tuple(fields)
+
+
+def _checksum_line(digest: str) -> str:
+    return f"checksum\tsha256:{digest}\n"
+
+
 def _render_model(model: LinearModel) -> str:
-    """The model file's text. Each block's vocabulary lines come from one
-    ``%`` template over its columns, and the weights section from one
-    numpy pass (``_weight_lines``), so no Python call is made per line."""
-    cfg = model.train_config
-    header = [
-        f"{MODEL_FILE_MAGIC} {MODEL_FILE_VERSION}",
-        f"kind\t{model.kind.value}",
-        f"language\t{model.language.value}",
-        f"c\t{float(cfg.C).hex()}",
-        f"tolerance\t{float(cfg.tolerance).hex()}",
-        f"max_iterations\t{cfg.max_iterations}",
-        f"loss\t{cfg.loss.value}",
-        f"fit_intercept\t{int(cfg.fit_intercept)}",
-        f"bias\t{float(model.bias).hex()}",
-        f"blocks\t{len(model.feature_spec)}",
+    """The model file's text, joined from the section renderers that
+    ``load_model`` checks the file's sections with."""
+    sections = [
+        _model_header(
+            model.kind, model.language, model.train_config, model.bias, len(model.feature_spec)
+        )
     ]
-    sections = ["\n".join(header) + "\n"]
     for position, vocab in enumerate(model.feature_spec):
-        vc = vocab.config
-        cap = "none" if vc.max_features is None else str(vc.max_features)
-        header = [
-            f"block\t{position}",
-            f"analyzer\t{vc.analyzer.value}",
-            f"weighting\t{vc.weighting.value}",
-            f"min_n\t{vc.range.min_n}",
-            f"max_n\t{vc.range.max_n}",
-            f"max_features\t{cap}",
-            f"min_df\t{vc.min_df}",
-            f"corpus_size\t{vocab.corpus_size}",
-            f"terms\t{len(vocab)}",
-        ]
         terms, df, idf = vocab.columns
-        # each line ends in "df<tab>idf", formatted once per distinct pair
-        if idf is None:
-            keys, tails = df, {d: f"{d}\t-" for d in set(df)}
-        else:
-            keys = list(zip(df, idf.tolist()))
-            tails = {(d, i): f"{d}\t{i.hex()}" for d, i in set(keys)}
-        fields = zip(_escape_column(terms), range(len(terms)), map(tails.__getitem__, keys))
-        sections.append("\n".join(header) + "\n")
-        sections.append("%s\t%d\t%s\n" * len(terms) % tuple(chain.from_iterable(fields)))
-    sections.append(f"weights\t{model.dimension}\n")
+        sections.append(_block_header(position, vocab.config, vocab.corpus_size, len(vocab)))
+        sections.append(_vocabulary_lines(terms, df, None if idf is None else idf.tolist()))
+    sections.append(_field_lines(("weights", model.dimension)))
     sections.append(_weight_lines(model.weights).decode("ascii"))
     digest = hashlib.sha256()
     for section in sections:
         digest.update(section.encode("utf-8"))
-    sections.append(f"checksum\tsha256:{digest.hexdigest()}\n")
+    sections.append(_checksum_line(digest.hexdigest()))
     return "".join(sections)
 
 
@@ -697,142 +718,120 @@ class _LineReader:
             (lo, self.take(min(_CHUNK_LINES, count - lo))) for lo in range(0, count, _CHUNK_LINES)
         )
 
-    def next_field(self, key: str, parse=str, write=str):
-        """The next line's field, which must be ``key``'s, parsed (see
-        ``_canonical``)."""
-        line = self.take(1)[:-1].decode("utf-8")
-        head, sep, tail = line.partition("\t")
-        if not sep or head != key:
-            raise CorruptModelFile(f"expected '{key}' line, got {line!r}")
-        return _canonical(key, tail, parse, write)
+
+def _values(block: bytes) -> list[str]:
+    """What follows the first tab on each line of ``block``."""
+    return [line.partition("\t")[2] for line in block.decode("ascii").splitlines()]
 
 
-def _canonical(key: str, text: str, parse, write):
-    """``parse(text)``, refused unless ``write`` gives ``text`` back, so
-    that every value has one spelling and a loaded model saves to the
-    file it came from."""
-    value = parse(text)
-    if write(value) != text:
-        raise CorruptModelFile(f"{key} {text!r} is not written as {write(value)!r}")
-    return value
-
-
-def _columns(block: bytes, sep: str, width: int, what: str) -> list[list[str]]:
-    """The fields of a block of whole lines as ``width`` columns, by one
-    split; every line must hold exactly ``width - 1`` separators."""
-    shape = (sep * (width - 1) + "\n").encode("ascii")
-    marks = block.translate(None, bytes(set(range(256)).difference(shape)))
-    count = marks.count(b"\n")
-    if marks != shape * count:
-        raise CorruptModelFile(f"malformed {what} line")
+def _columns(block: bytes, sep: str, width: int) -> list[list[str]]:
+    """The fields of a block of lines, split at ``sep`` and at line ends
+    by one split, dealt in turn into ``width`` columns of equal length.
+    A line with another number of fields leaves the rest misaligned,
+    which its section's rendering then shows."""
     fields = block.decode("ascii").replace("\n", sep).split(sep)
-    end = width * count
+    end = len(fields) // width * width
     return [fields[column:end:width] for column in range(width)]
 
 
-def _check_positions(column: list[str], lo: int, what: str) -> None:
-    """Each index field is its line's position, written as ``str`` writes it."""
-    if "\n".join(column) + "\n" != "%d\n" * len(column) % tuple(range(lo, lo + len(column))):
-        position = next(p for p, text in enumerate(column) if text != str(lo + p))
-        raise CorruptModelFile(f"{what} line {lo + position} has index {column[position]!r}")
+def _refuse_unless(written: bytes, block: bytes, chunk: str = "", first: int = 0) -> None:
+    """Refuse ``block`` unless it is ``written``, the writer's bytes for
+    the values read from it. The message names the first line that
+    differs: by its key, or as line ``first + n`` of a ``"vocabulary"``
+    or ``"weight"`` chunk."""
+    if block == written:
+        return
+    pairs = zip_longest(block.splitlines(True), written.splitlines(True), fillvalue=b"")
+    n, (line, ours) = next((n, pair) for n, pair in enumerate(pairs) if pair[0] != pair[1])
+    end = -1 if line.endswith(b"\n") and ours.endswith(b"\n") else None
+    line, ours = line[:end].decode("utf-8"), ours[:end].decode("utf-8")
+    field, key = line.partition("\t")[0], ours.partition("\t")[0]
+    if chunk == "vocabulary" and field != key:
+        raise CorruptModelFile(f"term field {field!r} is not the escaped form of its term")
+    name, prefix = {
+        "": (key, key + "\t"),
+        "vocabulary": (f"vocabulary line {first + n}", ""),
+        "weight": (f"weight {first + n}", f"{first + n}:"),
+    }[chunk]
+    raise CorruptModelFile(
+        f"{name} {line.removeprefix(prefix)!r} is not written as {ours.removeprefix(prefix)!r}"
+    )
 
 
 def _unescape_column(fields: list[str]) -> list[str]:
-    """``_unescape`` of every field, by one decode of the joined column
-    when it splits back into one piece per field. A decoded newline
-    splits wrongly, and a field ending in a backslash would join the
-    separator into a line continuation (where ``_unescape`` refuses the
-    field); such columns are decoded one field at a time. Each field must
-    be ``_escape`` of its term, so a column with a backslash is re-escaped."""
+    """The terms that the backslash escapes ``fields`` stand for, by one
+    decode of the joined column when it splits back into one piece per
+    field (a decoded newline splits it wrongly), else a field at a time."""
     joined = "\n".join(fields)
     if "\\" not in joined:
         return fields
-    terms = []
-    if "\\\n" not in joined and not joined.endswith("\\"):
-        terms = codecs_decode(joined.encode("ascii"), "unicode_escape").split("\n")
+    terms = codecs_decode(joined.encode("ascii"), "unicode_escape").split("\n")
     if len(terms) != len(fields):
-        terms = list(map(_unescape, fields))
-    if _escape_column(terms) != fields:
-        field = next(f for f, t in zip(fields, terms) if _escape(t) != f)
-        raise CorruptModelFile(f"term field {field!r} is not the escaped form of its term")
+        terms = [codecs_decode(field.encode("ascii"), "unicode_escape") for field in fields]
     return terms
 
 
 def _read_vocabulary(
     reader: _LineReader, count: int, config: VectorizerConfig, corpus_size: int
 ) -> Vocabulary:
-    """One block's ``count`` vocabulary lines, checked a column at a time:
-    each index is its line's position, terms strictly ascend, each df is
-    a decimal in ``[1; corpus_size]``, and a TF-IDF idf is exactly the
-    smooth IDF of its df, in ``float.hex`` spelling (a count block's idf
-    field is ``-``). Each distinct df, and each distinct (df, idf) pair,
-    is checked once."""
+    """One block's ``count`` vocabulary lines, a chunk at a time: each df
+    must lie in ``[1; corpus_size]``, the chunk must be what the writer
+    writes for its terms, dfs and the smooth IDF of each df, and terms
+    must strictly ascend. Each distinct df is parsed once."""
     tfidf = config.weighting is Weighting.TFIDF
     terms: list[str] = []
     dfs: list[int] = []
-    idfs: list[float] = []
     df_of: dict[str, int] = {}
-    idf_of: dict[str, float] = {}
-    checked: set[tuple[str, str]] = set()
+    idf_of: dict[int, float] = {}
     for lo, block in reader.chunks(count):
-        fields, index_column, df_column, idf_column = _columns(block, "\t", 4, "vocabulary")
-        _check_positions(index_column, lo, "vocabulary")
+        fields, _, df_column, _ = _columns(block, "\t", 4)
         chunk = _unescape_column(fields)
+        for text in set(df_column).difference(df_of):
+            df = int(text)
+            if not 1 <= df <= corpus_size:
+                raise CorruptModelFile(f"document frequency {df} is not in [1; {corpus_size}]")
+            df_of[text] = df
+            idf_of[df] = smooth_idf(corpus_size, df)
+        df_chunk = list(map(df_of.__getitem__, df_column))
+        idf_chunk = list(map(idf_of.__getitem__, df_chunk)) if tfidf else None
+        written = _vocabulary_lines(chunk, df_chunk, idf_chunk, lo)
+        _refuse_unless(written.encode("ascii"), block, "vocabulary", lo)
         ordered = terms[-1:] + chunk
         if not all(map(str.__lt__, ordered, ordered[1:])):
             p = next(p for p in range(1, len(ordered)) if not ordered[p - 1] < ordered[p])
             position = lo + len(chunk) - len(ordered) + p
             raise CorruptModelFile(f"vocabulary term {position} is out of order")
-        for text in set(df_column).difference(df_of):
-            df = int(text)
-            if str(df) != text or not 1 <= df <= corpus_size:
-                raise CorruptModelFile(
-                    f"document frequency {text!r} is not a decimal in [1; {corpus_size}]"
-                )
-            df_of[text] = df
-            idf_of[text] = smooth_idf(corpus_size, df)
-        dfs.extend(map(df_of.__getitem__, df_column))
-        if tfidf:
-            pairs = set(zip(df_column, idf_column))
-            for df_text, idf_text in pairs.difference(checked):
-                if _canonical("idf", idf_text, float.fromhex, float.hex) != idf_of[df_text]:
-                    raise CorruptModelFile(f"idf {idf_text} does not match its df {df_text}")
-            checked |= pairs
-            idfs.extend(map(idf_of.__getitem__, df_column))
-        elif set(idf_column) != {"-"}:
-            raise CorruptModelFile("the idf field of a count block's term is not '-'")
         terms.extend(chunk)
-    return Vocabulary.from_columns(config, terms, dfs, corpus_size, idfs if tfidf else None)
+        dfs.extend(df_chunk)
+    idfs = list(map(idf_of.__getitem__, dfs)) if tfidf else None
+    return Vocabulary.from_columns(config, terms, dfs, corpus_size, idfs)
 
 
 def _read_weights(reader: _LineReader, count: int) -> np.ndarray:
-    """The ``count`` weight lines, each the writer's line for its position
-    and value: numbered 0, 1, ... in order, the value a finite double in
-    ``float.hex`` spelling. A block is parsed, then written again and
-    compared; only a block that differs is checked a line at a time."""
+    """The ``count`` weight lines, a chunk at a time: each value must be a
+    finite double (``_weight_lines`` writes no other), and the chunk what
+    the writer writes for those values."""
     chunks = reader.chunks(count)  # refuses a count past the end before allocating
     weights = np.empty(count, dtype=np.float64)
     for lo, block in chunks:
-        index_column, values = _columns(block, ":", 2, "weight")
-        chunk = weights[lo : lo + len(values)]
-        chunk[:] = np.fromiter(map(float.fromhex, values), dtype=np.float64, count=len(values))
-        if not np.isfinite(chunk).all() or _weight_lines(chunk, lo) != block:
-            _check_positions(index_column, lo, "weight")
-            p, text = next(
-                (p, text)
-                for p, (text, w) in enumerate(zip(values, chunk.tolist()))
-                if not math.isfinite(w) or text != w.hex()
-            )
-            raise CorruptModelFile(
-                f"weight {lo + p} {text!r} is not written as float.hex writes a finite double"
-            )
+        _, values = _columns(block, ":", 2)
+        chunk = np.fromiter(map(float.fromhex, values), dtype=np.float64, count=len(values))
+        finite = np.isfinite(chunk)
+        if not finite.all():
+            p = int(finite.argmin())
+            raise CorruptModelFile(f"weight {lo + p} {values[p]!r} is not a finite double")
+        _refuse_unless(_weight_lines(chunk, lo), block, "weight", lo)
+        weights[lo : lo + len(chunk)] = chunk
     return weights
 
 
 def load_model(path: str | Path) -> LinearModel:
-    """Read a model file back; the checksum guards against truncation
-    and corruption, unknown format versions are refused, and a
-    vocabulary or weight section that contradicts itself is rejected."""
+    """Read a model file back. Unknown format versions are refused, and
+    the checksum guards against truncation and corruption. Every other
+    line is parsed leniently and must be what the writer writes for the
+    values read from it, so a loaded model saves to the file it came
+    from; a vocabulary or weight section that contradicts itself is
+    rejected."""
     try:
         data = Path(path).read_bytes()
         if not data.isascii():
@@ -847,67 +846,69 @@ def load_model(path: str | Path) -> LinearModel:
         # the line ends a text-mode read sees: "\r\n" and "\r" are "\n"
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     newline = data.rfind(b"\n", 0, len(data) - 1)
-    last_line = data[newline + 1 :].decode("utf-8").strip()
-    if not last_line.startswith("checksum\tsha256:"):
-        raise CorruptModelFile("missing checksum line")
-    body = data[: newline + 1]
+    body, last = data[: newline + 1], data[newline + 1 :]
     del data
-    expected = last_line.split("sha256:", 1)[1]
-    actual = hashlib.sha256(body).hexdigest()
 
-    reader = _LineReader(body)
-    # the header as a text-mode read splits it, so that another line break
-    # on it is refused with the rest of the body, not as a version
-    header = reader.take(1).decode("utf-8").splitlines()[0]
+    # the first line as a text-mode read splits it, so that another line
+    # break on it is refused with the rest of the body, not as a version
+    first = (body or last).partition(b"\n")[0].decode("utf-8")
+    header = first.splitlines()[0] if first else ""
     parts = header.split(" ")
     if len(parts) != 2 or parts[0] != MODEL_FILE_MAGIC:
         raise CorruptModelFile(f"not a model file (header {header!r})")
     if parts[1] != str(MODEL_FILE_VERSION):
         raise UnsupportedVersion(f"model format version {parts[1]} is not supported")
-    if actual != expected:
+    digest = hashlib.sha256(body).hexdigest()
+    if last.decode("utf-8").partition("sha256:")[2].strip() != digest:
         raise CorruptModelFile("checksum mismatch: file is corrupt or truncated")
+    _refuse_unless(_checksum_line(digest).encode("ascii"), last)
     if body.translate(None, _FILE_BYTES):
         raise CorruptModelFile(
             "model file holds a character other than printable ASCII, tab or newline"
         )
 
+    reader = _LineReader(body)
     try:
-        kind = ModelKind(reader.next_field("kind"))
-        language = Language(reader.next_field("language"))
-        c = reader.next_field("c", float.fromhex, float.hex)
-        tolerance = reader.next_field("tolerance", float.fromhex, float.hex)
-        max_iterations = reader.next_field("max_iterations", int)
-        loss = LossKind(reader.next_field("loss"))
-        fit_intercept_text = reader.next_field("fit_intercept")
-        if fit_intercept_text not in ("0", "1"):
-            raise CorruptModelFile(f"fit_intercept must be 0 or 1, got {fit_intercept_text!r}")
-        fit_intercept = fit_intercept_text == "1"
-        bias = reader.next_field("bias", float.fromhex, float.hex)
-        n_blocks = reader.next_field("blocks", int)
+        block = reader.take(10)
+        kind, language, c, tolerance, max_iterations, loss, fit_intercept, bias, n_blocks = (
+            _values(block)[1:]
+        )
+        # a negative count reads as no blocks, which the header check refuses
+        kind, language, bias, n_blocks = (
+            ModelKind(kind), Language(language), float.fromhex(bias), max(int(n_blocks), 0)
+        )
+        train_config = TrainConfig(
+            C=float.fromhex(c),
+            tolerance=float.fromhex(tolerance),
+            max_iterations=int(max_iterations),
+            loss=LossKind(loss),
+            fit_intercept=bool(int(fit_intercept)),
+        )
+        header = _model_header(kind, language, train_config, bias, n_blocks)
+        _refuse_unless(header.encode("ascii"), block)
 
         blocks = []
         for position in range(n_blocks):
-            if reader.next_field("block", int) != position:
-                raise CorruptModelFile("block sections out of order")
-            analyzer = Analyzer(reader.next_field("analyzer"))
-            weighting = Weighting(reader.next_field("weighting"))
-            min_n = reader.next_field("min_n", int)
-            max_n = reader.next_field("max_n", int)
-            cap = reader.next_field("max_features")
-            max_features = None if cap == "none" else _canonical("max_features", cap, int, str)
-            min_df = reader.next_field("min_df", int)
-            corpus_size = reader.next_field("corpus_size", int)
-            n_terms = reader.next_field("terms", int)
-            config = VectorizerConfig(
-                analyzer=analyzer,
-                range=NgramRange(min_n, max_n),
-                max_features=max_features,
-                min_df=min_df,
-                weighting=weighting,
+            block = reader.take(9)
+            _, analyzer, weighting, min_n, max_n, cap, min_df, corpus_size, n_terms = (
+                _values(block)
             )
+            config = VectorizerConfig(
+                analyzer=Analyzer(analyzer),
+                range=NgramRange(int(min_n), int(max_n)),
+                max_features=None if cap == "none" else int(cap),
+                min_df=int(min_df),
+                weighting=Weighting(weighting),
+            )
+            corpus_size, n_terms = int(corpus_size), int(n_terms)
+            header = _block_header(position, config, corpus_size, n_terms)
+            _refuse_unless(header.encode("ascii"), block)
             blocks.append(_read_vocabulary(reader, n_terms, config, corpus_size))
 
-        weights = _read_weights(reader, reader.next_field("weights", int))
+        block = reader.take(1)
+        (n_weights,) = map(int, _values(block))
+        _refuse_unless(_field_lines(("weights", n_weights)).encode("ascii"), block)
+        weights = _read_weights(reader, n_weights)
         if not reader.at_end():
             raise CorruptModelFile("lines after the weights section")
         return LinearModel(
@@ -916,13 +917,7 @@ def load_model(path: str | Path) -> LinearModel:
             bias=bias,
             feature_spec=tuple(blocks),
             language=language,
-            train_config=TrainConfig(
-                C=c,
-                tolerance=tolerance,
-                max_iterations=max_iterations,
-                loss=loss,
-                fit_intercept=fit_intercept,
-            ),
+            train_config=train_config,
         )
     except (ValueError, KeyError, IndexError, OverflowError) as exc:
         # float.fromhex raises OverflowError for a finite-looking hex float

@@ -181,6 +181,10 @@ class TestTrainingContracts:
             TrainConfig(tolerance=-1)
         with pytest.raises(ValueError):
             TrainConfig(max_iterations=0)
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            TrainConfig(C=math.inf)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            TrainConfig(tolerance=math.inf)
 
 
 class TestGradients:
@@ -800,6 +804,8 @@ class TestModelFileConsistency:
             _set_first_weight("inf"),
             _set_first_weight("nan"),
             _set_header("bias", "inf"),
+            _set_header("c", "inf"),
+            _set_header("tolerance", "inf"),
             _set_header("tolerance", "0x0.0p+0"),
             _set_header("tolerance", "nan"),
             _set_header("max_iterations", "0"),
@@ -818,6 +824,8 @@ class TestModelFileConsistency:
             "weight-infinite",
             "weight-nan",
             "bias-infinite",
+            "c-infinite",
+            "tolerance-infinite",
             "tolerance-zero",
             "tolerance-nan",
             "max-iterations-zero",
