@@ -48,11 +48,15 @@ from .vectorize import NgramRange, VectorizerConfig, Weighting
 
 
 def _parse_range(text: str) -> NgramRange:
+    low, _, high = text.partition(":")
     try:
-        low, _, high = text.partition(":")
-        return NgramRange(int(low), int(high))
+        low, high = int(low), int(high)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected MIN:MAX, got {text!r}") from exc
+    try:
+        return NgramRange(low, high)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -75,8 +79,17 @@ def _positive_label(text: str) -> Label:
     return Label(int(text))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and the parser of each subcommand, that raises
+    a bad command line as a ``UsageError`` instead of printing its usage
+    and exiting."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spreader-profiler",
         description="Profile Twitter authors as fake-news spreaders from character n-grams.",
     )
@@ -322,16 +335,11 @@ def _run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
         if getattr(args, "config", None):
-            overrides = _read_config_overrides(args.config)
-            try:
-                args = parser.parse_args(list(argv) + overrides)
-            except SystemExit as exc:
-                return 0 if exc.code in (0, None) else 1
+            args = parser.parse_args(list(argv) + _read_config_overrides(args.config))
         return args.func(args)
+    except SystemExit as exc:  # -h, once the help is printed
+        return 0 if exc.code in (0, None) else 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

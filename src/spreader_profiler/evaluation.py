@@ -192,7 +192,7 @@ def fit_pipeline(
     longest = max(vc.range.max_n for vc in config.vectorizers)
     counts = NgramCounts(preprocess_corpus(train_corpus, stopwords), longest)
     vocabularies = tuple(fit_vocabulary(counts, vc) for vc in config.vectorizers)
-    X = union_transform(counts, vocabularies, fitted=True)
+    X = union_transform(counts, vocabularies)
     labels = [author.label for author in train_corpus]
     return _fit(vocabularies, X, labels, config, train_corpus.language)
 
@@ -276,10 +276,8 @@ class _GroupMatrices:
         if self._built[0] != weightings:
             self._built = ((), None)  # freed before the next are built
             if not self._counted:
-                train_counts, test_counts = self.sides
                 self._counted = [
-                    (union_transform(train_counts, (vocab,), fitted=True),
-                     union_transform(test_counts, (vocab,)))
+                    tuple(union_transform(side, (vocab,)) for side in self.sides)
                     for vocab in self.vocabularies
                 ]
             spec = tuple(map(with_weighting, self.vocabularies, weightings))

@@ -21,18 +21,22 @@ integer key ``rank(its (n-1)-prefix) * (A + 1) + code(its last
 symbol)``, where the rank is the prefix's position among the corpus's
 distinct (n-1)-grams. Keys therefore sort like the terms and stay below
 ``positions * (A + 1)`` for any alphabet. Each length's distinct keys
-become its columns, and its per-document counts a CSR matrix built in
-linear time: two counting sorts (occurrences by column, then by
-document) leave every row's columns ascending, so repeats are summed
-with no comparison sort. Vocabulary selection, weighting and
-normalization are then column and row operations on those matrices,
-and Python strings are made only for the terms a vocabulary keeps.
+become its columns, and the columns of every length are numbered in one
+sequence, length 1's first. The per-document counts are one CSC matrix
+over all of them, each length's built in linear time: a counting sort
+of the occurrences by column leaves every column's rows ascending, so
+repeats are summed with no comparison sort. A vocabulary is a set of
+those columns: fitting selects from the slice of its lengths, and a
+transform gathers its columns into a CSR block, whose rows come out in
+term order. Python strings are made only for the terms a vocabulary
+keeps.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import weakref
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -135,10 +139,12 @@ class Vocabulary:
 
     ``columns`` holds the same statistics in index order. It is built
     from the dicts on first use, or handed over by ``from_columns``.
-    ``fitted_columns`` is set by ``fit_vocabulary`` alone: each term's
-    column in the ``NgramCounts`` it was fitted on (see
-    ``NgramCounts.offset``), so that a transform of those counts need
-    not look the terms up. It is not part of the vocabulary's value."""
+    ``fitted_columns`` and ``fitted_on`` are set by ``fit_vocabulary``
+    alone: each term's column in the ``NgramCounts`` it was fitted on,
+    and a weak reference to those counts, so that a transform of the
+    same counts need not look the terms up while the counts themselves
+    are freed with their last user. They are not part of the
+    vocabulary's value."""
 
     config: VectorizerConfig
     term_to_index: dict[str, int]
@@ -146,6 +152,7 @@ class Vocabulary:
     corpus_size: int
     idf: dict[str, float] | None = field(default=None)
     fitted_columns: np.ndarray | None = field(default=None, compare=False, repr=False)
+    fitted_on: weakref.ref | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_columns(
@@ -156,6 +163,7 @@ class Vocabulary:
         corpus_size: int,
         idf: list[float] | None,
         fitted_columns: np.ndarray | None = None,
+        fitted_on: weakref.ref | None = None,
     ) -> Vocabulary:
         """The vocabulary of distinct ``terms`` given in index order, with
         their document frequencies and idfs (``None`` for counts)."""
@@ -166,6 +174,7 @@ class Vocabulary:
             corpus_size=corpus_size,
             idf=None if idf is None else dict(zip(terms, idf)),
             fitted_columns=fitted_columns,
+            fitted_on=fitted_on,
         )
         idf_column = None if idf is None else np.array(idf, dtype=np.float64)
         object.__setattr__(vocab, "columns", TermColumns(terms, df, idf_column))
@@ -201,26 +210,22 @@ class Vocabulary:
 # Corpus-level counting.
 
 
-@dataclass(frozen=True)
-class _Level:
-    """Every n-gram of one length n: ``keys`` sorted and distinct (column
-    order), ``counts`` the documents x columns count matrix, ``tf`` and
-    ``df`` its column sums and column supports, and ``where`` a start
-    position of each column's n-gram in the concatenated symbols."""
-
-    keys: np.ndarray
-    counts: sp.csr_matrix
-    tf: np.ndarray
-    df: np.ndarray
-    where: np.ndarray
-
-
 class NgramCounts:
     """Exact per-document counts of every character n-gram of lengths
     1..``max_n`` of a list of token streams, all counted when it is built,
     so vocabularies and transforms that share one ``NgramCounts`` share
-    the counting. The counting scratch (about four integers per symbol)
-    is freed before the constructor returns."""
+    the counting.
+
+    The n-grams of every length are numbered in one sequence of columns,
+    length 1's first and each length's in term order: the columns of
+    length n run from ``first[n - 1]`` to ``first[n]``. ``matrix`` is the
+    documents x columns count matrix (CSC), with one empty column after
+    the last, which stands for a term these counts do not contain.
+    ``tf`` and ``df`` are the column sums and column supports, and
+    ``where`` a start position of each column's n-gram in ``surface``.
+    ``keys[n - 1]`` holds length n's keys, sorted, for looking terms up.
+    The counting scratch (about four integers per symbol) is freed before
+    the constructor returns."""
 
     def __init__(self, streams: Sequence[TokenStream], max_n: int):
         documents = [stream.joined_text for stream in streams]
@@ -232,10 +237,11 @@ class NgramCounts:
         index = np.int32 if len(codes) < 2**31 else np.int64
         codes = codes.astype(index) + 1
         self.base = len(self.alphabet) + 1
-        self.starts = np.cumsum(sizes) - sizes
+        starts = np.cumsum(sizes) - sizes
         # symbols left in the document from each position onwards
-        remaining = (np.repeat(self.starts + sizes, sizes) - np.arange(len(codes))).astype(index)
-        self.levels: list[_Level] = []
+        remaining = (np.repeat(starts + sizes, sizes) - np.arange(len(codes))).astype(index)
+        self.keys: list[np.ndarray] = []
+        levels, tf, where = [], [], []
         positions = np.arange(len(codes), dtype=index)
         ranks = np.zeros(len(codes), dtype=index)
         for n in range(1, max_n + 1):
@@ -248,7 +254,7 @@ class NgramCounts:
             # keys, ranks = np.unique(keys, return_inverse=True), in less
             # memory: by marking the possible keys when they are fewer than
             # the n-grams, else by sorting
-            bound = (len(self.levels[-1].keys) if self.levels else 1) * self.base
+            bound = (len(self.keys[-1]) if self.keys else 1) * self.base
             if bound <= len(keys):
                 present = np.zeros(bound, dtype=bool)
                 present[keys] = True
@@ -266,65 +272,72 @@ class NgramCounts:
                 ranks[order] = np.cumsum(first, dtype=index) - 1
                 del order, first
             # positions ascend, so each document's n-grams are contiguous.
-            # The rows are unsorted and repeat columns; the round trip
-            # through CSC sorts them by two counting passes (each column's
-            # rows, then each row's columns, come out ascending), so summing
-            # the repeats needs no per-row comparison sort.
-            indptr = np.append(np.searchsorted(positions, self.starts), len(positions))
-            counts = sp.csr_matrix(
+            # The rows are unsorted and repeat columns; the conversion to
+            # CSC sorts them by a counting pass (each column's rows come
+            # out ascending), so summing the repeats needs no comparison
+            # sort.
+            indptr = np.append(np.searchsorted(positions, starts), len(positions))
+            level = sp.csr_matrix(
                 (np.ones(len(positions), dtype=np.int32), ranks, indptr),
-                shape=(len(self.starts), len(keys)),
+                shape=(len(starts), len(keys)),
             ).tocsc()
-            counts.sum_duplicates()
-            counts = counts.tocsr()
-            where = np.empty(len(keys), dtype=index)
-            where[ranks] = positions
-            self.levels.append(
-                _Level(
-                    keys=keys,
-                    counts=counts,
-                    tf=np.bincount(ranks, minlength=len(keys)),
-                    df=np.bincount(counts.indices, minlength=len(keys)),
-                    where=where,
-                )
-            )
+            level.sum_duplicates()
+            levels.append(level)
+            tf.append(np.bincount(ranks, minlength=len(keys)))
+            where.append(np.empty(len(keys), dtype=index))
+            where[-1][ranks] = positions
+            self.keys.append(keys)
+        del codes, remaining, positions, ranks, keys, indptr, level  # before the copy below
+        levels.append(sp.csc_matrix((len(starts), 1), dtype=np.int32))
+        self.matrix = sp.hstack(levels, format="csc")
+        self.tf, self.where = np.concatenate(tf), np.concatenate(where)
+        self.df = np.diff(self.matrix.indptr[:-1])
+        self.first = np.cumsum([0, *map(len, self.keys)])
 
     def __len__(self) -> int:
-        return len(self.starts)
+        return self.matrix.shape[0]
 
-    def level(self, n: int) -> _Level:
-        if not 1 <= n <= len(self.levels):
-            raise ValueError(f"n-grams of length {n} were not counted (max_n={len(self.levels)})")
-        return self.levels[n - 1]
+    def _require(self, n: int) -> None:
+        if n > len(self.keys):
+            raise ValueError(f"n-grams of length {n} were not counted (max_n={len(self.keys)})")
 
-    def term(self, position: int, n: int) -> str:
-        return self.surface[position : position + n]
+    def span(self, ngram_range: NgramRange) -> slice:
+        """The columns of the lengths ``ngram_range`` covers."""
+        self._require(ngram_range.max_n)
+        return slice(int(self.first[ngram_range.min_n - 1]), int(self.first[ngram_range.max_n]))
 
-    def offset(self, n: int) -> int:
-        """The first column of length n when the columns of every level
-        are numbered in one sequence, level 1's first."""
-        return sum(len(level.keys) for level in self.levels[: n - 1])
+    def terms(self, columns: np.ndarray) -> list[str]:
+        """The n-gram of each column."""
+        lengths = np.searchsorted(self.first, columns, side="right")
+        surface = self.surface
+        return [surface[p : p + n] for p, n in zip(self.where[columns].tolist(), lengths.tolist())]
 
-    def columns(self, terms: list[str], n: int) -> np.ndarray:
-        """Column of each length-n term in level ``n``, or -1 for a term
-        this corpus does not contain: the terms are keyed exactly as the
-        corpus was, one symbol at a time, and looked up per prefix."""
+    def columns(self, terms: Sequence[str]) -> np.ndarray:
+        """The column of each term, of any length, or -1 for a term these
+        counts do not contain: the terms are keyed exactly as the corpus
+        was, one symbol at a time, and looked up per prefix."""
+        lengths = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
+        self._require(int(lengths.max(initial=0)))
         points = np.frombuffer("".join(terms).encode("utf-32-le", "surrogatepass"), dtype="<u4")
         found = np.searchsorted(self.alphabet, points)
         known = found < len(self.alphabet)
         known[known] = self.alphabet[found[known]] == points[known]
-        codes = np.where(known, found + 1, 0).reshape(len(terms), n)
+        codes = np.where(known, found + 1, 0)
+        starts = np.cumsum(lengths) - lengths
         ranks = np.zeros(len(terms), dtype=np.int64)
-        hit = np.ones(len(terms), dtype=bool)
-        for j in range(n):
-            level_keys = self.level(j + 1).keys
-            keys = ranks * self.base + codes[:, j]
-            ranks = np.searchsorted(level_keys, keys)
-            inside = ranks < len(level_keys)
-            hit &= inside
-            hit[hit] = level_keys[ranks[hit]] == keys[hit]
-            ranks[~hit] = 0
-        return np.where(hit, ranks, -1)
+        columns = np.full(len(terms), -1, dtype=np.int64)
+        reading = np.flatnonzero(lengths)  # the terms found so far that go on
+        for n, level_keys in enumerate(self.keys, 1):
+            keys = ranks[reading] * self.base + codes[starts[reading] + (n - 1)]
+            found = np.searchsorted(level_keys, keys)
+            hit = found < len(level_keys)
+            hit[hit] = level_keys[found[hit]] == keys[hit]
+            reading, found = reading[hit], found[hit]
+            ranks[reading] = found
+            ended = lengths[reading] == n
+            columns[reading[ended]] = self.first[n - 1] + found[ended]
+            reading = reading[~ended]
+        return columns
 
 
 def _as_counts(streams: Sequence[TokenStream] | NgramCounts, max_n: int) -> NgramCounts:
@@ -334,11 +347,9 @@ def _as_counts(streams: Sequence[TokenStream] | NgramCounts, max_n: int) -> Ngra
 def extract_char_ngrams(text: str, ngram_range: NgramRange) -> Counter:
     """Count every contiguous codepoint n-gram of the configured lengths."""
     counts = NgramCounts([TokenStream("text", (text,))], ngram_range.max_n)
-    found: Counter = Counter()
-    for n in range(ngram_range.min_n, ngram_range.max_n + 1):
-        level = counts.level(n)
-        found.update({counts.term(p, n): c for p, c in zip(level.where.tolist(), level.tf.tolist())})
-    return found
+    span = counts.span(ngram_range)
+    columns = np.arange(span.start, span.stop)
+    return Counter(dict(zip(counts.terms(columns), counts.tf[span].tolist())))
 
 
 def smooth_idf(corpus_size: int, df: int) -> float:
@@ -358,39 +369,33 @@ def fit_vocabulary(
     counts = _as_counts(streams, config.range.max_n)
     if not len(counts):
         raise ValueError("fit_vocabulary needs at least one stream")
-    lengths, numbers, where, tf, df = [], [], [], [], []
-    for n in range(config.range.min_n, config.range.max_n + 1):
-        level = counts.level(n)
-        columns = np.flatnonzero(level.df >= config.min_df)
-        lengths.append(np.full(len(columns), n))
-        numbers.append(columns + counts.offset(n))
-        where.append(level.where[columns])
-        tf.append(level.tf[columns])
-        df.append(level.df[columns])
-    lengths, numbers, where, tf, df = map(np.concatenate, (lengths, numbers, where, tf, df))
+    span = counts.span(config.range)
+    numbers = span.start + np.flatnonzero(counts.df[span] >= config.min_df)
+    tf = counts.tf[numbers]
 
     kept = np.arange(len(tf))
     cap = config.max_features
     if cap is not None and len(kept) > cap:
         threshold = np.partition(tf, len(tf) - cap)[len(tf) - cap]
         tied = np.flatnonzero(tf == threshold)
-        tied_terms = [counts.term(p, n) for p, n in zip(where[tied].tolist(), lengths[tied].tolist())]
+        tied_terms = counts.terms(numbers[tied])
         slots = cap - int(np.count_nonzero(tf > threshold))
         by_term = sorted(range(len(tied)), key=tied_terms.__getitem__)[:slots]
         kept = np.sort(np.concatenate([np.flatnonzero(tf > threshold), tied[by_term]]))
     if not len(kept):
         raise EmptyVocabulary(f"no term survived min_df={config.min_df}")
 
-    found = list(map(counts.term, where[kept].tolist(), lengths[kept].tolist()))
+    found = counts.terms(numbers[kept])
     order = sorted(range(len(found)), key=found.__getitem__)
     terms = list(map(found.__getitem__, order))
-    document_frequency = df[kept][order].tolist()
+    fitted_columns = numbers[kept][order]
+    document_frequency = counts.df[fitted_columns].tolist()
     corpus_size = len(counts)
     idf = None
     if config.weighting is Weighting.TFIDF:
         idf = _smooth_idfs(corpus_size, document_frequency)
     return Vocabulary.from_columns(
-        config, terms, document_frequency, corpus_size, idf, numbers[kept][order]
+        config, terms, document_frequency, corpus_size, idf, fitted_columns, weakref.ref(counts)
     )
 
 
@@ -417,34 +422,19 @@ def with_weighting(vocab: Vocabulary, weighting: Weighting) -> Vocabulary:
     return weighted
 
 
-def _block(
-    counts: NgramCounts, vocab: Vocabulary, columns: np.ndarray | None = None
-) -> sp.csr_matrix:
-    """One vocabulary's documents x terms occurrence counts, with each
-    row's columns ascending. ``columns`` is ``vocab.fitted_columns`` when
-    ``counts`` are the counts the vocabulary was fitted on: the terms are
-    then not looked up."""
-    terms = vocab.terms()
-    term_lengths = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
-    block = sp.csr_matrix((len(counts), len(terms)))
-    for n in range(vocab.config.range.min_n, vocab.config.range.max_n + 1):
-        wanted = np.flatnonzero(term_lengths == n)
-        if not len(wanted):
-            continue
-        if columns is None:
-            found = counts.columns([terms[i] for i in wanted.tolist()], n)
-        else:
-            found = columns[wanted] - counts.offset(n)
-        level = counts.level(n)
-        to_term = np.full(len(level.keys), -1, dtype=np.int32)
-        to_term[found[found >= 0]] = wanted[found >= 0]
-        mapped = to_term[level.counts.indices]
-        hit = mapped >= 0
-        indptr = np.concatenate([[0], np.cumsum(hit)])[level.counts.indptr]
-        block = block + sp.csr_matrix(
-            (level.counts.data[hit], mapped[hit], indptr), shape=block.shape
-        )
-    block.sort_indices()
+def _block(counts: NgramCounts, vocab: Vocabulary) -> sp.csr_matrix:
+    """One vocabulary's documents x terms occurrence counts, as float64
+    with each row's columns ascending: the vocabulary's columns of
+    ``counts`` gathered in term order. The columns are its fitted ones
+    when ``counts`` are the counts it was fitted on, and looked up
+    otherwise."""
+    if vocab.fitted_on is not None and vocab.fitted_on() is counts:
+        columns = vocab.fitted_columns
+    else:
+        columns = counts.columns(vocab.terms())
+    # CSC to CSR lays each row out in column order
+    block = counts.matrix[:, columns].tocsr()
+    block.data = block.data.astype(np.float64)
     return block
 
 
@@ -466,9 +456,7 @@ def weigh(block: sp.csr_matrix, vocab: Vocabulary) -> sp.csr_matrix:
 
 
 def union_transform(
-    streams: Sequence[TokenStream] | NgramCounts,
-    vocabs: tuple[Vocabulary, ...],
-    fitted: bool = False,
+    streams: Sequence[TokenStream] | NgramCounts, vocabs: tuple[Vocabulary, ...]
 ) -> sp.csr_matrix:
     """Vectorize the streams against each vocabulary block and
     concatenate the blocks column-wise: one row per stream.
@@ -476,16 +464,10 @@ def union_transform(
     Count weighting stores raw occurrence counts; TF-IDF weighting
     multiplies counts by the term IDF and L2-normalizes each block's
     row. Unknown n-grams are ignored; a fully out-of-vocabulary stream
-    becomes an empty row. ``fitted`` says that ``streams`` are the
-    ``NgramCounts`` every vocabulary was fitted on, so that their
-    ``fitted_columns`` stand in for looking the terms up.
+    becomes an empty row.
     """
     counts = _as_counts(streams, max(vocab.config.range.max_n for vocab in vocabs))
-    blocks = [
-        weigh(_block(counts, vocab, vocab.fitted_columns if fitted else None), vocab)
-        for vocab in vocabs
-    ]
-    return join_blocks(blocks)
+    return join_blocks([weigh(_block(counts, vocab), vocab) for vocab in vocabs])
 
 
 def join_blocks(blocks: Sequence[sp.csr_matrix]) -> sp.csr_matrix:

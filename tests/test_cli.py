@@ -269,6 +269,45 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["train", "--lang", "en", "--range", "2:1"], None,
+             "argument --range: max_n must be >= min_n, got [2;1]"),
+            (["train", "--lang", "en", "--range", "2-3"], None,
+             "argument --range: expected MIN:MAX, got '2-3'"),
+            (["train"], None, "the following arguments are required: --lang"),
+            (["train", "--lang", "xx"], None, "argument --lang: invalid choice: 'xx'"),
+            (["gridsearch", "--lang", "en", "--folds", "abc"], None,
+             "argument --folds: invalid int value: 'abc'"),
+            (["train", "--lang", "en"], "seed=abc\n", "argument --seed: invalid int value: 'abc'"),
+        ],
+    )
+    def test_bad_command_line_is_one_usage_line(self, argv, config, message, tmp_path, capsys):
+        argv = [*argv, "--input", str(tmp_path)]
+        if config is not None:
+            (tmp_path / "run.conf").write_text(config)
+            argv += ["--config", str(tmp_path / "run.conf")]
+        assert run(argv) == 1
+        assert self.assert_one_line(capsys, f"usage error: {message}") == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["no-such-command"], "argument subcommand: invalid choice: 'no-such-command'"),
+            ([], "the following arguments are required: subcommand"),
+        ],
+    )
+    def test_bad_subcommand_is_one_usage_line(self, argv, message, capsys):
+        assert run(argv) == 1
+        assert self.assert_one_line(capsys, f"usage error: {message}") == ""
+
+    @pytest.mark.parametrize("argv", [["-h"], ["train", "-h"], ["gridsearch", "--help"]])
+    def test_help_goes_to_stdout(self, argv, capsys):
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: spreader-profiler") and err == ""
+
     def test_empty_grid_flag_is_refused_before_the_corpus_is_read(self, tmp_path, capsys):
         assert run(["gridsearch", "--lang", "en", "--models", "", "--input", tmp_path / "none"]) == 1
         self.assert_one_line(capsys, "usage error: --models needs at least one value")

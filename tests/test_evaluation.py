@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -177,6 +178,20 @@ class TestEvaluatePipeline:
         full_by_id = dict((a, p) for a, p, _ in full_report.predictions)
         for author_id, predicted, _ in partial_report.predictions:
             assert full_by_id[author_id] == predicted
+
+    def test_fit_pipeline_frees_its_counts(self, monkeypatch):
+        made = []
+
+        class RecordingCounts(NgramCounts):
+            def __init__(self, streams, max_n):
+                super().__init__(streams, max_n)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(evaluation, "NgramCounts", RecordingCounts)
+        model = fit_pipeline(make_corpus(labeled_pairs(4, 4)), SMALL_CONFIG)
+        assert len(made) == 1 and made[0]() is None
+        (vocab,) = model.feature_spec
+        assert vocab.fitted_on() is None and len(vocab.fitted_columns) == len(vocab)
 
     def test_metrics_consistent_with_predictions(self):
         corpus = make_corpus(labeled_pairs(7, 7))
@@ -380,16 +395,18 @@ class TestSharedGrid:
     def test_each_side_is_counted_once_per_term_list(self, hard_corpus, folds, monkeypatch):
         """One count matrix per side for each distinct term list of a
         split, the training side's from the fit's columns, never looked up."""
-        built, lookups = [], []
+        built, lookups = [], []  # (counts, whether from the fit's columns)
         block, columns = vectorize._block, NgramCounts.columns
 
-        def recording_block(counts, vocab, fitted_columns=None):
-            built.append((counts, fitted_columns is not None))
-            return block(counts, vocab, fitted_columns)
+        def recording_block(counts, vocab):
+            before = len(lookups)
+            matrix = block(counts, vocab)
+            built.append((counts, len(lookups) == before))
+            return matrix
 
-        def recording_columns(counts, terms, n):
+        def recording_columns(counts, terms):
             lookups.append(counts)
-            return columns(counts, terms, n)
+            return columns(counts, terms)
 
         monkeypatch.setattr(vectorize, "_block", recording_block)
         monkeypatch.setattr(NgramCounts, "columns", recording_columns)
@@ -457,7 +474,7 @@ class TestSharedGrid:
         monkeypatch.setattr(evaluation, "fit_vocabulary", record(
             "fit", fit_vocabulary, lambda counts, vc: (vc.range, vc.min_df, vc.max_features)))
         monkeypatch.setattr(vectorize, "_block", record(
-            "block", vectorize._block, lambda counts, vocab, *a: tuple(vocab.terms())))
+            "block", vectorize._block, lambda counts, vocab: tuple(vocab.terms())))
         gram = record("gram", models.row_gram, matrix)
         monkeypatch.setattr(evaluation, "row_gram", gram)
         monkeypatch.setattr(models, "row_gram", gram)
@@ -559,7 +576,7 @@ class TestCountedLengths:
 
         def recording_init(self, streams, max_n):
             init(self, streams, max_n)
-            lengths.append(len(self.levels))
+            lengths.append(len(self.keys))
 
         monkeypatch.setattr(NgramCounts, "__init__", recording_init)
         return lengths

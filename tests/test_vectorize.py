@@ -4,9 +4,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spreader_profiler import vectorize
 from spreader_profiler.corpus import Language
 from spreader_profiler.errors import EmptyVocabulary
 from spreader_profiler.models import LinearModel, ModelKind, save_model
@@ -419,7 +421,7 @@ def test_batch_builder_shares_counts_across_blocks():
     shared = tuple(fit_vocabulary(counts, c) for c in blocks)
     separate = tuple(fit_vocabulary(streams, c) for c in blocks)
     assert shared == separate
-    assert len(counts.levels) == 5  # lengths 1 to 5, each counted once
+    assert len(counts.keys) == 5  # lengths 1 to 5, each counted once
     assert (union_transform(counts, shared) != union_transform(streams, separate)).nnz == 0
 
 
@@ -428,14 +430,19 @@ def test_counts_hold_every_length_up_to_max_n_and_no_scratch():
     blocks = (char_config(1, 3, max_features=6), char_config(2, 4, weighting=Weighting.COUNT))
     counts = NgramCounts(streams, 4)
     assert len(counts) == len(streams)
-    assert len(counts.levels) == 4  # lengths 1 to 4, no further
+    assert len(counts.keys) == 4  # lengths 1 to 4, no further
+    assert len(counts.first) == 5
     # the counting scratch does not outlive the constructor
-    assert set(vars(counts)) == {"surface", "alphabet", "base", "starts", "levels"}
+    assert set(vars(counts)) == {
+        "surface", "alphabet", "base", "keys", "matrix", "tf", "df", "where", "first"
+    }
     vocabs = tuple(fit_vocabulary(counts, c) for c in blocks)
     assert vocabs == tuple(fit_vocabulary(streams, c) for c in blocks)
     assert (union_transform(counts, vocabs) != union_transform(streams, vocabs)).nnz == 0
     with pytest.raises(ValueError, match="length 5 were not counted"):
-        counts.level(5)
+        counts.span(NgramRange(1, 5))
+    with pytest.raises(ValueError, match="length 5 were not counted"):
+        counts.columns(["ab", "abcab"])
     with pytest.raises(ValueError, match="length 5 were not counted"):
         fit_vocabulary(counts, char_config(1, 5))
 
@@ -462,24 +469,114 @@ def level_corpora(draw):
 @given(docs=level_corpora(), max_n=st.integers(1, 7))
 def test_levels_match_brute_force_counts(docs, max_n):
     ngram_counts = NgramCounts([stream_of(text) for text in docs], max_n)
-    assert len(ngram_counts.levels) == max_n
+    assert len(ngram_counts.keys) == max_n
+    first = ngram_counts.first.tolist()
+    assert first[0] == 0 and len(first) == max_n + 1
+    terms = ngram_counts.terms(np.arange(first[-1]))
     for n in range(1, max_n + 1):
-        level = ngram_counts.level(n)
-        counts = level.counts
-        terms = [ngram_counts.term(p, n) for p in level.where.tolist()]
-        assert terms == sorted(set(terms)) and len(terms) == len(level.keys)
-        assert counts.shape == (len(docs), len(terms))
-        expected_tf, expected_df = Counter(), Counter()
-        for row, text in enumerate(docs):
-            start, end = counts.indptr[row], counts.indptr[row + 1]
-            columns = counts.indices[start:end].tolist()
-            # canonical format: strictly ascending columns, so no repeats
-            assert columns == sorted(set(columns))
-            got = dict(zip((terms[c] for c in columns), counts.data[start:end].tolist()))
-            expected = Counter(brute_char_ngrams(text, n, n))
-            assert got == expected
-            expected_tf.update(expected)
-            expected_df.update(expected.keys())
-        assert counts.has_canonical_format
-        assert level.tf.tolist() == [expected_tf[t] for t in terms]
-        assert level.df.tolist() == [expected_df[t] for t in terms]
+        level = terms[first[n - 1] : first[n]]
+        assert {len(term) for term in level} <= {n}
+        assert level == sorted(set(level)) and len(level) == len(ngram_counts.keys[n - 1])
+    # one column per term and the empty column after them; each column's
+    # rows strictly ascending, so no repeats
+    matrix = ngram_counts.matrix
+    assert matrix.format == "csc" and matrix.shape == (len(docs), len(terms) + 1)
+    assert matrix.indptr[-1] == matrix.indptr[-2]
+    assert sp.csc_matrix((matrix.data, matrix.indices, matrix.indptr),
+                         shape=matrix.shape).has_canonical_format
+    rows = matrix.tocsr()
+    expected_tf, expected_df = Counter(), Counter()
+    for row, text in enumerate(docs):
+        start, end = rows.indptr[row], rows.indptr[row + 1]
+        got = dict(zip((terms[c] for c in rows.indices[start:end]), rows.data[start:end].tolist()))
+        expected = Counter(brute_char_ngrams(text, 1, max_n))
+        assert got == expected
+        expected_tf.update(expected)
+        expected_df.update(expected.keys())
+    assert ngram_counts.tf.tolist() == [expected_tf[t] for t in terms]
+    assert ngram_counts.df.tolist() == [expected_df[t] for t in terms]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    docs=level_corpora(),
+    scoring=st.lists(st.text(alphabet=WIDE_ALPHABET[:3] + ["z", " "], max_size=12), max_size=3),
+    min_n=st.integers(1, 3),
+    span=st.integers(0, 3),
+)
+def test_every_block_is_float64_with_canonical_rows(docs, scoring, min_n, span):
+    """Fitted or looked up, a block holds the documents' counts as float64
+    CSR, each row's columns strictly ascending."""
+    max_n = min_n + span
+    streams = [stream_of(text) for text in docs]
+    counts = NgramCounts(streams, max_n)
+    try:
+        vocab = fit_vocabulary(counts, char_config(min_n, max_n, weighting=Weighting.COUNT))
+    except EmptyVocabulary:
+        return
+    scored = docs + scoring
+    sides = [
+        (docs, counts),  # the fitted columns
+        (docs, NgramCounts(streams, max_n)),  # looked up: the same documents
+        (scored, NgramCounts([stream_of(text) for text in scored], max_n)),
+    ]
+    terms = vocab.terms()
+    for texts, side in sides:
+        block = vectorize._block(side, vocab)
+        assert block.format == "csr" and block.dtype == np.float64
+        assert sp.csr_matrix((block.data, block.indices, block.indptr),
+                             shape=block.shape).has_canonical_format
+        for row, text in enumerate(texts):
+            start, end = block.indptr[row], block.indptr[row + 1]
+            got = dict(zip((terms[c] for c in block.indices[start:end]),
+                           block.data[start:end].tolist()))
+            expected = Counter(brute_char_ngrams(text, min_n, max_n))
+            assert got == {term: expected[term] for term in terms if term in expected}
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=level_corpora(), max_n=st.integers(1, 5), data=st.data())
+def test_mixed_length_columns_agree_with_term_by_term_lookup(docs, max_n, data):
+    counts = NgramCounts([stream_of(text) for text in docs], max_n)
+    column_of = {term: c for c, term in enumerate(counts.terms(np.arange(counts.first[-1])))}
+    present = data.draw(st.lists(st.sampled_from(sorted(column_of)), max_size=20)) if column_of else []
+    # absent terms: over a few known symbols and some unknown ones, and
+    # present terms extended or changed by an unknown symbol
+    absent = data.draw(st.lists(
+        st.text(alphabet=WIDE_ALPHABET[:3] + ["z", "\x00", "\U0010ffff"], min_size=1,
+                max_size=max_n),
+        max_size=20,
+    ))
+    absent += [term + "z" for term in present if len(term) < max_n]
+    absent += ["z" + term[1:] for term in present]
+    terms = data.draw(st.permutations(present + absent))
+    assert counts.columns(terms).tolist() == [column_of.get(term, -1) for term in terms]
+    assert counts.columns([]).tolist() == []
+
+
+def test_a_vocabulary_given_other_counts_looks_its_terms_up(monkeypatch):
+    fitted_streams = [stream_of(t) for t in ("abcab", "bca cab")]
+    other_streams = [stream_of(t) for t in ("xyz", "zyxyz")]  # no n-gram in common
+    counts = NgramCounts(fitted_streams, 3)
+    vocab = fit_vocabulary(counts, char_config(1, 3, weighting=Weighting.COUNT))
+    lookups = []
+    columns = NgramCounts.columns
+
+    def recording_columns(self, terms):
+        lookups.append(self)
+        return columns(self, terms)
+
+    monkeypatch.setattr(NgramCounts, "columns", recording_columns)
+    fitted = union_transform(counts, (vocab,))
+    assert lookups == [] and fitted.nnz
+    other = NgramCounts(other_streams, 3)
+    assert union_transform(other, (vocab,)).nnz == 0
+    same = NgramCounts(fitted_streams, 3)
+    assert (union_transform(same, (vocab,)) != fitted).nnz == 0
+    assert lookups == [other, same]
+    # once its counts are freed, new counts (which may reuse their
+    # address) are looked up
+    del counts, same
+    for _ in range(5):
+        assert union_transform(NgramCounts(other_streams, 3), (vocab,)).nnz == 0
+    assert len(lookups) == 7
