@@ -329,13 +329,13 @@ class NgramCounts:
         reading = np.flatnonzero(lengths)  # the terms found so far that go on
         for n, level_keys in enumerate(self.keys, 1):
             keys = ranks[reading] * self.base + codes[starts[reading] + (n - 1)]
-            found = np.searchsorted(level_keys, keys)
-            hit = found < len(level_keys)
-            hit[hit] = level_keys[found[hit]] == keys[hit]
-            reading, found = reading[hit], found[hit]
-            ranks[reading] = found
+            at = np.searchsorted(level_keys, keys)
+            hit = at < len(level_keys)
+            hit[hit] = level_keys[at[hit]] == keys[hit]
+            reading, at = reading[hit], at[hit]
+            ranks[reading] = at
             ended = lengths[reading] == n
-            columns[reading[ended]] = self.first[n - 1] + found[ended]
+            columns[reading[ended]] = self.first[n - 1] + at[ended]
             reading = reading[~ended]
         return columns
 
