@@ -7,11 +7,11 @@ deterministic grid-search runner over the vectorizer/model space.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Corpus, Label, Language, SplitSpec, split_folds
 from .errors import ConvergenceWarning, EmptyGrid, EmptyMatrix, LengthMismatch, UnlabeledCorpus
@@ -31,10 +31,10 @@ from .vectorize import (
     NgramCounts,
     NgramRange,
     VectorizerConfig,
-    Vocabulary,
     Weighting,
     fit_vocabulary,
     join_blocks,
+    selected_columns,
     union_transform,
     weigh,
     with_weighting,
@@ -246,63 +246,6 @@ def evaluate_pipeline(
     return evaluate_model(model, test_corpus, positive_class, stopwords=stopwords)
 
 
-class _GroupMatrices:
-    """The matrices of one grid group (configurations whose blocks differ
-    at most in weighting) on one split, built on first use. The group's
-    vocabularies are fitted with count weighting, so that their transform
-    is each block's count matrix, built once per side for every weighting.
-
-    The group is asked for one tuple of block weightings after another,
-    in the order given, and holds one tuple's matrices at a time. The
-    count matrices are freed once the last tuple is built from them, so
-    with counts asked for before TF-IDF, TF-IDF replaces them."""
-
-    def __init__(
-        self,
-        vocabularies: list[Vocabulary],
-        train_counts: NgramCounts,
-        test_counts: NgramCounts,
-        weightings: list[tuple[Weighting, ...]],
-    ):
-        self.vocabularies = vocabularies
-        self.sides = (train_counts, test_counts)
-        self._pending = list(dict.fromkeys(weightings))
-        self._counted: list[tuple[sp.csr_matrix, sp.csr_matrix]] = []
-        self._built: tuple = ((), None)
-
-    def matrices(self, weightings: tuple[Weighting, ...]):
-        """The vocabularies, training matrix, test matrix and Gram matrix of
-        the group's configurations with these block weightings."""
-        if self._built[0] != weightings:
-            self._built = ((), None)  # freed before the next are built
-            if not self._counted:
-                self._counted = [
-                    tuple(union_transform(side, (vocab,)) for side in self.sides)
-                    for vocab in self.vocabularies
-                ]
-            spec = tuple(map(with_weighting, self.vocabularies, weightings))
-            X, X_test = (
-                join_blocks([weigh(pair[side], vocab) for pair, vocab in zip(self._counted, spec)])
-                for side in (0, 1)
-            )
-            self._pending.remove(weightings)
-            if not self._pending:
-                self._counted = []
-            self._built = weightings, (spec, X, X_test, row_gram(X))
-        return self._built[1]
-
-
-def _scored(matrices, labels: list[Label], config: PipelineConfig, language: Language):
-    """Train ``config``'s classifier on a grid group's ``matrices``: its
-    decision values on the test matrix, and the warnings that training
-    raised. No matrix outlives the call."""
-    vocabs, X, X_test, gram = matrices
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConvergenceWarning)
-        model = _fit(vocabs, X, labels, config, language, gram)
-    return decision_values(model, X_test), caught
-
-
 def grid_search(
     corpus: Corpus,
     grid: list[PipelineConfig],
@@ -328,27 +271,22 @@ def grid_search(
 
     # Work is keyed on what it computes. The corpus is preprocessed once,
     # and each split side counted once, up to the longest n-gram of any
-    # block. Configurations whose blocks differ at most in weighting (which
-    # keeps the same terms) form a group, whose blocks are fitted once per
-    # split. Term lists are told apart by their fitted columns, so caps
-    # above the term count share one list, and each classifier is trained
-    # once per split for each distinct (term lists, weightings, classifier,
-    # training config); the configurations that share it share its
-    # decision values. A group's matrices are freed before the next
-    # group's are built, and a split's counts before the next split's.
+    # block. On each split, the columns of every distinct block (weighting
+    # aside, which keeps the same terms) are selected once. Blocks that
+    # select the same columns keep one term list, named by the first of
+    # them, so caps above the term count share it. The split's plan maps
+    # each tuple of term lists to its tuples of block weightings, each to
+    # its (classifier, training config), and each to the positions of the
+    # configurations it scores. It is walked one term-list tuple at a
+    # time: each of its term lists is fitted once and counted once per
+    # side; each weightings, counts first since TF-IDF is derived from
+    # them, gets one training, test and Gram matrix, freed before the next
+    # are built; each classifier is trained once. The count matrices are
+    # freed with the last weightings, and a split's counts before the next
+    # split's are made.
     stopwords = load_stopwords(corpus.language)
     stream_of = dict(zip(corpus.author_ids(), preprocess_corpus(corpus, stopwords)))
-
-    def weightings_of(position: int) -> tuple[Weighting, ...]:
-        return tuple(vc.weighting for vc in grid[position].vectorizers)
-
-    groups: dict[tuple[VectorizerConfig, ...], list[int]] = {}
-    for position, config in enumerate(grid):
-        terms_only = tuple(replace(vc, weighting=Weighting.COUNT) for vc in config.vectorizers)
-        groups.setdefault(terms_only, []).append(position)
-    for positions in groups.values():  # counts first: TF-IDF is derived from them
-        positions.sort(key=lambda p: [w is Weighting.TFIDF for w in weightings_of(p)])
-    max_n = max(vc.range.max_n for blocks in groups for vc in blocks)
+    max_n = max(vc.range.max_n for config in grid for vc in config.vectorizers)
     reports: list[list[EvalReport]] = [[] for _ in grid]
     for split, (train_part, test_part) in enumerate(pairs):
         train_counts, test_counts = (
@@ -356,32 +294,50 @@ def grid_search(
             for part in (train_part, test_part)
         )
         labels = [author.label for author in train_part]
-        term_lists: dict[bytes, int] = {}
-        outcomes: dict[tuple, tuple[np.ndarray, list]] = {}  # values, warnings
-        for blocks, positions in groups.items():
-            vocabularies = [fit_vocabulary(train_counts, vc) for vc in blocks]
-            lists = tuple(
-                term_lists.setdefault(vocab.fitted_columns.tobytes(), len(term_lists))
-                for vocab in vocabularies
-            )
-            asked = [weightings_of(p) for p in positions]
-            group = _GroupMatrices(vocabularies, train_counts, test_counts, asked)
-            for position, weightings in zip(positions, asked):
-                config = grid[position]
-                outcome = (lists, weightings, config.model_kind, config.train)
-                if outcome not in outcomes:
-                    outcomes[outcome] = _scored(
-                        group.matrices(weightings), labels, config, corpus.language
-                    )
-                values, caught = outcomes[outcome]
-                for warning in caught:  # said again with the configuration and split
-                    warnings.warn(
-                        f"{config.key()} split {split}: {warning.message}",
-                        warning.category,
-                        stacklevel=2,
-                    )
-                reports[position].append(_report(test_part, values, positive_class))
-            del vocabularies, group
+        first_block: dict[bytes, VectorizerConfig] = {}  # of each term list, by its columns
+        term_list: dict[VectorizerConfig, VectorizerConfig] = {}  # each block's, by first block
+        plan: dict[tuple[VectorizerConfig, ...], dict[tuple[Weighting, ...], dict]] = {}
+        for position, config in enumerate(grid):
+            blocks = [replace(vc, weighting=Weighting.COUNT) for vc in config.vectorizers]
+            for block in blocks:
+                if block not in term_list:
+                    columns = selected_columns(train_counts, block).tobytes()
+                    term_list[block] = first_block.setdefault(columns, block)
+            lists = tuple(map(term_list.get, blocks))
+            weightings = tuple(vc.weighting for vc in config.vectorizers)
+            by_classifier = plan.setdefault(lists, {}).setdefault(weightings, {})
+            by_classifier.setdefault((config.model_kind, config.train), []).append(position)
+        for lists, by_weightings in plan.items():
+            vocab_of = {b: fit_vocabulary(train_counts, b) for b in dict.fromkeys(lists)}
+            counted = {
+                block: [union_transform(side, (vocab,)) for side in (train_counts, test_counts)]
+                for block, vocab in vocab_of.items()
+            }
+            asked = sorted(by_weightings, key=lambda ws: [w is Weighting.TFIDF for w in ws])
+            for weightings in asked:
+                vocabs = tuple(map(with_weighting, map(vocab_of.get, lists), weightings))
+                X, X_test = (
+                    join_blocks([weigh(counted[b][side], v) for b, v in zip(lists, vocabs)])
+                    for side in (0, 1)
+                )
+                if weightings == asked[-1]:
+                    del counted  # TF-IDF replaces them
+                gram = row_gram(X)
+                for positions in by_weightings[weightings].values():
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always", ConvergenceWarning)
+                        model = _fit(vocabs, X, labels, grid[positions[0]], corpus.language, gram)
+                    values = decision_values(model, X_test)
+                    for position in positions:
+                        for warning in caught:  # said again with the configuration and split
+                            warnings.warn(
+                                f"{grid[position].key()} split {split}: {warning.message}",
+                                warning.category,
+                                stacklevel=2,
+                            )
+                        reports[position].append(_report(test_part, values, positive_class))
+                del X, X_test, gram, model  # before the next ones are built
+            del vocab_of, vocabs
         del train_counts, test_counts
 
     results = [
@@ -453,29 +409,26 @@ def default_grid(
     models=GRID_MODELS,
 ) -> list[PipelineConfig]:
     """The full sweep over the documented hyperparameter ranges:
-    n-gram range x min_df x max_features x weighting x model."""
-    grid = []
-    for weighting in weightings:
-        for ngram_range in ranges:
-            for cap in max_features:
-                for min_df in min_dfs:
-                    for model_kind in models:
-                        grid.append(
-                            PipelineConfig(
-                                vectorizers=(
-                                    VectorizerConfig(
-                                        analyzer=Analyzer.CHAR,
-                                        range=ngram_range,
-                                        max_features=cap,
-                                        min_df=min_df,
-                                        weighting=weighting,
-                                    ),
-                                ),
-                                model_kind=model_kind,
-                            )
-                        )
-    grid.sort(key=lambda c: c.key())
-    return grid
+    n-gram range x min_df x max_features x weighting x model, each
+    configuration once (a value given twice adds none), in key order."""
+    grid = {}
+    for weighting, ngram_range, cap, min_df, model_kind in itertools.product(
+        weightings, ranges, max_features, min_dfs, models
+    ):
+        config = PipelineConfig(
+            vectorizers=(
+                VectorizerConfig(
+                    analyzer=Analyzer.CHAR,
+                    range=ngram_range,
+                    max_features=cap,
+                    min_df=min_df,
+                    weighting=weighting,
+                ),
+            ),
+            model_kind=model_kind,
+        )
+        grid[config.key()] = config
+    return [grid[key] for key in sorted(grid)]
 
 
 # ----------------------------------------------------------------------

@@ -356,39 +356,46 @@ def smooth_idf(corpus_size: int, df: int) -> float:
     return math.log((1 + corpus_size) / (1 + df)) + 1.0
 
 
-def fit_vocabulary(
-    streams: Sequence[TokenStream] | NgramCounts, config: VectorizerConfig
-) -> Vocabulary:
-    """Fit a vocabulary over the given streams (or their shared counts).
+def selected_columns(counts: NgramCounts, config: VectorizerConfig) -> np.ndarray:
+    """The columns of ``counts`` that a fit under ``config`` keeps, in
+    ascending order, with no term made but those tied at a cap.
 
     Terms below ``min_df`` documents are dropped first; if
     ``max_features`` is set, the survivors are ranked by total corpus
     term frequency (ties broken toward the lexicographically smaller
-    term) and the top slice kept. Indices run lexicographically.
+    term) and the top slice kept.
     """
-    counts = _as_counts(streams, config.range.max_n)
     if not len(counts):
         raise ValueError("fit_vocabulary needs at least one stream")
     span = counts.span(config.range)
     numbers = span.start + np.flatnonzero(counts.df[span] >= config.min_df)
-    tf = counts.tf[numbers]
-
-    kept = np.arange(len(tf))
     cap = config.max_features
-    if cap is not None and len(kept) > cap:
+    if cap is not None and len(numbers) > cap:
+        tf = counts.tf[numbers]
         threshold = np.partition(tf, len(tf) - cap)[len(tf) - cap]
         tied = np.flatnonzero(tf == threshold)
         tied_terms = counts.terms(numbers[tied])
         slots = cap - int(np.count_nonzero(tf > threshold))
         by_term = sorted(range(len(tied)), key=tied_terms.__getitem__)[:slots]
-        kept = np.sort(np.concatenate([np.flatnonzero(tf > threshold), tied[by_term]]))
-    if not len(kept):
+        numbers = numbers[np.sort(np.concatenate([np.flatnonzero(tf > threshold), tied[by_term]]))]
+    if not len(numbers):
         raise EmptyVocabulary(f"no term survived min_df={config.min_df}")
+    return numbers
 
-    found = counts.terms(numbers[kept])
+
+def fit_vocabulary(
+    streams: Sequence[TokenStream] | NgramCounts, config: VectorizerConfig
+) -> Vocabulary:
+    """Fit a vocabulary over the given streams (or their shared counts):
+    the terms of ``selected_columns``, indexed lexicographically, with
+    their document frequencies and, for TF-IDF, their smooth idfs.
+    """
+    counts = _as_counts(streams, config.range.max_n)
+    numbers = selected_columns(counts, config)
+    found = counts.terms(numbers)
     order = sorted(range(len(found)), key=found.__getitem__)
     terms = list(map(found.__getitem__, order))
-    fitted_columns = numbers[kept][order]
+    fitted_columns = numbers[order]
     document_frequency = counts.df[fitted_columns].tolist()
     corpus_size = len(counts)
     idf = None

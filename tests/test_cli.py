@@ -154,6 +154,19 @@ class TestGridSearch:
         assert report_path.exists()
         assert "mean_accuracy" in report_path.read_text()
 
+    @pytest.mark.parametrize("flags", [
+        ["--ranges", "1:2,1:2", "--weighting", "tfidf", "--models", "svm"],
+        ["--ranges", "1:2", "--weighting", "count,count", "--models", "svm,svm"],
+    ])
+    def test_a_repeated_flag_value_adds_no_row(self, small_synth_dir, flags, capsys):
+        """The TSV has one row per configuration, however often a flag
+        names a value."""
+        assert run(["gridsearch", "--input", small_synth_dir, "--lang", "en",
+                    "--min-df", "1", "--max-features", "200", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2  # header + 1 config
+        assert lines[1].startswith("1\t")
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):

@@ -286,6 +286,28 @@ TWO_BLOCKS = PipelineConfig(
 )
 
 
+# Count weighting, [1;3], cap 300: min_df 1 and 2 keep one term list on
+# every split of the hard corpus, under different classifiers.
+SHARED_TERMS = [
+    PipelineConfig(
+        vectorizers=(VectorizerConfig(range=NgramRange(1, 3), max_features=300, min_df=min_df,
+                                      weighting=Weighting.COUNT),),
+        model_kind=model_kind,
+    )
+    for min_df, model_kind in ((1, ModelKind.SVM), (2, ModelKind.LOGREG))
+]
+
+# The block of a single-block configuration of the grid below, twice.
+REPEATED_BLOCK = PipelineConfig(
+    vectorizers=(
+        VectorizerConfig(range=NgramRange(2, 4), max_features=300, min_df=2),
+        VectorizerConfig(range=NgramRange(2, 4), max_features=300, min_df=2,
+                         weighting=Weighting.COUNT),
+    ),
+    model_kind=ModelKind.SVM,
+)
+
+
 @pytest.fixture(scope="module")
 def hard_corpus(tmp_path_factory):
     """Few tweets per author, so configurations disagree on accuracy."""
@@ -300,11 +322,13 @@ class TestSharedGrid:
     configurations; its output must equal scoring each configuration on
     its own."""
 
+    # SHARED_TERMS repeats two of the default grid's configurations, and
+    # each list entry is reported.
     GRID = default_grid(
         ranges=(NgramRange(1, 3), NgramRange(2, 4)),
         min_dfs=(1, 2),
         max_features=(300,),
-    ) + [TWO_BLOCKS]
+    ) + [TWO_BLOCKS, REPEATED_BLOCK] + SHARED_TERMS
 
     @pytest.mark.parametrize("folds", [1, 3])
     def test_equals_per_config_evaluation(self, hard_corpus, folds):
@@ -341,12 +365,17 @@ class TestSharedGrid:
             vectorizers=(VectorizerConfig(range=NgramRange(1, 6)),), model_kind=ModelKind.SVM
         )]
 
-        authors_of, fitted = {}, []
+        authors_of, selected, fitted = {}, [], []
 
         class RecordingCounts(NgramCounts):
             def __init__(self, streams, max_n):
                 super().__init__(streams, max_n)
                 authors_of[id(self)] = [stream.author_id for stream in streams]
+
+        def recording_selection(counts, config):
+            columns = vectorize.selected_columns(counts, config)
+            selected.append((authors_of[id(counts)], config, tuple(counts.terms(columns))))
+            return columns
 
         def recording_fit(counts, config):
             vocab = fit_vocabulary(counts, config)
@@ -354,15 +383,28 @@ class TestSharedGrid:
             return vocab
 
         monkeypatch.setattr(evaluation, "NgramCounts", RecordingCounts)
+        monkeypatch.setattr(evaluation, "selected_columns", recording_selection)
         monkeypatch.setattr(evaluation, "fit_vocabulary", recording_fit)
         grid_search(corpus, grid, spec, folds=folds)
 
-        # one fit per split for each block's terms, whatever its weighting
-        fits = {replace(vc, weighting=Weighting.COUNT) for c in grid for vc in c.vectorizers}
-        assert len(fitted) == len(fits) * len(pairs)
+        # one selection per split for each block's terms, whatever its
+        # weighting, and however many configurations share the block
+        blocks = {replace(vc, weighting=Weighting.COUNT) for c in grid for vc in c.vectorizers}
+        assert len(selected) == len({(tuple(a), c) for a, c, _ in selected}) == len(blocks) * folds
+        repeated = REPEATED_BLOCK.vectorizers[1]  # also a single-block configuration's block
+        assert sum(config == repeated for _, config, _ in selected) == folds
+        # one fit per split for each distinct term list of a term-list tuple
         streams = {s.author_id: s for s in
                    preprocess_corpus(corpus, load_stopwords(corpus.language))}
+        term_lists = [{tuple(terms for terms, _ in matrix) for matrix in matrices}
+                      for matrices in self._distinct_matrices(grid, corpus, pairs)]
+        assert len(fitted) == sum(len(set(lists)) for split in term_lists for lists in split)
+        assert len(fitted) < len(selected)
         train_sides = [train.author_ids() for train, _ in pairs]
+        for author_ids, config, terms in selected:
+            assert author_ids in train_sides
+            alone = fit_vocabulary([streams[author_id] for author_id in author_ids], config)
+            assert sorted(terms) == sorted(alone.terms())
         for author_ids, config, vocab in fitted:
             assert author_ids in train_sides
             alone = fit_vocabulary([streams[author_id] for author_id in author_ids], config)
@@ -393,8 +435,9 @@ class TestSharedGrid:
 
     @pytest.mark.parametrize("folds", [1, 3])
     def test_each_side_is_counted_once_per_term_list(self, hard_corpus, folds, monkeypatch):
-        """One count matrix per side for each distinct term list of a
-        split, the training side's from the fit's columns, never looked up."""
+        """One count matrix per side for each distinct term list of each
+        term-list tuple of a split, the training side's from the fit's
+        columns, never looked up."""
         built, lookups = [], []  # (counts, whether from the fit's columns)
         block, columns = vectorize._block, NgramCounts.columns
 
@@ -414,8 +457,9 @@ class TestSharedGrid:
         grid_search(hard_corpus, self.GRID, spec, folds=folds)
         pairs = split_folds(hard_corpus, spec, folds)
         term_lists = sum(
-            len({terms for matrix in matrices for terms, _ in matrix})
+            len(set(lists))
             for matrices in self._distinct_matrices(self.GRID, hard_corpus, pairs)
+            for lists in {tuple(terms for terms, _ in matrix) for matrix in matrices}
         )
         assert term_lists < sum(len(c.vectorizers) for c in self.GRID) * folds  # some shared
         assert len(built) == 2 * term_lists
@@ -454,10 +498,10 @@ class TestSharedGrid:
         ranges=(NgramRange(1, 2), NgramRange(1, 3)), min_dfs=(1, 2), max_features=(10**5, 10**6)
     )
 
-    @pytest.mark.parametrize("folds", [1, 3])
-    def test_builds_per_split_on_a_grid_whose_caps_saturate(
-        self, hard_corpus, folds, monkeypatch
-    ):
+    @staticmethod
+    def _builds_per_split(monkeypatch, corpus, grid, folds):
+        """Per split, what the grid search built, by kind: the arguments
+        that tell each build apart."""
         events = []
 
         def record(name, function, event):
@@ -469,10 +513,14 @@ class TestSharedGrid:
         def matrix(X):
             return X.shape, X.data.tobytes(), X.indices.tobytes(), X.indptr.tobytes()
 
+        def block(counts, vc):
+            return vc.range, vc.min_df, vc.max_features
+
         monkeypatch.setattr(NgramCounts, "__init__",
                             record("counts", NgramCounts.__init__, lambda *a: None))
-        monkeypatch.setattr(evaluation, "fit_vocabulary", record(
-            "fit", fit_vocabulary, lambda counts, vc: (vc.range, vc.min_df, vc.max_features)))
+        monkeypatch.setattr(evaluation, "selected_columns",
+                            record("select", vectorize.selected_columns, block))
+        monkeypatch.setattr(evaluation, "fit_vocabulary", record("fit", fit_vocabulary, block))
         monkeypatch.setattr(vectorize, "_block", record(
             "block", vectorize._block, lambda counts, vocab: tuple(vocab.terms())))
         gram = record("gram", models.row_gram, matrix)
@@ -480,22 +528,50 @@ class TestSharedGrid:
         monkeypatch.setattr(models, "row_gram", gram)
         monkeypatch.setattr(evaluation, "train", record(
             "train", models.train, lambda X, y, config, **kw: (matrix(X), config.loss)))
-        grid_search(hard_corpus, self.SATURATING, SplitSpec(seed=11), folds=folds)
+        grid_search(corpus, grid, SplitSpec(seed=11), folds=folds)
 
-        assert len(self.SATURATING) == 32
         starts = [i for i, (name, _) in enumerate(events) if name == "counts"][::2]
         assert len(starts) == folds
+        splits = []
         for start, end in zip(starts, starts[1:] + [len(events)]):
-            split = {}
+            splits.append({})
             for name, event in events[start:end]:
-                split.setdefault(name, []).append(event)
-            assert len(split["counts"]) == 2  # one NgramCounts per side
-            # one fit per (range, min_df, max_features); 4 term lists of 8 fits
-            assert len(split["fit"]) == len(set(split["fit"])) == 8
+                splits[-1].setdefault(name, []).append(event)
+            assert len(splits[-1]["counts"]) == 2  # one NgramCounts per side
+        return splits
+
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_builds_per_split_on_a_grid_whose_caps_saturate(
+        self, hard_corpus, folds, monkeypatch
+    ):
+        assert len(self.SATURATING) == 32
+        for split in self._builds_per_split(monkeypatch, hard_corpus, self.SATURATING, folds):
+            # one selection per (range, min_df, max_features); 4 term lists
+            # of 8 selections, each fitted once
+            assert len(split["select"]) == len(set(split["select"])) == 8
+            assert len(split["fit"]) == len(set(split["fit"])) == 4
             assert len(split["block"]) == 2 * len(set(split["block"])) == 2 * 4
             # one Gram per (weighting, term list); one model per (matrix, classifier)
             assert len(split["gram"]) == len(set(split["gram"])) == 2 * 4
             assert len(split["train"]) == len(set(split["train"])) == 2 * 2 * 4
+
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_classifiers_of_one_term_list_share_its_matrices(
+        self, hard_corpus, folds, monkeypatch
+    ):
+        """Two configurations that keep one term list under different
+        classifiers: one count matrix per side and one Gram per split."""
+        pairs = split_folds(hard_corpus, SplitSpec(seed=11), folds)
+        assert all(
+            len(matrices) == 1
+            for matrices in self._distinct_matrices(SHARED_TERMS, hard_corpus, pairs)
+        )
+        for split in self._builds_per_split(monkeypatch, hard_corpus, SHARED_TERMS, folds):
+            assert len(split["select"]) == 2
+            assert len(split["fit"]) == 1
+            assert len(split["block"]) == 2  # one per side
+            assert len(split["gram"]) == 1
+            assert len(split["train"]) == len(set(split["train"])) == 2
 
     @pytest.mark.parametrize("folds", [1, 3])
     def test_every_matrix_equals_its_configuration_transformed_alone(

@@ -23,6 +23,7 @@ from spreader_profiler.vectorize import (
     Weighting,
     extract_char_ngrams,
     fit_vocabulary,
+    selected_columns,
     smooth_idf,
     transform,
     union_transform,
@@ -412,6 +413,44 @@ def test_batch_builder_matches_oracle(docs, scoring, min_n, span, min_df, weight
         dense = X[row].toarray().ravel().tolist()
         assert dense == brute_transform(text, index, idf, min_n, max_n)
         assert dense_from_sparse(transform(stream_of(text), vocab)) == dense
+
+
+def _raised(call):
+    """The type and message of the error ``call`` raises, or None."""
+    try:
+        call()
+    except (EmptyVocabulary, ValueError) as error:
+        return type(error), str(error)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    docs=training_corpora(),
+    min_n=st.integers(min_value=1, max_value=7),
+    span=st.integers(min_value=0, max_value=3),
+    min_df=st.integers(min_value=1, max_value=2),
+    weighting=st.sampled_from([Weighting.TFIDF, Weighting.COUNT]),
+    data=st.data(),
+)
+def test_selected_columns_are_the_fits_columns(docs, min_n, span, min_df, weighting, data):
+    """The columns a fit keeps, ascending, with the fit's errors: none
+    kept, a length not counted and no stream at all."""
+    max_n = min(min_n + span, 7)
+    ties = tied_caps(docs, min_n, max_n, min_df)
+    caps = [st.none(), st.integers(1, 8)] + ([st.sampled_from(ties)] * 2 if ties else [])
+    cap = data.draw(st.one_of(caps), label="cap")
+    counted = data.draw(st.sampled_from([max_n, max_n, max_n, max(max_n - 1, 1)]), label="counted")
+    streams = data.draw(st.sampled_from([docs] * 4 + [[]]), label="streams")
+    counts = NgramCounts([stream_of(text, f"d{i}") for i, text in enumerate(streams)], counted)
+    config = char_config(min_n, max_n, cap, min_df, weighting)
+    raised = _raised(lambda: fit_vocabulary(counts, config))
+    assert _raised(lambda: selected_columns(counts, config)) == raised
+    if raised is None:
+        columns = selected_columns(counts, config)
+        assert columns.tolist() == np.sort(fit_vocabulary(counts, config).fitted_columns).tolist()
+        index, _, _ = brute_fit(docs, min_n, max_n, min_df, cap, weighting is Weighting.TFIDF)
+        assert sorted(counts.terms(columns)) == sorted(index)
 
 
 def test_batch_builder_shares_counts_across_blocks():
