@@ -68,7 +68,14 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _comma_list(parse_one):
     def parse(text: str):
-        return tuple(parse_one(piece.strip()) for piece in text.split(",") if piece.strip())
+        values = []
+        for piece in filter(None, map(str.strip, text.split(","))):
+            try:  # the piece is named, where argparse would name this function
+                values.append(parse_one(piece))
+            except ValueError as exc:
+                message = f"invalid {parse_one.__name__} value: {piece!r}"
+                raise argparse.ArgumentTypeError(message) from exc
+        return tuple(values)
 
     return parse
 

@@ -162,19 +162,10 @@ def _to_csr(vectors: list[SparseVector]) -> sp.csr_matrix:
     dims = {v.dimension for v in vectors}
     if len(dims) != 1:
         raise DimensionMismatch(f"vectors disagree on dimension: {sorted(dims)}")
-    dim = dims.pop()
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for vector in vectors:
-        for index, value in vector.entries:
-            indices.append(index)
-            data.append(value)
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64), indptr),
-        shape=(len(vectors), dim),
-    )
+    indptr = np.cumsum([0, *(len(vector.entries) for vector in vectors)])
+    indices = np.fromiter((i for vector in vectors for i, _ in vector.entries), dtype=np.int64)
+    data = np.fromiter((v for vector in vectors for _, v in vector.entries), dtype=np.float64)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dims.pop()))
 
 
 def _data_term(t, C, loss):
@@ -199,9 +190,9 @@ _GRAM_BLOCK_BYTES = 1 << 22
 _GRAM_MIN_BLOCKS = 16
 
 
-def row_gram(X: sp.csr_matrix) -> np.ndarray:
-    """``X X^T`` as a dense array, summed over dense blocks of columns.
-    ``train`` takes it, so that the models fitted to one matrix share it."""
+def row_gram(X: sp.csc_matrix) -> np.ndarray:
+    """``X X^T`` as a dense array, summed over dense blocks of contiguous
+    columns. ``train`` takes it, so that the models fitted to X share it."""
     n_rows, n_columns = X.shape
     width = max(1, min(_GRAM_BLOCK_BYTES // (8 * n_rows), -(-n_columns // _GRAM_MIN_BLOCKS)))
     gram = np.zeros((n_rows, n_rows))
@@ -222,7 +213,7 @@ class _RowBasis:
     off its image.
     """
 
-    def __init__(self, X: sp.csr_matrix, gram: np.ndarray, fit_intercept: bool):
+    def __init__(self, X: sp.csc_matrix, gram: np.ndarray, fit_intercept: bool):
         self.X = X
         self.gram = gram
         self.n_samples = X.shape[0]
@@ -341,14 +332,15 @@ def _lbfgs_direction(grad, pairs):
     return -q
 
 
-def _minimize(X, y_pm, C, loss, fit_intercept, tolerance, max_iterations, gram=None):
+def _minimize(X, y_pm, config: TrainConfig, gram=None):
     """Descent with Armijo backtracking from zero in the basis of the
     rows of ``X``, by Newton steps for the squared hinge and by L-BFGS
     for the logistic loss (see the module docstring); ``gram`` is
     ``row_gram(X)``, when the caller has it. Returns the weights, the
     bias, the objective history, the convergence flag and the iteration
     count."""
-    basis = _RowBasis(X, row_gram(X) if gram is None else gram, fit_intercept)
+    C, loss = config.C, config.loss
+    basis = _RowBasis(X, row_gram(X) if gram is None else gram, config.fit_intercept)
     newton = loss is LossKind.SQUARED_HINGE
 
     def evaluate(theta):
@@ -364,7 +356,7 @@ def _minimize(X, y_pm, C, loss, fit_intercept, tolerance, max_iterations, gram=N
 
     g, g_image = basis.split(grad)
     n_iter = 0
-    while _norm(g, g_image) > tolerance and n_iter < max_iterations:
+    while _norm(g, g_image) > config.tolerance and n_iter < config.max_iterations:
         if newton:
             direction = basis.with_image(basis.newton_direction(g, t, C))
         else:
@@ -397,7 +389,7 @@ def _minimize(X, y_pm, C, loss, fit_intercept, tolerance, max_iterations, gram=N
         history.append(value)
         n_iter += 1
 
-    converged = _norm(g, g_image) <= tolerance
+    converged = _norm(g, g_image) <= config.tolerance
     w, b = basis.weights(theta)
     return w, b, history, converged, n_iter
 
@@ -422,23 +414,12 @@ def train(
 ) -> LinearModel:
     """Train a linear model on the rows of ``X`` (a sparse matrix or a
     list of vectors); the loss in ``config`` picks the kind. ``gram`` is
-    ``row_gram(X)``, for a caller that trains several models on ``X``."""
-    X_csr = sp.csr_matrix(X, dtype=np.float64) if sp.issparse(X) else _to_csr(X)
-    _validate_training_inputs(X_csr.shape[0], y)
-    y_pm = np.asarray(
-        [1.0 if label == Label.FAKE_NEWS_SPREADER else -1.0 for label in y],
-        dtype=np.float64,
-    )
-    w, b, history, converged, n_iter = _minimize(
-        X_csr,
-        y_pm,
-        config.C,
-        config.loss,
-        config.fit_intercept,
-        config.tolerance,
-        config.max_iterations,
-        gram,
-    )
+    ``row_gram(X)``, for a caller that trains several models on ``X``.
+    Float64 CSC is used as it is; other input is converted to it once."""
+    X = sp.csc_matrix(X if sp.issparse(X) else _to_csr(X), dtype=np.float64)
+    _validate_training_inputs(X.shape[0], y)
+    y_pm = np.where([label == Label.FAKE_NEWS_SPREADER for label in y], 1.0, -1.0)
+    w, b, history, converged, n_iter = _minimize(X, y_pm, config, gram)
     if not converged:
         warnings.warn(
             f"optimizer hit max_iterations={config.max_iterations} before reaching "

@@ -27,9 +27,9 @@ over all of them, each length's built in linear time: a counting sort
 of the occurrences by column leaves every column's rows ascending, so
 repeats are summed with no comparison sort. A vocabulary is a set of
 those columns: fitting selects from the slice of its lengths, and a
-transform gathers its columns into a CSR block, whose rows come out in
-term order. Python strings are made only for the terms a vocabulary
-keeps.
+transform gathers its columns into a CSC block in term order: CSC is the
+one layout from the counts to the scores. Python strings are made only
+for the terms a vocabulary keeps.
 """
 
 from __future__ import annotations
@@ -429,9 +429,9 @@ def with_weighting(vocab: Vocabulary, weighting: Weighting) -> Vocabulary:
     return weighted
 
 
-def _block(counts: NgramCounts, vocab: Vocabulary) -> sp.csr_matrix:
+def _block(counts: NgramCounts, vocab: Vocabulary) -> sp.csc_matrix:
     """One vocabulary's documents x terms occurrence counts, as float64
-    with each row's columns ascending: the vocabulary's columns of
+    CSC with each column's rows ascending: the vocabulary's columns of
     ``counts`` gathered in term order. The columns are its fitted ones
     when ``counts`` are the counts it was fitted on, and looked up
     otherwise."""
@@ -439,32 +439,38 @@ def _block(counts: NgramCounts, vocab: Vocabulary) -> sp.csr_matrix:
         columns = vocab.fitted_columns
     else:
         columns = counts.columns(vocab.terms())
-    # CSC to CSR lays each row out in column order
-    block = counts.matrix[:, columns].tocsr()
+    block = counts.matrix[:, columns]
     block.data = block.data.astype(np.float64)
     return block
 
 
-def weigh(block: sp.csr_matrix, vocab: Vocabulary) -> sp.csr_matrix:
+# Entries weighed at a time, so that no temporary is the block's size.
+_NORM_SLICE = 1 << 16
+
+
+def weigh(block: sp.csc_matrix, vocab: Vocabulary) -> sp.csc_matrix:
     """A count matrix of ``vocab``'s terms, weighted as ``vocab`` says: the
     counts themselves, or a new matrix of TF-IDF values with each row
-    L2-normalized."""
+    L2-normalized: its squares added one at a time in stored order, column
+    by column, so left to right in term order."""
     if vocab.config.weighting is Weighting.COUNT:
         return block
-    values = block.data * vocab.columns.idf[block.indices]
-    for start, end in zip(block.indptr[:-1].tolist(), block.indptr[1:].tolist()):
-        if end > start:
-            row = values[start:end]
-            # the squares summed in index order, one term at a time
-            row /= math.sqrt(sum((row * row).tolist()))
-    weighted = sp.csr_matrix((values, block.indices, block.indptr), shape=block.shape)
-    weighted.has_sorted_indices = True
-    return weighted
+    values = np.repeat(vocab.columns.idf, np.diff(block.indptr))
+    values *= block.data
+    rows = block.indices
+    parts = [slice(start, start + _NORM_SLICE) for start in range(0, len(values), _NORM_SLICE)]
+    squares = np.zeros(block.shape[0])
+    for part in parts:
+        np.add.at(squares, rows[part], np.square(values[part]))
+    norms = np.sqrt(squares)
+    for part in parts:
+        values[part] /= norms[rows[part]]
+    return sp.csc_matrix((values, block.indices, block.indptr), shape=block.shape)
 
 
 def union_transform(
     streams: Sequence[TokenStream] | NgramCounts, vocabs: tuple[Vocabulary, ...]
-) -> sp.csr_matrix:
+) -> sp.csc_matrix:
     """Vectorize the streams against each vocabulary block and
     concatenate the blocks column-wise: one row per stream.
 
@@ -477,15 +483,15 @@ def union_transform(
     return join_blocks([weigh(_block(counts, vocab), vocab) for vocab in vocabs])
 
 
-def join_blocks(blocks: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
-    """The blocks side by side, in order, as one matrix."""
-    return blocks[0] if len(blocks) == 1 else sp.hstack(blocks, format="csr")
+def join_blocks(blocks: Sequence[sp.csc_matrix]) -> sp.csc_matrix:
+    """The blocks side by side, in order: their columns concatenated."""
+    return blocks[0] if len(blocks) == 1 else sp.hstack(blocks, format="csc")
 
 
 def transform(stream: TokenStream, vocab: Vocabulary) -> SparseVector:
     """Vectorize one stream against a fitted vocabulary (see
     ``union_transform``)."""
-    row = union_transform([stream], (vocab,))
+    row = union_transform([stream], (vocab,)).tocsr()
     return SparseVector(
         entries=tuple(zip(row.indices.tolist(), row.data.tolist())), dimension=vocab.dimension
     )

@@ -294,6 +294,14 @@ class TestExitCodes:
             (["gridsearch", "--lang", "en", "--folds", "abc"], None,
              "argument --folds: invalid int value: 'abc'"),
             (["train", "--lang", "en"], "seed=abc\n", "argument --seed: invalid int value: 'abc'"),
+            (["gridsearch", "--lang", "en", "--models", "svm,foo"], None,
+             "argument --models: invalid ModelKind value: 'foo'"),
+            (["gridsearch", "--lang", "en", "--weighting", "count, idf"], None,
+             "argument --weighting: invalid Weighting value: 'idf'"),
+            (["gridsearch", "--lang", "en", "--min-df", "1,2.5,x"], None,
+             "argument --min-df: invalid int value: '2.5'"),
+            (["gridsearch", "--lang", "en"], "ranges=1:3,3:1\n",
+             "argument --ranges: max_n must be >= min_n, got [3;1]"),
         ],
     )
     def test_bad_command_line_is_one_usage_line(self, argv, config, message, tmp_path, capsys):

@@ -534,27 +534,75 @@ class TestNewton:
 
 class TestGram:
     """``row_gram`` sums dense blocks of columns; integer data makes every
-    sum exact, whatever the blocks."""
+    sum exact, whatever the blocks and the layout."""
+
+    FORMATS = ("csr", "csc")
 
     @staticmethod
-    def matrix(n_columns, seed=0):
+    def matrix(n_columns, format, seed=0):
         rng = np.random.default_rng(seed)
         dense = rng.integers(0, 4, size=(5, n_columns)).astype(np.float64)
         dense[:, ::3] = 0.0  # empty columns
         dense[2] = 0.0  # an empty row
-        return sp.csr_matrix(dense)
+        return sp.csr_matrix(dense).asformat(format)
 
     @pytest.mark.parametrize("n_columns", [1, 4, 5, 6, 11])
     def test_blocks_of_the_byte_budget(self, n_columns, monkeypatch):
         monkeypatch.setattr(models, "_GRAM_BLOCK_BYTES", 8 * 5 * 5)  # 5 columns
         monkeypatch.setattr(models, "_GRAM_MIN_BLOCKS", 1)
-        X = self.matrix(n_columns)
-        assert np.array_equal(row_gram(X), (X @ X.T).toarray())
+        for format in self.FORMATS:
+            X = self.matrix(n_columns, format)
+            assert np.array_equal(row_gram(X), (X @ X.T).toarray())
 
     @pytest.mark.parametrize("n_columns", [1, 15, 16, 17, 100])
     def test_blocks_of_a_share_of_the_columns(self, n_columns):
-        X = self.matrix(n_columns, seed=n_columns)
-        assert np.array_equal(row_gram(X), (X @ X.T).toarray())
+        for format in self.FORMATS:
+            X = self.matrix(n_columns, format, seed=n_columns)
+            assert np.array_equal(row_gram(X), (X @ X.T).toarray())
+
+
+class TestLayout:
+    """CSC is the layout from the counts to the scores. A CSR matrix or a
+    list of vectors of the same rows trains to the same bits, and both
+    layouts score to the same bits."""
+
+    @staticmethod
+    def problem():
+        rng = random.Random(5)
+        authors = tuple(
+            synth_author(rng, label, Language.EN, 12) for label in (TRUE, FAKE) for _ in range(6)
+        )
+        counts = NgramCounts(preprocess_corpus(Corpus(Language.EN, authors),
+                                               load_stopwords(Language.EN)), 3)
+        config = VectorizerConfig(range=NgramRange(1, 3), max_features=400)
+        X = union_transform(counts, (fit_vocabulary(counts, config),))
+        return X, [author.label for author in authors]
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_every_layout_trains_and_scores_to_the_same_bits(self, loss, monkeypatch):
+        X, labels = self.problem()
+        assert X.format == "csc"
+        rows = X.tocsr()
+        vectors = [
+            SparseVector(tuple(zip(row.indices.tolist(), row.data.tolist())), X.shape[1])
+            for row in rows
+        ]
+        given, minimize = [], models._minimize
+
+        def recording(X, *args):
+            given.append(X)
+            return minimize(X, *args)
+
+        monkeypatch.setattr(models, "_minimize", recording)
+        fitted = [train(inputs, labels, TrainConfig(loss=loss)) for inputs in (X, rows, vectors)]
+        assert all(matrix.format == "csc" for matrix in given)
+        assert np.shares_memory(given[0].data, X.data)  # used as it is, not copied
+        for model in fitted[1:]:
+            assert model.weights.tobytes() == fitted[0].weights.tobytes()
+            assert model.bias.hex() == fitted[0].bias.hex()
+        for model in fitted:
+            scores = decision_values(model, X)
+            assert decision_values(model, rows).tobytes() == scores.tobytes()
 
 
 class TestPredict:

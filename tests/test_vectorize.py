@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -232,10 +233,11 @@ class TestFeatureUnion:
 
     def test_index_arithmetic(self):
         X = union_transform(self.streams, self.blocks())
-        assert X.shape == (2, 4)
-        assert X[0].indices.tolist() == [0, 1, 3]
+        assert X.format == "csc" and X.shape == (2, 4)
+        rows = X.tocsr()
+        assert rows[0].indices.tolist() == [0, 1, 3]
         assert X[0, 3] == 1.0
-        assert X[1].indices.tolist() == [0, 2]
+        assert rows[1].indices.tolist() == [0, 2]
         assert X[1, 2] == 1.0
 
     def test_two_empty(self):
@@ -415,6 +417,43 @@ def test_batch_builder_matches_oracle(docs, scoring, min_n, span, min_df, weight
         assert dense_from_sparse(transform(stream_of(text), vocab)) == dense
 
 
+def test_tfidf_norm_adds_each_rows_squares_left_to_right():
+    """A row's squares are added one at a time in term order, as a ``+=``
+    loop adds them: the squares [1e16, 1, 1, ...] then sum to 1e16, where a
+    compensated or pairwise sum (builtin ``sum`` from Python 3.12 on) counts
+    the ones. A row with no vocabulary term stays empty, with no warning."""
+    terms = list("abcdef")
+    idf = [1e8] + [1.0] * (len(terms) - 1)
+    vocab = Vocabulary.from_columns(char_config(), terms, [1] * len(terms), 2, idf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = union_transform([stream_of("fedcba"), stream_of("zzz")], (vocab,))
+    acc = 0.0
+    for value in idf:
+        acc += value * value
+    assert acc == 1e16 != math.fsum(value * value for value in idf)
+    rows = X.tocsr()
+    assert rows[0].indices.tolist() == list(range(len(terms)))
+    assert rows[0].data.tolist() == [value / math.sqrt(acc) for value in idf]
+    assert rows[1].nnz == 0
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7])
+def test_tfidf_weighting_is_the_same_in_any_slices(size, monkeypatch):
+    """``weigh`` squares and divides a bounded slice of entries at a time;
+    the slices do not change a bit of the result."""
+    rng = random.Random(size)
+    docs = ["".join(rng.choice("abc ") for _ in range(rng.randint(0, 12))) for _ in range(6)]
+    streams = [stream_of(text) for text in docs]
+    vocab = fit_vocabulary(streams, char_config(1, 3))
+    whole = union_transform(streams, (vocab,))
+    monkeypatch.setattr(vectorize, "_NORM_SLICE", size)
+    sliced = union_transform(streams, (vocab,))
+    assert whole.nnz > size and sliced.format == "csc"
+    for name in ("data", "indices", "indptr"):
+        assert getattr(sliced, name).tobytes() == getattr(whole, name).tobytes()
+
+
 def _raised(call):
     """The type and message of the error ``call`` raises, or None."""
     try:
@@ -545,7 +584,7 @@ def test_levels_match_brute_force_counts(docs, max_n):
 )
 def test_every_block_is_float64_with_canonical_rows(docs, scoring, min_n, span):
     """Fitted or looked up, a block holds the documents' counts as float64
-    CSR, each row's columns strictly ascending."""
+    CSC, each column's rows strictly ascending."""
     max_n = min_n + span
     streams = [stream_of(text) for text in docs]
     counts = NgramCounts(streams, max_n)
@@ -562,13 +601,13 @@ def test_every_block_is_float64_with_canonical_rows(docs, scoring, min_n, span):
     terms = vocab.terms()
     for texts, side in sides:
         block = vectorize._block(side, vocab)
-        assert block.format == "csr" and block.dtype == np.float64
-        assert sp.csr_matrix((block.data, block.indices, block.indptr),
+        assert block.format == "csc" and block.dtype == np.float64
+        assert sp.csc_matrix((block.data, block.indices, block.indptr),
                              shape=block.shape).has_canonical_format
+        columns = np.repeat(np.arange(block.shape[1]), np.diff(block.indptr))
         for row, text in enumerate(texts):
-            start, end = block.indptr[row], block.indptr[row + 1]
-            got = dict(zip((terms[c] for c in block.indices[start:end]),
-                           block.data[start:end].tolist()))
+            entries = block.indices == row
+            got = dict(zip((terms[c] for c in columns[entries]), block.data[entries].tolist()))
             expected = Counter(brute_char_ngrams(text, min_n, max_n))
             assert got == {term: expected[term] for term in terms if term in expected}
 
