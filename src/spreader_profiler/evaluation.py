@@ -8,6 +8,7 @@ deterministic grid-search runner over the vectorizer/model space.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -343,7 +344,8 @@ def grid_search(
     results = [
         GridResult(
             config=config,
-            mean_accuracy=sum(r.accuracy for r in split_reports) / len(split_reports),
+            # correctly rounded, so no fold order can move the ranking
+            mean_accuracy=math.fsum(r.accuracy for r in split_reports) / len(split_reports),
             reports=tuple(split_reports),
         )
         for config, split_reports in zip(grid, reports)

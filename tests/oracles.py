@@ -9,6 +9,7 @@ from __future__ import annotations
 import codecs
 import hashlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,17 @@ import numpy as np
 from spreader_profiler.corpus import Language
 from spreader_profiler.errors import CorruptModelFile, UnsupportedVersion
 from spreader_profiler.models import LinearModel, LossKind, ModelKind, TrainConfig
+from spreader_profiler.preprocess import (
+    DEFAULT_SIGN_DELETION_SET,
+    EMOJI_PLACEHOLDER,
+    NUMBER_PLACEHOLDER,
+    TokenStream,
+    concatenate_tweets,
+    filter_and_lowercase,
+    normalize_whitespace,
+    squeeze_repeats,
+    tokenize,
+)
 from spreader_profiler.vectorize import (
     Analyzer,
     NgramRange,
@@ -23,6 +35,29 @@ from spreader_profiler.vectorize import (
     Vocabulary,
     Weighting,
 )
+
+
+# -- tweet normalization, one author at a time -------------------------
+
+
+# Joiners (VS16, ZWJ), one emoji, joiners; digits with group punctuation.
+_JOINERS = "\ufe0f\u200d"
+_EMOJI = "\U0001F300-\U0001F5FF\U0001F600-\U0001F64F\U0001F680-\U0001F6FF\U0001F900-\U0001F9FF\u2600-\u27bf"
+PLAIN_EMOJI_RE = re.compile(f"[{_JOINERS}]*[{_EMOJI}][{_JOINERS}]*")
+PLAIN_NUMBER_RE = re.compile(r"\d+(?:[.,]\d+)*")
+
+
+def brute_preprocess_author(doc, stopwords) -> TokenStream:
+    """Every stage over the author's whole text, once per occurrence of
+    every word, with no table of words seen before."""
+    text = concatenate_tweets(doc)
+    text = normalize_whitespace(text)
+    text = PLAIN_NUMBER_RE.sub(NUMBER_PLACEHOLDER, text)
+    text = PLAIN_EMOJI_RE.sub(EMOJI_PLACEHOLDER, text)
+    text = text.translate({ord(sign): None for sign in DEFAULT_SIGN_DELETION_SET})
+    text = squeeze_repeats(text)
+    tokens = filter_and_lowercase(tokenize(text), stopwords)
+    return TokenStream(author_id=doc.author_id, tokens=tuple(tokens))
 
 
 # -- brute-force character n-gram vectorizer ---------------------------
@@ -78,7 +113,10 @@ def brute_transform(
     if idf is not None:
         terms_by_index = sorted(index, key=index.get)
         dense = [value * idf[term] for value, term in zip(dense, terms_by_index)]
-        norm = math.sqrt(sum(value * value for value in dense))
+        squares = 0.0
+        for value in dense:  # left to right, as TF-IDF weighting adds them
+            squares += value * value
+        norm = math.sqrt(squares)
         if norm > 0:
             dense = [value / norm for value in dense]
     return dense

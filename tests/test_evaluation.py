@@ -1,3 +1,5 @@
+import itertools
+import math
 import weakref
 from dataclasses import replace
 
@@ -275,6 +277,23 @@ class TestGridSearch:
         total_eval = sum(r.confusion.total for r in results[0].reports)
         assert total_eval == 18  # every author held out exactly once
 
+    def test_mean_accuracy_is_the_same_in_every_fold_order(self, monkeypatch):
+        # Added left to right, the 6 orders of these folds give 2 means.
+        fold_accuracies = (1 / 7, 1 / 7, 4 / 7)
+        corpus = make_corpus(labeled_pairs(9, 9))
+        report = evaluation._report
+        means = set()
+        for order in itertools.permutations(fold_accuracies):
+            accuracies = iter(order)
+            monkeypatch.setattr(
+                evaluation, "_report",
+                lambda *args: replace(report(*args), accuracy=next(accuracies)),
+            )
+            results = grid_search(corpus, [SMALL_CONFIG], SplitSpec(seed=1), folds=3)
+            assert [r.accuracy for r in results[0].reports] == list(order)
+            means.add(results[0].mean_accuracy)
+        assert means == {math.fsum(fold_accuracies) / 3}
+
 
 TWO_BLOCKS = PipelineConfig(
     vectorizers=(
@@ -337,7 +356,7 @@ class TestSharedGrid:
         expected = []
         for config in self.GRID:
             reports = tuple(evaluate_pipeline(train, test, config) for train, test in pairs)
-            mean = sum(r.accuracy for r in reports) / len(reports)
+            mean = math.fsum(r.accuracy for r in reports) / len(reports)
             expected.append(GridResult(config=config, mean_accuracy=mean, reports=reports))
         expected.sort(key=lambda r: (-r.mean_accuracy, r.config.key()))
         assert len({round(r.mean_accuracy, 4) for r in expected}) > 1

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from spreader_profiler.corpus import Language
 from spreader_profiler.preprocess import (
+    DEFAULT_SIGN_DELETION_SET,
+    EMOJI_RE,
     PLACEHOLDER_TOKENS,
     StopwordList,
     TokenStream,
@@ -12,13 +14,17 @@ from spreader_profiler.preprocess import (
     load_stopwords,
     normalize_whitespace,
     preprocess_author,
+    preprocess_corpus,
     replace_numbers_and_emojis,
     squeeze_repeats,
     strip_irrelevant_signs,
     tokenize,
 )
 
-from conftest import make_author
+from conftest import make_author, make_corpus
+from oracles import PLAIN_EMOJI_RE, brute_preprocess_author
+
+SIGNS = "".join(sorted(DEFAULT_SIGN_DELETION_SET))
 
 
 class TestConcatenate:
@@ -76,6 +82,13 @@ class TestReplaceNumbersAndEmojis:
     def test_variation_selector_absorbed(self):
         assert replace_numbers_and_emojis("☀️ out") == "#EMOJI# out"
 
+    @settings(max_examples=300)
+    @given(st.text(alphabet="\ufe0f\u200d\U0001f600\u2600\u27bf\u27c0\U0001f5ffa ", max_size=30))
+    def test_emoji_matches_are_joiners_one_emoji_joiners(self, text):
+        assert [m.span() for m in EMOJI_RE.finditer(text)] == [
+            m.span() for m in PLAIN_EMOJI_RE.finditer(text)
+        ]
+
 
 class TestStripSigns:
     def test_examples(self):
@@ -85,6 +98,9 @@ class TestStripSigns:
 
     def test_keeps_sentence_punctuation(self):
         assert strip_irrelevant_signs("wait, really?!") == "wait, really?!"
+
+    def test_every_sign_is_deleted(self):
+        assert strip_irrelevant_signs(f"{SIGNS}a {SIGNS} b{SIGNS}") == "a  b"
 
 
 class TestSqueezeRepeats:
@@ -230,3 +246,67 @@ def test_stopword_lists_nonempty():
         stopwords = load_stopwords(language)
         assert len(stopwords.words) > 100
         assert all(word == word.lower() for word in stopwords.words)
+
+
+# -- one pass per distinct word ---------------------------------------
+
+# Words that probe each stage: emoji with VS16 and ZWJ, combining marks
+# and İ; numbers with group punctuation; the placeholders and look-alikes
+# of them; mixed-case repeats; both apostrophes; emoticons; stopwords in
+# either case.
+PROBE_WORDS = (
+    "❤\ufe0f", "☀\ufe0f", "\U0001f468\u200d\U0001f469\u200d\U0001f467",
+    "\u200d\U0001f600", "\U0001f600\ufe0f\ufe0f", "\U0001f525\U0001f525\U0001f525",
+    "e\u0301te\u0301", "İstanbul", "İİİ", "ıi",
+    "1,000", "3.14", "1.000,50", "2020.", ",5", "1..2", "12,", "x9y",
+    "#URL#", "#HASHTAG#", "#USER#", "#NUMBER#", "#EMOJI#",
+    "#url#", "#User#", "#number#", "#Emoji#", "#URL##USER#", "#URL#:", "##URL##",
+    "LOOOOoool", "aaaAAA", "!!!!", "....", "ßßß", "ΣΣΣς",
+    "don't", "it’s", "'quote'", "’’’", "o'o'o",
+    ":-)", "<3", ":)", ";-p", ":D", "=)", "(:", ":-(", "<3<3",
+    "the", "The", "THE", "de", "La", "QUE", "and",
+)
+WORD_ALPHABET = "".join(ch for ch in TWEET_ALPHABET if not ch.isspace())
+# NBSP, the line separator U+2028 and the unit separator U+001F split
+# words as a space does.
+SEPARATORS = (" ", " ", " ", "  ", "\u00a0", "\u2028", "\x1f", "\t", "\n")
+
+probe_word = st.one_of(
+    st.sampled_from(PROBE_WORDS),
+    st.text(alphabet=SIGNS, min_size=1, max_size=4),  # a word that sign deletion empties
+    st.text(alphabet=WORD_ALPHABET, min_size=1, max_size=8),
+)
+glued_word = st.lists(probe_word, min_size=1, max_size=3).map("".join)
+probe_tweet = st.lists(
+    st.tuples(glued_word, st.sampled_from(SEPARATORS)), max_size=12
+).map(lambda pairs: "".join(word + separator for word, separator in pairs))
+
+
+@pytest.mark.parametrize("language", [Language.EN, Language.ES])
+@settings(max_examples=150, deadline=None)
+@given(
+    shared=st.lists(probe_tweet, min_size=1, max_size=3),
+    own=st.lists(st.lists(probe_tweet, max_size=3), min_size=1, max_size=4),
+)
+def test_corpus_and_author_streams_equal_the_per_author_pipeline(language, shared, own):
+    """Authors that share words get the streams of the stage sequence
+    run over each author's whole text, from ``preprocess_corpus`` and
+    from ``preprocess_author`` alike."""
+    stopwords = load_stopwords(language)
+    corpus = make_corpus(
+        [(f"a{k}", tweets + shared, None) for k, tweets in enumerate(own)], language, labeled=False
+    )
+    expected = [brute_preprocess_author(doc, stopwords) for doc in corpus]
+    assert preprocess_corpus(corpus, stopwords) == expected
+    assert [preprocess_author(doc, stopwords) for doc in corpus] == expected
+
+
+def test_words_emptied_by_sign_deletion_keep_the_batch_aligned(en_stopwords):
+    # Runs of sign-only words leave runs of spaces between the words
+    # around them; every word must still get its own tokens.
+    tweets = ["alpha + *** (( beta", "+ gamma ~~ ^ ||| delta +", "{} [] <> epsilon"]
+    corpus = make_corpus([("a1", tweets, None), ("a2", tweets[::-1], None)], labeled=False)
+    streams = preprocess_corpus(corpus, en_stopwords)
+    assert streams[0].tokens == ("alpha", "beta", "gamma", "delta", "epsilon")
+    assert streams[1].tokens == ("epsilon", "gamma", "delta", "alpha", "beta")
+    assert streams == [brute_preprocess_author(doc, en_stopwords) for doc in corpus]
