@@ -26,7 +26,7 @@ from .models import (
     row_gram,
     train,
 )
-from .preprocess import StopwordList, load_stopwords, preprocess_corpus
+from .preprocess import load_stopwords, preprocess_corpus
 from .vectorize import (
     Analyzer,
     NgramCounts,
@@ -177,19 +177,14 @@ def _fit(
                  language=language, gram=gram)
 
 
-def fit_pipeline(
-    train_corpus: Corpus,
-    config: PipelineConfig,
-    stopwords: StopwordList | None = None,
-) -> LinearModel:
+def fit_pipeline(train_corpus: Corpus, config: PipelineConfig) -> LinearModel:
     """Preprocess the training corpus, fit every vectorizer block on it,
     and train the classifier. Nothing outside ``train_corpus`` is seen.
     The blocks share one ``NgramCounts`` of every length up to their
     longest, counted once for fit and transform together."""
     if not train_corpus.is_labeled:
         raise UnlabeledCorpus("training needs labels")
-    if stopwords is None:
-        stopwords = load_stopwords(train_corpus.language)
+    stopwords = load_stopwords(train_corpus.language)
     longest = max(vc.range.max_n for vc in config.vectorizers)
     counts = NgramCounts(preprocess_corpus(train_corpus, stopwords), longest)
     vocabularies = tuple(fit_vocabulary(counts, vc) for vc in config.vectorizers)
@@ -224,13 +219,11 @@ def evaluate_model(
     model: LinearModel,
     test_corpus: Corpus,
     positive_class: Label = Label.FAKE_NEWS_SPREADER,
-    stopwords: StopwordList | None = None,
 ) -> EvalReport:
     """Score a labeled corpus with a trained model."""
     if not test_corpus.is_labeled:
         raise UnlabeledCorpus("evaluation needs labels")
-    if stopwords is None:
-        stopwords = load_stopwords(model.language)
+    stopwords = load_stopwords(model.language)
     values = decision_values(model, preprocess_corpus(test_corpus, stopwords))
     return _report(test_corpus, values, positive_class)
 
@@ -242,9 +235,7 @@ def evaluate_pipeline(
     positive_class: Label = Label.FAKE_NEWS_SPREADER,
 ) -> EvalReport:
     """Fit on the training corpus only, then score the test corpus."""
-    stopwords = load_stopwords(train_corpus.language)
-    model = fit_pipeline(train_corpus, config, stopwords=stopwords)
-    return evaluate_model(model, test_corpus, positive_class, stopwords=stopwords)
+    return evaluate_model(fit_pipeline(train_corpus, config), test_corpus, positive_class)
 
 
 def grid_search(

@@ -756,9 +756,11 @@ def _read_vocabulary(
     reader: _LineReader, count: int, config: VectorizerConfig, corpus_size: int
 ) -> Vocabulary:
     """One block's ``count`` vocabulary lines, a chunk at a time: each df
-    must lie in ``[1; corpus_size]``, the chunk must be what the writer
-    writes for its terms, dfs and the smooth IDF of each df, and terms
-    must strictly ascend. Each distinct df is parsed once."""
+    must lie in ``[1; corpus_size]``, never empty (a fit sees a document),
+    the chunk must be what the writer writes for its terms, dfs and the
+    smooth IDF of each df, and terms strictly ascend; each df parsed once."""
+    if corpus_size < 1:
+        raise CorruptModelFile(f"corpus_size {corpus_size} is below 1")
     tfidf = config.weighting is Weighting.TFIDF
     terms: list[str] = []
     dfs: list[int] = []

@@ -313,11 +313,15 @@ class NgramCounts:
         return [surface[p : p + n] for p, n in zip(self.where[columns].tolist(), lengths.tolist())]
 
     def columns(self, terms: Sequence[str]) -> np.ndarray:
+        """``lookup``, refusing a term longer than every counted length."""
+        self._require(max(map(len, terms), default=0))
+        return self.lookup(terms)
+
+    def lookup(self, terms: Sequence[str]) -> np.ndarray:
         """The column of each term, of any length, or -1 for a term these
         counts do not contain: the terms are keyed exactly as the corpus
         was, one symbol at a time, and looked up per prefix."""
         lengths = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
-        self._require(int(lengths.max(initial=0)))
         points = np.frombuffer("".join(terms).encode("utf-32-le", "surrogatepass"), dtype="<u4")
         found = np.searchsorted(self.alphabet, points)
         known = found < len(self.alphabet)
@@ -434,11 +438,13 @@ def _block(counts: NgramCounts, vocab: Vocabulary) -> sp.csc_matrix:
     CSC with each column's rows ascending: the vocabulary's columns of
     ``counts`` gathered in term order. The columns are its fitted ones
     when ``counts`` are the counts it was fitted on, and looked up
-    otherwise."""
+    otherwise; a term outside the block's lengths gets the empty last one."""
     if vocab.fitted_on is not None and vocab.fitted_on() is counts:
         columns = vocab.fitted_columns
     else:
-        columns = counts.columns(vocab.terms())
+        columns = counts.lookup(vocab.terms())
+        span = counts.span(vocab.config.range)
+        columns[(columns < span.start) | (columns >= span.stop)] = -1
     block = counts.matrix[:, columns]
     block.data = block.data.astype(np.float64)
     return block

@@ -3,6 +3,7 @@ import hashlib
 import io
 import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from spreader_profiler import cli
 from spreader_profiler.corpus import Label, Language, load_corpus, parse_truth_file
 from spreader_profiler.evaluation import final_config, fit_pipeline
-from spreader_profiler.models import LinearModel, save_model
+from spreader_profiler.models import LinearModel, ModelKind, load_model, save_model
+from spreader_profiler.vectorize import NgramRange, Vocabulary, smooth_idf
 from spreader_profiler.synth import generate_corpus_dir
 
 
@@ -618,6 +620,36 @@ def test_model_naming_the_word_analyzer_is_a_model_error(fuzz_inputs, tmp_path):
     assert code == 3
     assert err.startswith("model error: ") and err.count("\n") == 1
     assert "'word' is not a valid Analyzer" in err and "Traceback" not in err
+
+
+def test_terms_outside_a_blocks_lengths_score_as_absent(fuzz_inputs, tmp_path):
+    """A model file may hold terms of lengths its block does not count:
+    the empty term, terms shorter than ``min_n`` and terms longer than
+    every counted length. Evaluated and predicted with, they change no
+    output, even with weights that would outweigh every other term."""
+    corpus, model = fuzz_inputs
+    fitted = load_model(model)
+    vocab = fitted.feature_spec[0]
+    weight_of = dict(zip(vocab.terms(), fitted.weights.tolist()))
+    config = replace(vocab.config, range=NgramRange(2, 3))
+    kept = [term for term in vocab.terms() if len(term) >= 2]
+    outside = ["", *(term for term in vocab.terms() if len(term) < 2), "abcdefgh", "thequick"]
+    outputs = []
+    for terms in (kept, sorted(kept + outside)):
+        df = [vocab.document_frequency.get(term, 1) for term in terms]
+        idf = [smooth_idf(vocab.corpus_size, d) for d in df]
+        block = Vocabulary.from_columns(config, terms, df, vocab.corpus_size, idf)
+        weights = np.array([100.0 if term in outside else weight_of[term] for term in terms])
+        path = tmp_path / f"{len(terms)}.model"
+        save_model(LinearModel(ModelKind.SVM, weights, fitted.bias, (block,), Language.EN), path)
+        for argv in (["evaluate", "--model", path, "--input", corpus],
+                     ["predict", "--model", path, "--input", corpus]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert run(argv) == 0
+            assert err.getvalue() == ""
+            outputs.append(out.getvalue())
+    assert outputs[:2] == outputs[2:]
 
 
 def test_help_exits_zero():

@@ -458,7 +458,7 @@ class TestSharedGrid:
         term-list tuple of a split, the training side's from the fit's
         columns, never looked up."""
         built, lookups = [], []  # (counts, whether from the fit's columns)
-        block, columns = vectorize._block, NgramCounts.columns
+        block, lookup = vectorize._block, NgramCounts.lookup
 
         def recording_block(counts, vocab):
             before = len(lookups)
@@ -466,12 +466,12 @@ class TestSharedGrid:
             built.append((counts, len(lookups) == before))
             return matrix
 
-        def recording_columns(counts, terms):
+        def recording_lookup(counts, terms):
             lookups.append(counts)
-            return columns(counts, terms)
+            return lookup(counts, terms)
 
         monkeypatch.setattr(vectorize, "_block", recording_block)
-        monkeypatch.setattr(NgramCounts, "columns", recording_columns)
+        monkeypatch.setattr(NgramCounts, "lookup", recording_lookup)
         spec = SplitSpec(seed=11)
         grid_search(hard_corpus, self.GRID, spec, folds=folds)
         pairs = split_folds(hard_corpus, spec, folds)

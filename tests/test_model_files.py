@@ -496,6 +496,27 @@ def bench_es_model(tmp_path_factory):
     return path
 
 
+@pytest.mark.parametrize("corpus_size", [0, -5])
+def test_block_with_no_term_and_corpus_size_below_one(corpus_size, tmp_path, capsys):
+    # a fit sees at least one document; with no df to bound it, only this
+    # check refuses the block
+    empty = Vocabulary.from_columns(VectorizerConfig(), [], [], 1, [])
+    model = _hand_model(["a", "b"])
+    model = LinearModel(model.kind, model.weights, model.bias,
+                        (*model.feature_spec, empty), model.language)
+    lines = _render_model(model).split("\n")[:-2]
+    assert lines.count("corpus_size\t1") == 2
+    lines[len(lines) - 1 - lines[::-1].index("corpus_size\t1")] = f"corpus_size\t{corpus_size}"
+    path = tmp_path / "model.txt"
+    path.write_text(_file(lines), encoding="utf-8")
+    with pytest.raises(CorruptModelFile, match=f"corpus_size {corpus_size} is below 1"):
+        load_model(path)
+    for command in ("evaluate", "predict"):
+        assert cli.run([command, "--model", str(path), "--input", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("model error: ") and err.count("\n") == 1
+
+
 def test_loading_allocates_little_beyond_the_model(bench_es_model):
     gc.collect()
     tracemalloc.start()

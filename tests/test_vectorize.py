@@ -632,19 +632,72 @@ def test_mixed_length_columns_agree_with_term_by_term_lookup(docs, max_n, data):
     assert counts.columns([]).tolist() == []
 
 
+@st.composite
+def read_vocabularies(draw, docs, ngram_range, counted, weighting):
+    """A vocabulary as a model file may hold it: terms of the block's
+    lengths taken from ``docs``, mixed with the empty term, terms shorter
+    than ``min_n``, terms longer than ``max_n`` but counted, and terms
+    longer than every one of the ``counted`` lengths, from ``docs`` or
+    not; each with any df of the corpus."""
+    grams = {g for doc in docs for g in brute_char_ngrams(doc, 1, counted + 2)}
+    outside = st.text(alphabet=NARROW_ALPHABET, min_size=counted + 1, max_size=counted + 3)
+    kinds = [
+        {g for g in grams if ngram_range.min_n <= len(g) <= ngram_range.max_n},
+        {g for g in grams if len(g) < ngram_range.min_n},
+        {g for g in grams if ngram_range.max_n < len(g) <= counted},
+        {g for g in grams if len(g) > counted},
+    ]
+    terms = {""} | set(draw(st.lists(outside, max_size=3)))
+    for kind in kinds:
+        if kind:
+            terms |= set(draw(st.lists(st.sampled_from(sorted(kind)), max_size=6)))
+    terms = sorted(terms)
+    df = [draw(st.integers(1, len(docs))) for _ in terms]
+    idf = [smooth_idf(len(docs), d) for d in df] if weighting is Weighting.TFIDF else None
+    config = char_config(ngram_range.min_n, ngram_range.max_n, weighting=weighting)
+    return Vocabulary.from_columns(config, terms, df, len(docs), idf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    docs=st.lists(st.text(alphabet=NARROW_ALPHABET, max_size=14), min_size=1, max_size=5),
+    scoring=st.lists(st.text(alphabet=UNSEEN_ALPHABET, max_size=14), max_size=3),
+    min_n=st.integers(1, 4),
+    span=st.integers(0, 2),
+    extra=st.integers(0, 2),
+    weighting=st.sampled_from([Weighting.TFIDF, Weighting.COUNT]),
+    data=st.data(),
+)
+def test_terms_outside_the_blocks_lengths_score_as_absent(
+    docs, scoring, min_n, span, extra, weighting, data
+):
+    ngram_range = NgramRange(min_n, min_n + span)
+    counted = ngram_range.max_n + extra
+    vocab = data.draw(read_vocabularies(docs, ngram_range, counted, weighting))
+    index, idf = vocab.term_to_index, vocab.idf
+    texts = docs + scoring
+    streams = [stream_of(text, f"d{i}") for i, text in enumerate(texts)]
+    for features in (streams, NgramCounts(streams, counted)):
+        X = union_transform(features, (vocab,))
+        assert X.shape == (len(texts), len(index))
+        for row, text in enumerate(texts):
+            dense = X[row].toarray().ravel().tolist()
+            assert dense == brute_transform(text, index, idf, min_n, ngram_range.max_n)
+
+
 def test_a_vocabulary_given_other_counts_looks_its_terms_up(monkeypatch):
     fitted_streams = [stream_of(t) for t in ("abcab", "bca cab")]
     other_streams = [stream_of(t) for t in ("xyz", "zyxyz")]  # no n-gram in common
     counts = NgramCounts(fitted_streams, 3)
     vocab = fit_vocabulary(counts, char_config(1, 3, weighting=Weighting.COUNT))
     lookups = []
-    columns = NgramCounts.columns
+    lookup = NgramCounts.lookup
 
-    def recording_columns(self, terms):
+    def recording_lookup(self, terms):
         lookups.append(self)
-        return columns(self, terms)
+        return lookup(self, terms)
 
-    monkeypatch.setattr(NgramCounts, "columns", recording_columns)
+    monkeypatch.setattr(NgramCounts, "lookup", recording_lookup)
     fitted = union_transform(counts, (vocab,))
     assert lookups == [] and fitted.nnz
     other = NgramCounts(other_streams, 3)
