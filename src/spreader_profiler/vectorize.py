@@ -39,7 +39,7 @@ import math
 import weakref
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -133,12 +133,17 @@ class TermColumns(NamedTuple):
     idf: np.ndarray | None
 
 
-@dataclass(frozen=True)
 class Vocabulary:
     """A fitted term → index mapping plus the statistics behind it.
 
-    ``columns`` holds the same statistics in index order. It is built
-    from the dicts on first use, or handed over by ``from_columns``.
+    ``columns`` holds the same statistics in index order. A vocabulary
+    built from the dicts derives its columns from them on first use; one
+    made by ``from_columns`` holds only the columns, and builds each dict
+    (``term_to_index``, ``document_frequency``, ``idf``) the first time it
+    is read, so scoring with a loaded model builds none. Neither ``len``
+    nor ``dimension`` builds anything. A vocabulary is immutable, and its
+    value is its config, dicts and corpus size.
+
     ``fitted_columns`` and ``fitted_on`` are set by ``fit_vocabulary``
     alone: each term's column in the ``NgramCounts`` it was fitted on,
     and a weak reference to those counts, so that a transform of the
@@ -147,12 +152,24 @@ class Vocabulary:
     vocabulary's value."""
 
     config: VectorizerConfig
-    term_to_index: dict[str, int]
-    document_frequency: dict[str, int]
     corpus_size: int
-    idf: dict[str, float] | None = field(default=None)
-    fitted_columns: np.ndarray | None = field(default=None, compare=False, repr=False)
-    fitted_on: weakref.ref | None = field(default=None, compare=False, repr=False)
+    fitted_columns: np.ndarray | None
+    fitted_on: weakref.ref | None
+
+    def __init__(
+        self,
+        config: VectorizerConfig,
+        term_to_index: dict[str, int],
+        document_frequency: dict[str, int],
+        corpus_size: int,
+        idf: dict[str, float] | None = None,
+        fitted_columns: np.ndarray | None = None,
+        fitted_on: weakref.ref | None = None,
+    ):
+        vars(self).update(
+            config=config, term_to_index=term_to_index, document_frequency=document_frequency,
+            corpus_size=corpus_size, idf=idf, fitted_columns=fitted_columns, fitted_on=fitted_on,
+        )
 
     @classmethod
     def from_columns(
@@ -167,25 +184,51 @@ class Vocabulary:
     ) -> Vocabulary:
         """The vocabulary of distinct ``terms`` given in index order, with
         their document frequencies and idfs (``None`` for counts)."""
-        vocab = cls(
-            config=config,
-            term_to_index=dict(zip(terms, range(len(terms)))),
-            document_frequency=dict(zip(terms, df)),
-            corpus_size=corpus_size,
-            idf=None if idf is None else dict(zip(terms, idf)),
-            fitted_columns=fitted_columns,
-            fitted_on=fitted_on,
-        )
+        vocab = cls.__new__(cls)
         idf_column = None if idf is None else np.array(idf, dtype=np.float64)
-        object.__setattr__(vocab, "columns", TermColumns(terms, df, idf_column))
+        vars(vocab).update(
+            config=config, corpus_size=corpus_size, fitted_columns=fitted_columns,
+            fitted_on=fitted_on, columns=TermColumns(terms, df, idf_column),
+        )
         return vocab
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def _value(self) -> tuple:
+        return self.config, self.term_to_index, self.document_frequency, self.corpus_size, self.idf
+
+    def __repr__(self) -> str:
+        return (
+            f"Vocabulary(config={self.config!r}, terms={len(self)}, corpus_size={self.corpus_size})"
+        )
+
     def __len__(self) -> int:
+        if "columns" in vars(self):
+            return len(self.columns.terms)
         return len(self.term_to_index)
 
     @property
     def dimension(self) -> int:
-        return len(self.term_to_index)
+        return len(self)
+
+    @cached_property
+    def term_to_index(self) -> dict[str, int]:
+        return dict(zip(self.columns.terms, range(len(self))))
+
+    @cached_property
+    def document_frequency(self) -> dict[str, int]:
+        return dict(zip(self.columns.terms, self.columns.df))
+
+    @cached_property
+    def idf(self) -> dict[str, float] | None:
+        terms, _, idf = self.columns
+        return None if idf is None else dict(zip(terms, idf.tolist()))
 
     @cached_property
     def columns(self) -> TermColumns:
@@ -232,10 +275,14 @@ class NgramCounts:
         sizes = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
         self.surface = "".join(documents)
         points = np.frombuffer(self.surface.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        self.alphabet, codes = np.unique(points, return_inverse=True)
-        del documents, points  # counting needs only the codes
+        # the alphabet and codes of np.unique(points, return_inverse=True),
+        # from a table over the code points (at most 0x110000 of them)
+        present = np.zeros(int(points.max(initial=0)) + 1, dtype=bool)
+        present[points] = True
+        self.alphabet = np.flatnonzero(present).astype(points.dtype)
+        codes = np.cumsum(present, dtype=np.int32)[points]  # 1..A
+        del documents, points, present  # counting needs only the codes
         index = np.int32 if len(codes) < 2**31 else np.int64
-        codes = codes.astype(index) + 1
         self.base = len(self.alphabet) + 1
         starts = np.cumsum(sizes) - sizes
         # symbols left in the document from each position onwards
@@ -262,8 +309,7 @@ class NgramCounts:
                 keys = np.flatnonzero(present)
                 del present
             else:
-                order = np.argsort(keys)
-                keys = keys[order]
+                keys, order = _sorted_with_order(keys)
                 first = np.empty(len(keys), dtype=bool)
                 first[:1] = True
                 np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -323,10 +369,11 @@ class NgramCounts:
         was, one symbol at a time, and looked up per prefix."""
         lengths = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
         points = np.frombuffer("".join(terms).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        found = np.searchsorted(self.alphabet, points)
-        known = found < len(self.alphabet)
-        known[known] = self.alphabet[found[known]] == points[known]
-        codes = np.where(known, found + 1, 0)
+        # code 0, which no corpus symbol has, for a point outside the alphabet
+        top = int(self.alphabet[-1]) + 1 if len(self.alphabet) else 0
+        table = np.zeros(top + 1, dtype=np.int32)
+        table[self.alphabet] = np.arange(1, len(self.alphabet) + 1, dtype=np.int32)
+        codes = table[np.minimum(points, top)]
         starts = np.cumsum(lengths) - lengths
         ranks = np.zeros(len(terms), dtype=np.int64)
         columns = np.full(len(terms), -1, dtype=np.int64)
@@ -342,6 +389,28 @@ class NgramCounts:
             columns[reading[ended]] = self.first[n - 1] + at[ended]
             reading = reading[~ended]
         return columns
+
+
+# Bits of an int64 that a key and its position may share in one sort.
+_KEY_BITS = 63
+
+
+def _sorted_with_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``keys[order], order`` for an ``order`` that sorts the non-negative
+    int64 ``keys``, which it may overwrite. Each key is packed above its
+    position into one int64, so one value sort gives both, and ties keep
+    their order; keys too large to share the bits are arg-sorted, which
+    may order ties otherwise."""
+    shift = max(len(keys) - 1, 0).bit_length()
+    if int(keys.max(initial=0)).bit_length() + shift > _KEY_BITS:
+        order = np.argsort(keys)
+        return keys[order], order
+    keys <<= shift
+    keys |= np.arange(len(keys))
+    keys.sort()
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
+    return keys, order
 
 
 def _as_counts(streams: Sequence[TokenStream] | NgramCounts, max_n: int) -> NgramCounts:
@@ -423,14 +492,10 @@ def with_weighting(vocab: Vocabulary, weighting: Weighting) -> Vocabulary:
         return vocab
     terms, df, _ = vocab.columns
     idf = _smooth_idfs(vocab.corpus_size, df) if weighting is Weighting.TFIDF else None
-    weighted = replace(
-        vocab,
-        config=replace(vocab.config, weighting=weighting),
-        idf=None if idf is None else dict(zip(terms, idf)),
+    return Vocabulary.from_columns(
+        replace(vocab.config, weighting=weighting), terms, df, vocab.corpus_size, idf,
+        vocab.fitted_columns, vocab.fitted_on,
     )
-    idf_column = None if idf is None else np.array(idf, dtype=np.float64)
-    object.__setattr__(weighted, "columns", TermColumns(terms, df, idf_column))
-    return weighted
 
 
 def _block(counts: NgramCounts, vocab: Vocabulary) -> sp.csc_matrix:

@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from spreader_profiler import vectorize
 from spreader_profiler.corpus import Language
 from spreader_profiler.errors import EmptyVocabulary
-from spreader_profiler.models import LinearModel, ModelKind, save_model
+from spreader_profiler.models import LinearModel, ModelKind, decision_values, load_model, save_model
 from spreader_profiler.preprocess import TokenStream
 from spreader_profiler.vectorize import (
     Analyzer,
@@ -129,6 +130,44 @@ class TestFitVocabulary:
         assert terms == fitted.terms() == sorted(fitted.term_to_index)
         assert df == fitted.columns.df == [fitted.document_frequency[t] for t in terms]
         assert idf.tolist() == fitted.columns.idf.tolist() == [fitted.idf[t] for t in terms]
+
+    @pytest.mark.parametrize("weighting", [Weighting.TFIDF, Weighting.COUNT])
+    def test_dicts_of_a_vocabulary_from_columns_are_built_on_first_read(self, weighting):
+        docs = ["cab ba", "ab c", "b"]
+        config = char_config(1, 2, weighting=weighting)
+        index, df, idf = brute_fit(docs, 1, 2, tfidf=weighting is Weighting.TFIDF)
+        lazy = fit_vocabulary([stream_of(text) for text in docs], config)
+        assert len(lazy) == lazy.dimension == len(index)
+        assert not {"term_to_index", "document_frequency", "idf"} & set(vars(lazy))
+        built = Vocabulary(config=config, term_to_index=index, document_frequency=df,
+                           corpus_size=3, idf=idf)
+        assert len(built) == built.dimension == len(index)
+        assert lazy == built and built == lazy
+        assert lazy.term_to_index == index and lazy.document_frequency == df and lazy.idf == idf
+        assert lazy.terms() == built.terms() and lazy.columns.df == built.columns.df
+        assert (lazy.columns.idf is None) == (idf is None)
+        if idf is not None:
+            assert lazy.columns.idf.tolist() == built.columns.idf.tolist()
+        assert lazy != Vocabulary(config=config, term_to_index=index, document_frequency=df,
+                                  corpus_size=4, idf=idf)
+        with pytest.raises(AttributeError):
+            lazy.corpus_size = 4
+
+    def test_scoring_with_a_loaded_model_builds_no_dict(self, tmp_path):
+        streams = [stream_of(text) for text in ("cab ba", "ab c", "b")]
+        vocabs = (
+            fit_vocabulary(streams, char_config(1, 3)),
+            fit_vocabulary(streams, char_config(3, 5, weighting=Weighting.COUNT)),
+        )
+        width = sum(map(len, vocabs))
+        model = LinearModel(ModelKind.SVM, np.linspace(-1, 1, width), 0.5, vocabs, Language.ES)
+        save_model(model, tmp_path / "model.txt")
+        loaded = load_model(tmp_path / "model.txt")
+        scored = [stream_of("abc cab"), stream_of("zz")]
+        assert decision_values(loaded, scored).tolist() == decision_values(model, scored).tolist()
+        for vocab in loaded.feature_spec:
+            assert not {"term_to_index", "document_frequency", "idf"} & set(vars(vocab))
+        assert loaded.feature_spec == vocabs
 
     @pytest.mark.parametrize(
         "term_to_index", [{"a": 0, "b": 0}, {"a": 0, "b": 2}, {"a": 1, "b": 2}, {"a": -1, "b": 0}]
@@ -543,13 +582,12 @@ def level_corpora(draw):
     return draw(st.permutations(docs)) if docs else [""]
 
 
-@settings(max_examples=60, deadline=None)
-@given(docs=level_corpora(), max_n=st.integers(1, 7))
-def test_levels_match_brute_force_counts(docs, max_n):
-    ngram_counts = NgramCounts([stream_of(text) for text in docs], max_n)
+def assert_counts_match_brute_force(ngram_counts, docs, max_n):
     assert len(ngram_counts.keys) == max_n
     first = ngram_counts.first.tolist()
     assert first[0] == 0 and len(first) == max_n + 1
+    symbols = sorted({ord(symbol) for text in docs for symbol in text})
+    assert ngram_counts.alphabet.dtype == np.uint32 and ngram_counts.alphabet.tolist() == symbols
     terms = ngram_counts.terms(np.arange(first[-1]))
     for n in range(1, max_n + 1):
         level = terms[first[n - 1] : first[n]]
@@ -573,6 +611,51 @@ def test_levels_match_brute_force_counts(docs, max_n):
         expected_df.update(expected.keys())
     assert ngram_counts.tf.tolist() == [expected_tf[t] for t in terms]
     assert ngram_counts.df.tolist() == [expected_df[t] for t in terms]
+
+
+def assert_same_counts(got, expected):
+    """Every array of two ``NgramCounts``, equal in value and dtype."""
+    pairs = [(got.matrix.data, expected.matrix.data), (got.matrix.indices, expected.matrix.indices),
+             (got.matrix.indptr, expected.matrix.indptr), *zip(got.keys, expected.keys)]
+    pairs += [(getattr(got, name), getattr(expected, name))
+              for name in ("alphabet", "tf", "df", "where", "first")]
+    assert len(got.keys) == len(expected.keys) and got.base == expected.base
+    for mine, theirs in pairs:
+        assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=level_corpora(), max_n=st.integers(1, 7))
+def test_levels_match_brute_force_counts(docs, max_n):
+    counts = NgramCounts([stream_of(text) for text in docs], max_n)
+    assert_counts_match_brute_force(counts, docs, max_n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(docs=level_corpora(), max_n=st.integers(1, 7), key_bits=st.integers(0, 24))
+def test_counts_from_the_argsort_fallback_match_brute_force_counts(docs, max_n, key_bits):
+    """Keys that cannot share an int64 with their positions are
+    arg-sorted; that gives every array the packed value sort gives."""
+    streams = [stream_of(text) for text in docs]
+    with mock.patch.object(vectorize, "_KEY_BITS", key_bits):
+        counts = NgramCounts(streams, max_n)
+    assert_counts_match_brute_force(counts, docs, max_n)
+    assert_same_counts(counts, NgramCounts(streams, max_n))
+
+
+def test_the_argsort_fallback_runs_only_when_keys_outgrow_the_bits(monkeypatch):
+    # every symbol once, so the lengths are ranked by sorting, not marking
+    docs = ["".join(WIDE_ALPHABET[:300]), "".join(WIDE_ALPHABET[300:])]
+    streams = [stream_of(text) for text in docs]
+    argsort = mock.Mock(wraps=np.argsort)
+    monkeypatch.setattr(np, "argsort", argsort)
+    packed = NgramCounts(streams, 4)
+    assert argsort.call_count == 0
+    monkeypatch.setattr(vectorize, "_KEY_BITS", 12)
+    fallback = NgramCounts(streams, 4)
+    assert argsort.call_count == 4  # length 1 alone needs 10 bits for positions, 10 for keys
+    assert_counts_match_brute_force(fallback, docs, 4)
+    assert_same_counts(fallback, packed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -630,6 +713,40 @@ def test_mixed_length_columns_agree_with_term_by_term_lookup(docs, max_n, data):
     terms = data.draw(st.permutations(present + absent))
     assert counts.columns(terms).tolist() == [column_of.get(term, -1) for term in terms]
     assert counts.columns([]).tolist() == []
+
+
+# Texts over lone surrogates and the largest code point, with or without
+# it; terms that may hold points above the largest the texts hold.
+EDGE_ALPHABET = ["a", " ", "\ud800", "\U0010ffff"]
+ABOVE_ALPHABET = ["a", "\udfff", "\U0010fffe", "\U0010ffff", "z"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    docs=st.lists(st.text(alphabet=EDGE_ALPHABET, max_size=10), min_size=1, max_size=4),
+    scoring=st.lists(st.text(alphabet=ABOVE_ALPHABET, max_size=8), max_size=2),
+    max_n=st.integers(1, 4),
+    terms=st.lists(st.text(alphabet=EDGE_ALPHABET + ABOVE_ALPHABET, min_size=1, max_size=5),
+                   max_size=12, unique=True),
+)
+def test_edge_code_points_count_and_look_up_as_the_oracle(docs, scoring, max_n, terms):
+    """Counting and lookup over U+10FFFF, a lone surrogate, and terms
+    holding a point above the largest of the counted corpus (which gets
+    no code, so the term is absent)."""
+    texts = docs + scoring
+    streams = [stream_of(text, f"d{i}") for i, text in enumerate(texts)]
+    counts = NgramCounts(streams, max_n)
+    assert_counts_match_brute_force(counts, texts, max_n)
+    column_of = {term: c for c, term in enumerate(counts.terms(np.arange(counts.first[-1])))}
+    assert counts.lookup(terms).tolist() == [column_of.get(term, -1) for term in terms]
+    terms = sorted(terms)
+    vocab = Vocabulary.from_columns(
+        char_config(1, max_n, weighting=Weighting.COUNT), terms, [1] * len(terms), len(docs), None
+    )
+    X = union_transform(counts, (vocab,))
+    for row, text in enumerate(texts):
+        dense = X[row].toarray().ravel().tolist()
+        assert dense == brute_transform(text, vocab.term_to_index, None, 1, max_n)
 
 
 @st.composite
