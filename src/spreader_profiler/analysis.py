@@ -38,12 +38,8 @@ class CorpusStats:
 
 @dataclass
 class ClassTally:
-    """Mergeable accumulator behind :class:`ClassStats`.
-
-    Keeping the token set and emoji counter around (rather than bare
-    integers) is what makes tallies of disjoint author groups merge
-    into exactly the tally of the union.
-    """
+    """Accumulator behind :class:`ClassStats`: the token set and emoji
+    counter so far, and the running totals."""
 
     tokens: set[str]
     emoji: Counter
@@ -57,19 +53,6 @@ class ClassTally:
     @classmethod
     def empty(cls) -> "ClassTally":
         return cls(tokens=set(), emoji=Counter())
-
-    def merge(self, other: "ClassTally") -> "ClassTally":
-        return ClassTally(
-            tokens=self.tokens | other.tokens,
-            emoji=self.emoji + other.emoji,
-            url_tokens=self.url_tokens + other.url_tokens,
-            hashtag_tokens=self.hashtag_tokens + other.hashtag_tokens,
-            user_tokens=self.user_tokens + other.user_tokens,
-            retweets=self.retweets + other.retweets,
-            uppercased_tokens_total=self.uppercased_tokens_total + other.uppercased_tokens_total,
-            uppercased_phrases_total=self.uppercased_phrases_total
-            + other.uppercased_phrases_total,
-        )
 
     def finalize(self) -> ClassStats:
         return ClassStats(
@@ -91,8 +74,16 @@ def _is_uppercased(token: str) -> bool:
 
 def author_tally(doc: AuthorDocument) -> ClassTally:
     """Raw-text statistics for a single author."""
+    return class_tally([doc])
+
+
+def class_tally(authors) -> ClassTally:
+    """Raw-text statistics for a group of authors, in one pass over their
+    tweets: every statistic is a sum or union over tweets (an uppercase
+    phrase ends with its tweet), so grouping the tweets into authors
+    changes none of them."""
     tally = ClassTally.empty()
-    for tweet in doc.tweets:
+    for tweet in (tweet for doc in authors for tweet in doc.tweets):
         tally.emoji.update(EMOJI_RE.findall(tweet))
         tally.url_tokens += tweet.count("#URL#")
         tally.hashtag_tokens += tweet.count("#HASHTAG#")
@@ -112,13 +103,6 @@ def author_tally(doc: AuthorDocument) -> ClassTally:
                 run = 0
         if run >= 2:
             tally.uppercased_phrases_total += 1
-    return tally
-
-
-def class_tally(authors) -> ClassTally:
-    tally = ClassTally.empty()
-    for doc in authors:
-        tally = tally.merge(author_tally(doc))
     return tally
 
 

@@ -138,13 +138,21 @@ class SplitSpec:
 
 
 def parse_author_xml(raw: bytes | str, author_id: str) -> AuthorDocument:
-    """Parse one author file into an (unlabeled) :class:`AuthorDocument`.
+    """Parse one author file into an (unlabeled) :class:`AuthorDocument`,
+    with a ``NonStandardTweetCount`` warning unless it holds 100 tweets.
 
     The file layout is ``<author><documents><document>…`` with one
     tweet per ``<document>``; CDATA wrapping and XML entities are both
     handled by the parser. The caller supplies ``author_id`` (taken
     from the file name stem when reading from disk).
     """
+    doc = _parse_author(raw, author_id)
+    if len(doc.tweets) != EXPECTED_TWEETS_PER_AUTHOR:
+        warnings.warn(_odd_count(doc), NonStandardTweetCount, stacklevel=2)
+    return doc
+
+
+def _parse_author(raw: bytes | str, author_id: str) -> AuthorDocument:
     try:
         root = ET.fromstring(raw)
     except ET.ParseError as exc:
@@ -152,14 +160,12 @@ def parse_author_xml(raw: bytes | str, author_id: str) -> AuthorDocument:
     tweets = [elem.text or "" for elem in root.iter("document")]
     if not tweets:
         raise EmptyAuthor(f"author {author_id}: no <document> elements")
-    if len(tweets) != EXPECTED_TWEETS_PER_AUTHOR:
-        warnings.warn(
-            f"author {author_id} has {len(tweets)} tweets, expected "
-            f"{EXPECTED_TWEETS_PER_AUTHOR}",
-            NonStandardTweetCount,
-            stacklevel=2,
-        )
     return AuthorDocument(author_id=author_id, tweets=tuple(tweets))
+
+
+def _odd_count(doc: AuthorDocument) -> str:
+    tweets, expected = len(doc.tweets), EXPECTED_TWEETS_PER_AUTHOR
+    return f"author {doc.author_id} has {tweets} tweets, expected {expected}"
 
 
 def render_author_xml(doc: AuthorDocument, language: Language | None = None) -> bytes:
@@ -213,27 +219,18 @@ def load_corpus(directory: str | Path, language: Language | str) -> Corpus:
     if not xml_paths:
         raise MissingAuthorFile(f"no author XML files in {directory}")
 
-    # Collapse the per-author tweet-count warnings into one summary so a
-    # whole directory of non-conformant files does not flood stderr.
     authors = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for path in xml_paths:
-            if not path.stem.isalnum():
-                raise InvalidAuthorId(
-                    f"{path.name}: author file names must be <alphanumeric id>.xml"
-                )
-            authors.append(parse_author_xml(path.read_bytes(), author_id=path.stem))
-    odd_counts = [w for w in caught if issubclass(w.category, NonStandardTweetCount)]
-    for other in caught:
-        if not issubclass(other.category, NonStandardTweetCount):
-            warnings.warn_explicit(
-                other.message, other.category, other.filename, other.lineno
-            )
+    for path in xml_paths:
+        if not path.stem.isalnum():
+            raise InvalidAuthorId(f"{path.name}: author file names must be <alphanumeric id>.xml")
+        authors.append(_parse_author(path.read_bytes(), author_id=path.stem))
+    # One summary of the odd tweet counts, so a whole directory of
+    # non-conformant files does not flood stderr.
+    odd_counts = [a for a in authors if len(a.tweets) != EXPECTED_TWEETS_PER_AUTHOR]
     if odd_counts:
         warnings.warn(
             f"{len(odd_counts)} of {len(authors)} authors in {directory} do not have "
-            f"{EXPECTED_TWEETS_PER_AUTHOR} tweets (first: {odd_counts[0].message})",
+            f"{EXPECTED_TWEETS_PER_AUTHOR} tweets (first: {_odd_count(odd_counts[0])})",
             NonStandardTweetCount,
             stacklevel=2,
         )

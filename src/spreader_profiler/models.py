@@ -746,9 +746,11 @@ def _unescape_column(fields: list[str]) -> list[str]:
     joined = "\n".join(fields)
     if "\\" not in joined:
         return fields
-    terms = codecs_decode(joined.encode("ascii"), "unicode_escape").split("\n")
-    if len(terms) != len(fields):
-        terms = [codecs_decode(field.encode("ascii"), "unicode_escape") for field in fields]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # an invalid escape, refused later
+        terms = codecs_decode(joined.encode("ascii"), "unicode_escape").split("\n")
+        if len(terms) != len(fields):
+            terms = [codecs_decode(field.encode("ascii"), "unicode_escape") for field in fields]
     return terms
 
 

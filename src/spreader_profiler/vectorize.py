@@ -21,15 +21,19 @@ integer key ``rank(its (n-1)-prefix) * (A + 1) + code(its last
 symbol)``, where the rank is the prefix's position among the corpus's
 distinct (n-1)-grams. Keys therefore sort like the terms and stay below
 ``positions * (A + 1)`` for any alphabet. Each length's distinct keys
-become its columns, and the columns of every length are numbered in one
+become its columns, ranked by a table marking the keys that occur when
+the possible keys are no more than the n-grams, else by one value sort
+of each key packed above its position (an ``argsort`` when the two do
+not share 63 bits); the columns of every length are numbered in one
 sequence, length 1's first. The per-document counts are one CSC matrix
-over all of them, each length's built in linear time: a counting sort
-of the occurrences by column leaves every column's rows ascending, so
-repeats are summed with no comparison sort. A vocabulary is a set of
-those columns: fitting selects from the slice of its lengths, and a
-transform gathers its columns into a CSC block in term order: CSC is the
-one layout from the counts to the scores. Python strings are made only
-for the terms a vocabulary keeps.
+over all of them, each length's built from the ranks in linear time: a
+counting sort of the occurrences by column leaves every column's rows
+ascending, so repeats are summed with no comparison sort. A vocabulary
+is a set of those columns: fitting selects from the slice of its
+lengths, and a transform gathers its columns (as fitted, or found by
+``NgramCounts.lookup``) into a CSC block in term order: CSC is the one
+layout from the counts to the scores. Python strings are made only for
+the terms a vocabulary keeps.
 """
 
 from __future__ import annotations
@@ -136,13 +140,14 @@ class TermColumns(NamedTuple):
 class Vocabulary:
     """A fitted term → index mapping plus the statistics behind it.
 
-    ``columns`` holds the same statistics in index order. A vocabulary
-    built from the dicts derives its columns from them on first use; one
-    made by ``from_columns`` holds only the columns, and builds each dict
-    (``term_to_index``, ``document_frequency``, ``idf``) the first time it
-    is read, so scoring with a loaded model builds none. Neither ``len``
-    nor ``dimension`` builds anything. A vocabulary is immutable, and its
-    value is its config, dicts and corpus size.
+    A vocabulary holds its config, its corpus size and ``columns``: the
+    terms in index order with their statistics. Built from the dicts, it
+    copies them into columns at once, and refuses indices other than
+    exactly 0..n-1; ``from_columns`` takes the columns as they are. Each
+    dict (``term_to_index``, ``document_frequency``, ``idf``) is derived
+    the first time it is read, so scoring with a loaded model builds none.
+    A vocabulary is immutable, and its value is its config, columns and
+    corpus size.
 
     ``fitted_columns`` and ``fitted_on`` are set by ``fit_vocabulary``
     alone: each term's column in the ``NgramCounts`` it was fitted on,
@@ -153,6 +158,7 @@ class Vocabulary:
 
     config: VectorizerConfig
     corpus_size: int
+    columns: TermColumns
     fitted_columns: np.ndarray | None
     fitted_on: weakref.ref | None
 
@@ -166,10 +172,16 @@ class Vocabulary:
         fitted_columns: np.ndarray | None = None,
         fitted_on: weakref.ref | None = None,
     ):
-        vars(self).update(
-            config=config, term_to_index=term_to_index, document_frequency=document_frequency,
-            corpus_size=corpus_size, idf=idf, fitted_columns=fitted_columns, fitted_on=fitted_on,
+        terms = sorted(term_to_index, key=term_to_index.__getitem__)
+        if list(map(term_to_index.__getitem__, terms)) != list(range(len(terms))):
+            raise ValueError(
+                f"vocabulary indices are not exactly 0..{len(terms) - 1}, one per term"
+            )
+        held = Vocabulary.from_columns(
+            config, terms, list(map(document_frequency.__getitem__, terms)), corpus_size,
+            None if idf is None else list(map(idf.__getitem__, terms)), fitted_columns, fitted_on,
         )
+        vars(self).update(vars(held))
 
     @classmethod
     def from_columns(
@@ -201,7 +213,8 @@ class Vocabulary:
         return self._value() == other._value()
 
     def _value(self) -> tuple:
-        return self.config, self.term_to_index, self.document_frequency, self.corpus_size, self.idf
+        terms, df, idf = self.columns
+        return self.config, self.corpus_size, terms, df, None if idf is None else idf.tolist()
 
     def __repr__(self) -> str:
         return (
@@ -209,9 +222,7 @@ class Vocabulary:
         )
 
     def __len__(self) -> int:
-        if "columns" in vars(self):
-            return len(self.columns.terms)
-        return len(self.term_to_index)
+        return len(self.columns.terms)
 
     @property
     def dimension(self) -> int:
@@ -229,20 +240,6 @@ class Vocabulary:
     def idf(self) -> dict[str, float] | None:
         terms, _, idf = self.columns
         return None if idf is None else dict(zip(terms, idf.tolist()))
-
-    @cached_property
-    def columns(self) -> TermColumns:
-        """The terms in index order, with their df and idf; a ValueError
-        unless the indices are exactly 0..n-1."""
-        terms = sorted(self.term_to_index, key=self.term_to_index.__getitem__)
-        if list(map(self.term_to_index.__getitem__, terms)) != list(range(len(terms))):
-            raise ValueError(
-                f"vocabulary indices are not exactly 0..{len(terms) - 1}, one per term"
-            )
-        idf = None
-        if self.idf is not None:
-            idf = np.fromiter(map(self.idf.__getitem__, terms), dtype=np.float64, count=len(terms))
-        return TermColumns(terms, list(map(self.document_frequency.__getitem__, terms)), idf)
 
     def terms(self) -> list[str]:
         """Terms in index order (shared, not a copy)."""
@@ -343,13 +340,11 @@ class NgramCounts:
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
-    def _require(self, n: int) -> None:
-        if n > len(self.keys):
-            raise ValueError(f"n-grams of length {n} were not counted (max_n={len(self.keys)})")
-
     def span(self, ngram_range: NgramRange) -> slice:
         """The columns of the lengths ``ngram_range`` covers."""
-        self._require(ngram_range.max_n)
+        n = ngram_range.max_n
+        if n > len(self.keys):
+            raise ValueError(f"n-grams of length {n} were not counted (max_n={len(self.keys)})")
         return slice(int(self.first[ngram_range.min_n - 1]), int(self.first[ngram_range.max_n]))
 
     def terms(self, columns: np.ndarray) -> list[str]:
@@ -357,11 +352,6 @@ class NgramCounts:
         lengths = np.searchsorted(self.first, columns, side="right")
         surface = self.surface
         return [surface[p : p + n] for p, n in zip(self.where[columns].tolist(), lengths.tolist())]
-
-    def columns(self, terms: Sequence[str]) -> np.ndarray:
-        """``lookup``, refusing a term longer than every counted length."""
-        self._require(max(map(len, terms), default=0))
-        return self.lookup(terms)
 
     def lookup(self, terms: Sequence[str]) -> np.ndarray:
         """The column of each term, of any length, or -1 for a term these

@@ -76,12 +76,16 @@ class TestCorpusStats:
         with pytest.raises(UnlabeledCorpus):
             corpus_stats(corpus)
 
-    def test_additivity_of_tallies(self):
-        corpus = self._corpus()
-        authors = list(corpus)
-        whole = class_tally(authors)
-        merged = class_tally(authors[:1]).merge(class_tally(authors[1:]))
-        assert whole.finalize() == merged.finalize()
+    def test_tallies_do_not_depend_on_how_tweets_are_grouped_into_authors(self):
+        authors = list(self._corpus())
+        tweets = [tweet for author in authors for tweet in author.tweets]
+        whole = class_tally(authors).finalize()
+        assert class_tally([make_author("x1", tweets)]).finalize() == whole
+        for cut in range(1, len(tweets)):
+            regrouped = [make_author("x1", tweets[:cut]), make_author("x2", tweets[cut:])]
+            assert class_tally(regrouped).finalize() == whole
+        singles = [make_author(f"x{i}", [tweet]) for i, tweet in enumerate(tweets)]
+        assert class_tally(singles).finalize() == whole
 
     def test_permutation_invariance(self):
         authors = list(self._corpus())

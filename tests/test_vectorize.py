@@ -172,18 +172,34 @@ class TestFitVocabulary:
     @pytest.mark.parametrize(
         "term_to_index", [{"a": 0, "b": 0}, {"a": 0, "b": 2}, {"a": 1, "b": 2}, {"a": -1, "b": 0}]
     )
-    def test_indices_other_than_0_to_n_are_refused(self, term_to_index, tmp_path):
-        vocab = Vocabulary(
-            config=char_config(weighting=Weighting.COUNT),
-            term_to_index=term_to_index,
-            document_frequency={"a": 1, "b": 1},
-            corpus_size=1,
-        )
+    def test_indices_other_than_0_to_n_are_refused(self, term_to_index):
+        # refused at construction, so no such vocabulary reaches terms() or save_model
         with pytest.raises(ValueError, match="indices are not exactly 0..1"):
-            vocab.terms()
-        model = LinearModel(ModelKind.SVM, np.zeros(2), 0.0, (vocab,), Language.EN)
-        with pytest.raises(ValueError, match="indices"):
-            save_model(model, tmp_path / "model.txt")
+            Vocabulary(
+                config=char_config(weighting=Weighting.COUNT),
+                term_to_index=term_to_index,
+                document_frequency={"a": 1, "b": 1},
+                corpus_size=1,
+            )
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_a_vocabulary_built_from_dicts_is_a_value(self, read_first):
+        index, df, idf = {"b": 1, "a": 0}, {"a": 2, "b": 1}, {"a": 1.0, "b": 1.5}
+        vocab = Vocabulary(config=char_config(), term_to_index=index, document_frequency=df,
+                           corpus_size=2, idf=idf)
+        twin = Vocabulary(config=char_config(), term_to_index=dict(index),
+                          document_frequency=dict(df), corpus_size=2, idf=dict(idf))
+        if read_first:
+            assert vocab.terms() == ["a", "b"]
+        index["c"], df["c"], idf["c"] = 2, 1, 1.5
+        index["a"], df["a"], idf["a"] = 5, 9, 9.0
+        assert not {id(index), id(df), id(idf)} & set(map(id, vars(vocab).values()))
+        assert len(vocab) == vocab.dimension == 2
+        assert vocab.terms() == ["a", "b"]
+        assert vocab.term_to_index == {"a": 0, "b": 1}
+        assert vocab.document_frequency == {"a": 2, "b": 1}
+        assert vocab.idf == {"a": 1.0, "b": 1.5}
+        assert vocab == twin and twin == vocab
 
     def test_idf_bounds(self):
         vocab = fit_vocabulary(
@@ -559,7 +575,7 @@ def test_counts_hold_every_length_up_to_max_n_and_no_scratch():
     with pytest.raises(ValueError, match="length 5 were not counted"):
         counts.span(NgramRange(1, 5))
     with pytest.raises(ValueError, match="length 5 were not counted"):
-        counts.columns(["ab", "abcab"])
+        counts.span(NgramRange(5, 5))
     with pytest.raises(ValueError, match="length 5 were not counted"):
         fit_vocabulary(counts, char_config(1, 5))
 
@@ -711,8 +727,8 @@ def test_mixed_length_columns_agree_with_term_by_term_lookup(docs, max_n, data):
     absent += [term + "z" for term in present if len(term) < max_n]
     absent += ["z" + term[1:] for term in present]
     terms = data.draw(st.permutations(present + absent))
-    assert counts.columns(terms).tolist() == [column_of.get(term, -1) for term in terms]
-    assert counts.columns([]).tolist() == []
+    assert counts.lookup(terms).tolist() == [column_of.get(term, -1) for term in terms]
+    assert counts.lookup([]).tolist() == []
 
 
 # Texts over lone surrogates and the largest code point, with or without
