@@ -34,6 +34,12 @@ Which step the loop takes depends on the loss:
   so a step costs O(|active|^3) on top of the O(n_samples^2) products
   with K.
 * logistic loss: L-BFGS. These problems converge in tens of steps.
+
+The matrices are the vectorizer's ``CscMatrix`` arrays. ``X @ w`` and
+``X.T @ a`` add each entry's product in stored order (``np.add.at`` and
+``np.bincount``, over slices of columns) as scipy's kernels do, so they
+give scipy's bits without its import. A scipy matrix from a caller is
+taken through its ``tocsc``.
 """
 
 from __future__ import annotations
@@ -50,8 +56,6 @@ from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .corpus import Label, Language
 from .errors import (
@@ -65,6 +69,7 @@ from .errors import (
 from .preprocess import TokenStream
 from .vectorize import (
     Analyzer,
+    CscMatrix,
     NgramCounts,
     NgramRange,
     SparseVector,
@@ -158,14 +163,69 @@ class LinearModel:
         return int(self.weights.shape[0])
 
 
-def _to_csr(vectors: list[SparseVector]) -> sp.csr_matrix:
+def _as_csc(X) -> CscMatrix:
+    """``X`` as float64 CSC, sharing its arrays where it can: ``X`` is a
+    ``CscMatrix``, a matrix with a ``tocsc`` method (a scipy sparse
+    matrix, say) or a sequence of vectors."""
+    if not isinstance(X, CscMatrix):
+        X = X.tocsc() if hasattr(X, "tocsc") else _vectors_csc(X)
+    return CscMatrix(X.data.astype(np.float64, copy=False), X.indices, X.indptr, X.shape)
+
+
+def _vectors_csc(vectors: Sequence[SparseVector]) -> CscMatrix:
     dims = {v.dimension for v in vectors}
     if len(dims) != 1:
         raise DimensionMismatch(f"vectors disagree on dimension: {sorted(dims)}")
-    indptr = np.cumsum([0, *(len(vector.entries) for vector in vectors)])
-    indices = np.fromiter((i for vector in vectors for i, _ in vector.entries), dtype=np.int64)
+    dimension = dims.pop()
+    rows = np.repeat(np.arange(len(vectors)), [len(vector.entries) for vector in vectors])
+    columns = np.fromiter((i for vector in vectors for i, _ in vector.entries), dtype=np.int64)
     data = np.fromiter((v for vector in vectors for _, v in vector.entries), dtype=np.float64)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dims.pop()))
+    order = np.argsort(columns, kind="stable")  # each column's rows stay ascending
+    indptr = np.searchsorted(columns[order], np.arange(dimension + 1))
+    return CscMatrix(data[order], rows[order], indptr, (len(vectors), dimension))
+
+
+# Entries a product takes at a time, so that no temporary is the matrix's size.
+_PRODUCT_SLICE = 1 << 16
+
+
+def _column_slices(X: CscMatrix, width: int):
+    """The first column and the matrix of each slice of ``width`` columns
+    of ``X``, in order."""
+    for start in range(0, X.shape[1], width):
+        stop = min(start + width, X.shape[1])
+        low, high = X.indptr[start], X.indptr[stop]
+        yield start, CscMatrix(X.data[low:high], X.indices[low:high],
+                               X.indptr[start : stop + 1] - low, (X.shape[0], stop - start))
+
+
+def _product_slices(X: CscMatrix):
+    """The column slices of ``X`` that hold about ``_PRODUCT_SLICE``
+    entries each."""
+    return _column_slices(X, max(1, X.shape[1] * _PRODUCT_SLICE // max(X.nnz, 1)))
+
+
+def _product(X: CscMatrix, w: np.ndarray) -> np.ndarray:
+    """``X @ w``, each row's products added one at a time in stored order,
+    as scipy's ``csc_matvec`` adds them."""
+    out = np.zeros(X.shape[0])
+    for start, part in _product_slices(X):
+        terms = np.repeat(w[start : start + part.shape[1]], np.diff(part.indptr))
+        terms *= part.data
+        np.add.at(out, part.indices, terms)
+    return out
+
+
+def _transposed_product(X: CscMatrix, a: np.ndarray) -> np.ndarray:
+    """``X.T @ a``, each column's products added in stored order from
+    zero, as scipy's ``csr_matvec`` adds them."""
+    out = np.empty(X.shape[1])
+    for start, part in _product_slices(X):
+        columns = np.repeat(np.arange(part.shape[1]), np.diff(part.indptr))
+        out[start : start + part.shape[1]] = np.bincount(
+            columns, weights=part.data * a[part.indices], minlength=part.shape[1]
+        )
+    return out
 
 
 def _data_term(t, C, loss):
@@ -180,7 +240,21 @@ def _data_slope(t, y_pm, C, loss):
     """The derivative of the data term with respect to each decision value."""
     if loss is LossKind.SQUARED_HINGE:
         return -2.0 * C * y_pm * np.maximum(0.0, 1.0 - t)
-    return -C * y_pm * expit(-t)
+    return -C * y_pm * _expit(-t)
+
+
+def _expit(values: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-v))`` of each value, computed as scipy's ``expit``
+    computes it and so bit for bit the same; 0.0 where ``exp`` overflows.
+    A loop, since ``np.exp`` rounds otherwise in its vector kernels; the
+    vectors it takes have one entry per author."""
+    out = np.zeros(len(values))
+    for i, v in enumerate(values.tolist()):
+        try:
+            out[i] = 1.0 / (1.0 + math.exp(-v))
+        except OverflowError:
+            pass
+    return out
 
 
 # Dense blocks of columns for the Gram matrix: at most this many bytes,
@@ -190,14 +264,15 @@ _GRAM_BLOCK_BYTES = 1 << 22
 _GRAM_MIN_BLOCKS = 16
 
 
-def row_gram(X: sp.csc_matrix) -> np.ndarray:
+def row_gram(X) -> np.ndarray:
     """``X X^T`` as a dense array, summed over dense blocks of contiguous
     columns. ``train`` takes it, so that the models fitted to X share it."""
+    X = _as_csc(X)
     n_rows, n_columns = X.shape
     width = max(1, min(_GRAM_BLOCK_BYTES // (8 * n_rows), -(-n_columns // _GRAM_MIN_BLOCKS)))
     gram = np.zeros((n_rows, n_rows))
-    for start in range(0, n_columns, width):
-        block = X[:, start : start + width].toarray()
+    for _, part in _column_slices(X, width):
+        block = part.toarray()
         gram += block @ block.T
     return gram
 
@@ -213,7 +288,7 @@ class _RowBasis:
     off its image.
     """
 
-    def __init__(self, X: sp.csc_matrix, gram: np.ndarray, fit_intercept: bool):
+    def __init__(self, X: CscMatrix, gram: np.ndarray, fit_intercept: bool):
         self.X = X
         self.gram = gram
         self.n_samples = X.shape[0]
@@ -235,7 +310,7 @@ class _RowBasis:
         return v
 
     def weights(self, theta: np.ndarray):
-        w = self.X.T @ theta[: self.n_samples]
+        w = _transposed_product(self.X, theta[: self.n_samples])
         return w, float(theta[self.n_samples]) if self.fit_intercept else 0.0
 
     def decisions(self, theta: np.ndarray):
@@ -299,10 +374,11 @@ class _RowBasis:
 def _objective_and_grad(theta, X, y_pm, C, loss, fit_intercept):
     """The objective and its gradient at ``theta = (w, b)``, in the
     coordinates of the features."""
+    X = _as_csc(X)
     w, b = (theta[:-1], float(theta[-1])) if fit_intercept else (theta, 0.0)
-    t = y_pm * (X @ w + b)
+    t = y_pm * (_product(X, w) + b)
     slopes = _data_slope(t, y_pm, C, loss)
-    grad = X.T @ slopes + w
+    grad = _transposed_product(X, slopes) + w
     if fit_intercept:
         grad = np.append(grad, slopes.sum())
     return 0.5 * float(w @ w) + _data_term(t, C, loss), grad
@@ -405,7 +481,7 @@ def _validate_training_inputs(n_samples: int, y: list[Label]):
 
 
 def train(
-    X: sp.spmatrix | list[SparseVector],
+    X: CscMatrix | Sequence[SparseVector],
     y: list[Label],
     config: TrainConfig = TrainConfig(),
     feature_spec: tuple[Vocabulary, ...] = (),
@@ -415,8 +491,9 @@ def train(
     """Train a linear model on the rows of ``X`` (a sparse matrix or a
     list of vectors); the loss in ``config`` picks the kind. ``gram`` is
     ``row_gram(X)``, for a caller that trains several models on ``X``.
-    Float64 CSC is used as it is; other input is converted to it once."""
-    X = sp.csc_matrix(X if sp.issparse(X) else _to_csr(X), dtype=np.float64)
+    Float64 CSC is used as it is; other input is converted to it once,
+    a scipy sparse matrix included."""
+    X = _as_csc(X)
     _validate_training_inputs(X.shape[0], y)
     y_pm = np.where([label == Label.FAKE_NEWS_SPREADER for label in y], 1.0, -1.0)
     w, b, history, converged, n_iter = _minimize(X, y_pm, config, gram)
@@ -452,24 +529,25 @@ def train_logreg(X, y, config: TrainConfig = TrainConfig(), **kwargs) -> LinearM
 
 def decision_value(model: LinearModel, x: SparseVector) -> float:
     """The decision value of one vector, scored as a one-row matrix."""
-    return float(decision_values(model, _to_csr([x]))[0])
+    return float(decision_values(model, _vectors_csc([x]))[0])
 
 
 def decision_values(
-    model: LinearModel, features: Sequence[TokenStream] | NgramCounts | sp.spmatrix
+    model: LinearModel, features: Sequence[TokenStream] | NgramCounts | CscMatrix
 ) -> np.ndarray:
     """``X @ w + b``: one decision value per row of ``features``, either a
-    matrix already built with the model's vocabularies or streams (or
-    their counts) to vectorize with them."""
-    if not sp.issparse(features):
-        if not model.feature_spec:
-            raise WrongModelKind("model carries no feature_spec to vectorize with")
-        features = union_transform(features, model.feature_spec)
-    if features.shape[1] != model.dimension:
-        raise DimensionMismatch(
-            f"matrix width {features.shape[1]} != model dimension {model.dimension}"
-        )
-    return features @ model.weights + model.bias
+    matrix already built with the model's vocabularies (a ``CscMatrix``,
+    or one with a ``tocsc`` method) or streams (or their counts) to
+    vectorize with them."""
+    if isinstance(features, CscMatrix) or hasattr(features, "tocsc"):
+        X = _as_csc(features)
+    elif not model.feature_spec:
+        raise WrongModelKind("model carries no feature_spec to vectorize with")
+    else:
+        X = union_transform(features, model.feature_spec)
+    if X.shape[1] != model.dimension:
+        raise DimensionMismatch(f"matrix width {X.shape[1]} != model dimension {model.dimension}")
+    return _product(X, model.weights) + model.bias
 
 
 def label_of(value: float) -> Label:

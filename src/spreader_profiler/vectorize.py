@@ -26,14 +26,17 @@ the possible keys are no more than the n-grams, else by one value sort
 of each key packed above its position (an ``argsort`` when the two do
 not share 63 bits); the columns of every length are numbered in one
 sequence, length 1's first. The per-document counts are one CSC matrix
-over all of them, each length's built from the ranks in linear time: a
-counting sort of the occurrences by column leaves every column's rows
-ascending, so repeats are summed with no comparison sort. A vocabulary
-is a set of those columns: fitting selects from the slice of its
-lengths, and a transform gathers its columns (as fitted, or found by
-``NgramCounts.lookup``) into a CSC block in term order: CSC is the one
-layout from the counts to the scores. Python strings are made only for
-the terms a vocabulary keeps.
+over all of them. Each occurrence becomes the code ``column * documents
++ row`` of its cell, and the codes are sorted: the key sort leaves them
+so, since it keeps ties in position order, and after marking one value
+sort does. A cell's repeats are then one run, and the run's length is
+its count. A vocabulary is a set of those columns: fitting selects from
+the slice of its lengths, and a transform gathers its columns (as
+fitted, or found by ``NgramCounts.lookup``) into a CSC block in term
+order. CSC is the one layout from the counts to the scores, held in the
+package's own ``CscMatrix`` of numpy arrays rather than scipy's, whose
+import would cost every command more than its work at bench scale.
+Python strings are made only for the terms a vocabulary keeps.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EmptyVocabulary
 from .preprocess import TokenStream
@@ -128,6 +130,36 @@ class SparseVector:
         return math.sqrt(sum(v * v for _, v in self.entries))
 
 
+class CscMatrix:
+    """A sparse matrix in compressed sparse column form: column ``j``
+    holds the values ``data[indptr[j]:indptr[j + 1]]`` in the rows
+    ``indices[indptr[j]:indptr[j + 1]]``, ascending. It is the one
+    layout from the counts to the scores, and it has only what the
+    pipeline asks of it."""
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                 shape: tuple[int, int]):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    @property
+    def nnz(self) -> int:
+        """The number of stored entries."""
+        return int(self.indptr[-1])
+
+    def toarray(self) -> np.ndarray:
+        """The matrix as a dense array, repeated entries of a cell added."""
+        n_rows, n_columns = self.shape
+        cells = self.indices.astype(np.int64)
+        cells *= n_columns
+        cells += np.repeat(np.arange(n_columns), np.diff(self.indptr))
+        dense = np.zeros(n_rows * n_columns, dtype=self.data.dtype)
+        np.add.at(dense, cells, self.data)
+        return dense.reshape(self.shape)
+
+
 class TermColumns(NamedTuple):
     """A vocabulary's terms in index order, with the document frequency
     and (for TF-IDF) the idf of each."""
@@ -143,9 +175,10 @@ class Vocabulary:
     A vocabulary holds its config, its corpus size and ``columns``: the
     terms in index order with their statistics. Built from the dicts, it
     copies them into columns at once, and refuses indices other than
-    exactly 0..n-1; ``from_columns`` takes the columns as they are. Each
-    dict (``term_to_index``, ``document_frequency``, ``idf``) is derived
-    the first time it is read, so scoring with a loaded model builds none.
+    exactly 0..n-1 and statistics of other terms than the indexed ones;
+    ``from_columns`` takes the columns as they are. Each dict
+    (``term_to_index``, ``document_frequency``, ``idf``) is derived the
+    first time it is read, so scoring with a loaded model builds none.
     A vocabulary is immutable, and its value is its config, columns and
     corpus size.
 
@@ -177,6 +210,13 @@ class Vocabulary:
             raise ValueError(
                 f"vocabulary indices are not exactly 0..{len(terms) - 1}, one per term"
             )
+        for name, given in (("document_frequency", document_frequency), ("idf", idf)):
+            if given is not None and given.keys() != term_to_index.keys():
+                raise ValueError(
+                    f"{name} does not hold exactly the vocabulary's terms: missing "
+                    f"{sorted(term_to_index.keys() - given.keys())}, "
+                    f"extra {sorted(given.keys() - term_to_index.keys())}"
+                )
         held = Vocabulary.from_columns(
             config, terms, list(map(document_frequency.__getitem__, terms)), corpus_size,
             None if idf is None else list(map(idf.__getitem__, terms)), fitted_columns, fitted_on,
@@ -259,13 +299,13 @@ class NgramCounts:
     The n-grams of every length are numbered in one sequence of columns,
     length 1's first and each length's in term order: the columns of
     length n run from ``first[n - 1]`` to ``first[n]``. ``matrix`` is the
-    documents x columns count matrix (CSC), with one empty column after
-    the last, which stands for a term these counts do not contain.
-    ``tf`` and ``df`` are the column sums and column supports, and
-    ``where`` a start position of each column's n-gram in ``surface``.
-    ``keys[n - 1]`` holds length n's keys, sorted, for looking terms up.
-    The counting scratch (about four integers per symbol) is freed before
-    the constructor returns."""
+    documents x columns count matrix (a ``CscMatrix``), with one empty
+    column after the last, which stands for a term these counts do not
+    contain. ``tf`` and ``df`` are the column sums and column supports,
+    and ``where`` a start position of each column's n-gram in
+    ``surface``. ``keys[n - 1]`` holds length n's keys, sorted, for
+    looking terms up. The counting scratch (about five integers per
+    symbol) is freed before the constructor returns."""
 
     def __init__(self, streams: Sequence[TokenStream], max_n: int):
         documents = [stream.joined_text for stream in streams]
@@ -287,52 +327,54 @@ class NgramCounts:
         self.keys: list[np.ndarray] = []
         levels, tf, where = [], [], []
         positions = np.arange(len(codes), dtype=index)
+        rows = np.repeat(np.arange(len(sizes), dtype=index), sizes)  # each position's document
         ranks = np.zeros(len(codes), dtype=index)
         for n in range(1, max_n + 1):
             alive = remaining[positions] >= n
-            positions = positions[alive]
+            positions, rows = positions[alive], rows[alive]
             keys = ranks[alive].astype(np.int64)
             del alive, ranks  # the previous length's, freed before this one's are made
             keys *= self.base
             keys += codes[positions + (n - 1)]
             # keys, ranks = np.unique(keys, return_inverse=True), in less
             # memory: by marking the possible keys when they are fewer than
-            # the n-grams, else by sorting
+            # the n-grams, else by sorting. Either way, ``cells`` ends up
+            # holding each n-gram's rank * documents + row, sorted, in the
+            # narrower integer that holds every such code.
             bound = (len(self.keys[-1]) if self.keys else 1) * self.base
+            cell = np.int32 if min(bound, len(keys)) * len(sizes) < 2**31 else np.int64
             if bound <= len(keys):
                 present = np.zeros(bound, dtype=bool)
                 present[keys] = True
                 ranks = (np.cumsum(present, dtype=index) - 1)[keys]
                 keys = np.flatnonzero(present)
                 del present
+                cells = ranks.astype(cell)
+                cells *= len(sizes)
+                cells += rows
+                cells.sort()
             else:
+                # sorted by key and then by position, so by row
                 keys, order = _sorted_with_order(keys)
-                first = np.empty(len(keys), dtype=bool)
-                first[:1] = True
-                np.not_equal(keys[1:], keys[:-1], out=first[1:])
-                keys = keys[first]
+                starts = _run_starts(keys)
+                cells = np.repeat(np.arange(len(starts), dtype=cell),
+                                  np.diff(starts, append=len(keys)))
+                keys = keys[starts]
                 ranks = np.empty(len(positions), dtype=index)
-                ranks[order] = np.cumsum(first, dtype=index) - 1
-                del order, first
-            # positions ascend, so each document's n-grams are contiguous.
-            # The rows are unsorted and repeat columns; the conversion to
-            # CSC sorts them by a counting pass (each column's rows come
-            # out ascending), so summing the repeats needs no comparison
-            # sort.
-            indptr = np.append(np.searchsorted(positions, starts), len(positions))
-            level = sp.csr_matrix(
-                (np.ones(len(positions), dtype=np.int32), ranks, indptr),
-                shape=(len(starts), len(keys)),
-            ).tocsc()
-            level.sum_duplicates()
-            levels.append(level)
+                ranks[order] = cells
+                cells *= len(sizes)
+                cells += rows[order]
+                del order, starts
+            levels.append(_count_cells(cells, len(sizes), len(keys), index))
             tf.append(np.bincount(ranks, minlength=len(keys)))
             where.append(np.empty(len(keys), dtype=index))
             where[-1][ranks] = positions
             self.keys.append(keys)
-        del codes, remaining, positions, ranks, keys, indptr, level  # before the copy below
-        levels.append(sp.csc_matrix((len(starts), 1), dtype=np.int32))
-        self.matrix = sp.hstack(levels, format="csc")
+        del codes, remaining, positions, rows, ranks, keys, cells  # before the copy below
+        empty = np.zeros(0, dtype=np.int32)
+        levels.append(CscMatrix(empty, empty.astype(index), np.zeros(2, dtype=np.int64),
+                                (len(sizes), 1)))
+        self.matrix = join_blocks(levels)
         self.tf, self.where = np.concatenate(tf), np.concatenate(where)
         self.df = np.diff(self.matrix.indptr[:-1])
         self.first = np.cumsum([0, *map(len, self.keys)])
@@ -387,13 +429,12 @@ _KEY_BITS = 63
 
 def _sorted_with_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``keys[order], order`` for an ``order`` that sorts the non-negative
-    int64 ``keys``, which it may overwrite. Each key is packed above its
-    position into one int64, so one value sort gives both, and ties keep
-    their order; keys too large to share the bits are arg-sorted, which
-    may order ties otherwise."""
+    int64 ``keys``, which it may overwrite, with ties in their order. Each
+    key is packed above its position into one int64, so one value sort
+    gives both; keys too large to share the bits are arg-sorted."""
     shift = max(len(keys) - 1, 0).bit_length()
     if int(keys.max(initial=0)).bit_length() + shift > _KEY_BITS:
-        order = np.argsort(keys)
+        order = np.argsort(keys, kind="stable")
         return keys[order], order
     keys <<= shift
     keys |= np.arange(len(keys))
@@ -401,6 +442,26 @@ def _sorted_with_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = keys & ((1 << shift) - 1)
     keys >>= shift
     return keys, order
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """The index of the first value of each run of equal values."""
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def _count_cells(cells: np.ndarray, n_rows: int, n_columns: int, index) -> CscMatrix:
+    """The count matrix of ``cells``, sorted codes ``column * n_rows + row``
+    of one occurrence each, in which every column occurs: every run of
+    equal codes is one entry."""
+    starts = _run_starts(cells)
+    data = np.diff(starts, append=len(cells)).astype(np.int32)
+    columns, rows = np.divmod(cells[starts], n_rows)
+    del starts  # before the arrays of the matrix are made
+    return CscMatrix(data, rows.astype(index, copy=False),
+                     np.append(_run_starts(columns), len(columns)), (n_rows, n_columns))
 
 
 def _as_counts(streams: Sequence[TokenStream] | NgramCounts, max_n: int) -> NgramCounts:
@@ -488,7 +549,7 @@ def with_weighting(vocab: Vocabulary, weighting: Weighting) -> Vocabulary:
     )
 
 
-def _block(counts: NgramCounts, vocab: Vocabulary) -> sp.csc_matrix:
+def _block(counts: NgramCounts, vocab: Vocabulary) -> CscMatrix:
     """One vocabulary's documents x terms occurrence counts, as float64
     CSC with each column's rows ascending: the vocabulary's columns of
     ``counts`` gathered in term order. The columns are its fitted ones
@@ -500,16 +561,23 @@ def _block(counts: NgramCounts, vocab: Vocabulary) -> sp.csc_matrix:
         columns = counts.lookup(vocab.terms())
         span = counts.span(vocab.config.range)
         columns[(columns < span.start) | (columns >= span.stop)] = -1
-    block = counts.matrix[:, columns]
-    block.data = block.data.astype(np.float64)
-    return block
+    matrix = counts.matrix
+    # column -1 reads the last column's bounds through both slices
+    starts = matrix.indptr[:-1][columns]
+    sizes = matrix.indptr[1:][columns] - starts
+    indptr = np.zeros(len(columns) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    taken = np.repeat(starts - indptr[:-1], sizes)
+    taken += np.arange(len(taken))
+    return CscMatrix(matrix.data[taken].astype(np.float64), matrix.indices[taken], indptr,
+                     (matrix.shape[0], len(columns)))
 
 
 # Entries weighed at a time, so that no temporary is the block's size.
 _NORM_SLICE = 1 << 16
 
 
-def weigh(block: sp.csc_matrix, vocab: Vocabulary) -> sp.csc_matrix:
+def weigh(block: CscMatrix, vocab: Vocabulary) -> CscMatrix:
     """A count matrix of ``vocab``'s terms, weighted as ``vocab`` says: the
     counts themselves, or a new matrix of TF-IDF values with each row
     L2-normalized: its squares added one at a time in stored order, column
@@ -526,12 +594,12 @@ def weigh(block: sp.csc_matrix, vocab: Vocabulary) -> sp.csc_matrix:
     norms = np.sqrt(squares)
     for part in parts:
         values[part] /= norms[rows[part]]
-    return sp.csc_matrix((values, block.indices, block.indptr), shape=block.shape)
+    return CscMatrix(values, block.indices, block.indptr, block.shape)
 
 
 def union_transform(
     streams: Sequence[TokenStream] | NgramCounts, vocabs: tuple[Vocabulary, ...]
-) -> sp.csc_matrix:
+) -> CscMatrix:
     """Vectorize the streams against each vocabulary block and
     concatenate the blocks column-wise: one row per stream.
 
@@ -544,15 +612,24 @@ def union_transform(
     return join_blocks([weigh(_block(counts, vocab), vocab) for vocab in vocabs])
 
 
-def join_blocks(blocks: Sequence[sp.csc_matrix]) -> sp.csc_matrix:
+def join_blocks(blocks: Sequence[CscMatrix]) -> CscMatrix:
     """The blocks side by side, in order: their columns concatenated."""
-    return blocks[0] if len(blocks) == 1 else sp.hstack(blocks, format="csc")
+    if len(blocks) == 1:
+        return blocks[0]
+    offsets = np.cumsum([0, *(block.nnz for block in blocks)])
+    return CscMatrix(
+        np.concatenate([block.data for block in blocks]),
+        np.concatenate([block.indices for block in blocks]),
+        np.concatenate([[0], *(b.indptr[1:] + o for b, o in zip(blocks, offsets.tolist()))]),
+        (blocks[0].shape[0], sum(block.shape[1] for block in blocks)),
+    )
 
 
 def transform(stream: TokenStream, vocab: Vocabulary) -> SparseVector:
     """Vectorize one stream against a fitted vocabulary (see
     ``union_transform``)."""
-    row = union_transform([stream], (vocab,)).tocsr()
+    row = union_transform([stream], (vocab,))
     return SparseVector(
-        entries=tuple(zip(row.indices.tolist(), row.data.tolist())), dimension=vocab.dimension
+        entries=tuple(zip(np.flatnonzero(np.diff(row.indptr)).tolist(), row.data.tolist())),
+        dimension=vocab.dimension,
     )

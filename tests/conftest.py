@@ -1,11 +1,20 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from spreader_profiler.corpus import AuthorDocument, Corpus, Label, Language
 from spreader_profiler.preprocess import load_stopwords
 from spreader_profiler.synth import generate_corpus_dir
+
+# The same examples on every run and machine, whatever earlier runs found,
+# so that a run's verdict does not depend on the runs before it.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def pan_data_dir():
@@ -43,6 +52,27 @@ def small_synth_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("synth-small") / "en"
     generate_corpus_dir(path, authors_per_class=12, tweets_per_author=20, seed=3, language="en")
     return path
+
+
+def scipy_csc(matrix) -> sp.csc_matrix:
+    """A ``CscMatrix`` of the package as a scipy matrix over the same
+    arrays, for the scipy methods a test reads it with."""
+    return sp.csc_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
+@st.composite
+def csc_matrices(draw, n_rows=None, min_rows=0, max_columns=8):
+    """A canonical float64 scipy CSC matrix: empty rows, empty columns, no
+    entries and one column among them, with values over many magnitudes,
+    so that the order of a sum shows in its bits."""
+    if n_rows is None:
+        n_rows = draw(st.integers(min_rows, 6))
+    n_columns = draw(st.integers(0, max_columns))
+    density = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_rows, n_columns)
+    dense = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    return sp.csc_matrix(dense * (rng.random(shape) < density))
 
 
 def make_author(author_id: str, tweets, label=None) -> AuthorDocument:

@@ -1,7 +1,11 @@
 import contextlib
 import hashlib
 import io
+import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -168,6 +172,40 @@ class TestGridSearch:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2  # header + 1 config
         assert lines[1].startswith("1\t")
+
+
+_EVERY_COMMAND = """
+import contextlib, io, json, sys
+from spreader_profiler import cli
+corpus, out = sys.argv[1:]
+commands = [
+    ["analyze", "--input", corpus, "--lang", "en"],
+    ["train", "--input", corpus, "--lang", "en", "--out", f"{out}/model"],
+    ["evaluate", "--model", f"{out}/model", "--input", corpus],
+    ["predict", "--model", f"{out}/model", "--input", corpus, "--out", f"{out}/predictions"],
+    ["gridsearch", "--input", corpus, "--lang", "en", "--ranges", "1:2", "--min-df", "1",
+     "--max-features", "200,400", "--weighting", "tfidf", "--models", "svm"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(argv) for argv in commands]
+print(json.dumps([codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]))
+"""
+
+
+def test_no_command_imports_scipy(small_synth_dir, tmp_path):
+    """Every subcommand runs, in a fresh interpreter, without importing
+    scipy, at start-up or later: the package's sparse matrices are its
+    own CSC arrays, and scipy's import would cost every command."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _EVERY_COMMAND, str(small_synth_dir), str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True, timeout=300,
+    )
+    codes, imported = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * 5
+    assert imported == []
 
 
 class TestExitCodes:

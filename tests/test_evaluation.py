@@ -624,7 +624,7 @@ class TestSharedGrid:
                    preprocess_corpus(hard_corpus, load_stopwords(hard_corpus.language))}
 
         def signature(X):
-            return (X.shape, X.dtype, X.indices.dtype, X.data.tobytes(), X.indices.tobytes(),
+            return (X.shape, X.data.dtype, X.indices.dtype, X.data.tobytes(), X.indices.tobytes(),
                     X.indptr.tobytes())
 
         def alone(split, config):

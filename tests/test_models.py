@@ -6,6 +6,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from spreader_profiler import models
 from spreader_profiler.corpus import Corpus, Label, Language
@@ -38,6 +41,7 @@ from spreader_profiler.models import (
 from spreader_profiler.preprocess import TokenStream, load_stopwords, preprocess_corpus
 from spreader_profiler.synth import synth_author
 from spreader_profiler.vectorize import (
+    CscMatrix,
     NgramCounts,
     NgramRange,
     SparseVector,
@@ -48,6 +52,7 @@ from spreader_profiler.vectorize import (
     union_transform,
 )
 
+from conftest import csc_matrices, scipy_csc
 from oracles import central_difference_gradient, reference_objective, relative_error
 
 FAKE = Label.FAKE_NEWS_SPREADER
@@ -380,7 +385,7 @@ class TestRowBasis:
         X, y_pm = self.wide_problem(seed=5) if wide else self.problem(seed=5)
         assert (X.shape[0] ** 2 > X.nnz) is wide
         C = 3.0
-        basis = _RowBasis(X, row_gram(X), fit_intercept)
+        basis = _RowBasis(models._as_csc(X), row_gram(X), fit_intercept)
         theta = basis.with_image(np.random.default_rng(6).normal(scale=0.3, size=basis.half))
         ww, decisions = basis.decisions(theta)
         t = y_pm * decisions
@@ -433,7 +438,7 @@ def _count_problem(seed, authors_per_class=14, tweets_per_author=25):
                                            load_stopwords(Language.EN)), 3)
     config = VectorizerConfig(range=NgramRange(1, 3), max_features=5000, min_df=2,
                               weighting=Weighting.COUNT)
-    X = union_transform(counts, (fit_vocabulary(counts, config),))
+    X = scipy_csc(union_transform(counts, (fit_vocabulary(counts, config),)))
     return X, np.array([1.0 if author.label is FAKE else -1.0 for author in authors])
 
 
@@ -495,7 +500,7 @@ class TestNewton:
             rng.uniform(0.5, 1.0, size=(24, 30)) * (y_pm[:, None] > 0),
             rng.uniform(0.5, 1.0, size=(24, 30)) * (y_pm[:, None] < 0),
         ]))
-        basis = _RowBasis(X, row_gram(X), fit_intercept)
+        basis = _RowBasis(models._as_csc(X), row_gram(X), fit_intercept)
         theta = basis.with_image(np.append(y_pm, [0.25] * fit_intercept))
         t = y_pm * basis.decisions(theta)[1]
         assert np.all(t > 1.0)
@@ -515,7 +520,7 @@ class TestNewton:
         rng = np.random.default_rng(seed)
         X, y_pm = TestRowBasis.problem(seed)
         C = 3.0
-        basis = _RowBasis(X, row_gram(X), fit_intercept)
+        basis = _RowBasis(models._as_csc(X), row_gram(X), fit_intercept)
         n = X.shape[0]
         theta = basis.with_image(rng.normal(scale=0.3, size=basis.half))
         t = y_pm * basis.decisions(theta)[1]
@@ -581,8 +586,8 @@ class TestLayout:
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_every_layout_trains_and_scores_to_the_same_bits(self, loss, monkeypatch):
         X, labels = self.problem()
-        assert X.format == "csc"
-        rows = X.tocsr()
+        assert isinstance(X, CscMatrix)
+        rows = scipy_csc(X).tocsr()
         vectors = [
             SparseVector(tuple(zip(row.indices.tolist(), row.data.tolist())), X.shape[1])
             for row in rows
@@ -595,7 +600,7 @@ class TestLayout:
 
         monkeypatch.setattr(models, "_minimize", recording)
         fitted = [train(inputs, labels, TrainConfig(loss=loss)) for inputs in (X, rows, vectors)]
-        assert all(matrix.format == "csc" for matrix in given)
+        assert all(isinstance(matrix, CscMatrix) for matrix in given)
         assert np.shares_memory(given[0].data, X.data)  # used as it is, not copied
         for model in fitted[1:]:
             assert model.weights.tobytes() == fitted[0].weights.tobytes()
@@ -603,6 +608,51 @@ class TestLayout:
         for model in fitted:
             scores = decision_values(model, X)
             assert decision_values(model, rows).tobytes() == scores.tobytes()
+
+
+class TestKernelsAgainstScipy:
+    """The products, the Gram matrix and the logistic slope give scipy's
+    bits: each adds its terms in the order scipy's kernels add them."""
+
+    @staticmethod
+    def record(matrix):
+        return CscMatrix(matrix.data, matrix.indices, matrix.indptr, matrix.shape)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=csc_matrices(), seed=st.integers(0, 2**32 - 1), slice_entries=st.integers(1, 9))
+    def test_products(self, matrix, seed, slice_entries):
+        """In any slices of columns."""
+        X, rng = self.record(matrix), np.random.default_rng(seed)
+        w, a = (rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n) for n in matrix.shape[::-1])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "_PRODUCT_SLICE", slice_entries)
+            assert models._product(X, w).tobytes() == (matrix @ w).tobytes()
+            assert models._transposed_product(X, a).tobytes() == (matrix.T @ a).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix=csc_matrices(min_rows=1, max_columns=40), block_columns=st.integers(1, 6))
+    def test_row_gram(self, matrix, block_columns):
+        n_rows, n_columns = matrix.shape
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "_GRAM_BLOCK_BYTES", 8 * n_rows * block_columns)
+            gram = row_gram(self.record(matrix))
+        # the former blocks: scipy's column slices, densified
+        width = max(1, min(block_columns, -(-n_columns // models._GRAM_MIN_BLOCKS)))
+        expected = np.zeros((n_rows, n_rows))
+        for start in range(0, n_columns, width):
+            block = matrix[:, start : start + width].toarray()
+            expected += block @ block.T
+        assert gram.tobytes() == expected.tobytes()
+
+    def test_logistic_slope(self):
+        tiny = np.nextafter(0.0, 1.0)
+        edges = [0.0, tiny, 7 * tiny, 2.0**-1030, np.finfo(np.float64).tiny, 1e-300,
+                 709.78, 745.0, 1e308, np.inf]
+        grid = np.array(edges + [-value for value in edges])
+        rng = np.random.default_rng(2024)
+        normals = [rng.normal(scale=scale, size=10_000) for scale in (1e-3, 1.0, 30.0, 800.0)]
+        for values in (grid, *normals):
+            assert models._expit(values).tobytes() == expit(values).tobytes()
 
 
 class TestPredict:

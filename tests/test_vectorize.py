@@ -17,6 +17,7 @@ from spreader_profiler.models import LinearModel, ModelKind, decision_values, lo
 from spreader_profiler.preprocess import TokenStream
 from spreader_profiler.vectorize import (
     Analyzer,
+    CscMatrix,
     NgramCounts,
     NgramRange,
     SparseVector,
@@ -25,12 +26,15 @@ from spreader_profiler.vectorize import (
     Weighting,
     extract_char_ngrams,
     fit_vocabulary,
+    join_blocks,
     selected_columns,
     smooth_idf,
     transform,
     union_transform,
+    weigh,
 )
 
+from conftest import csc_matrices, scipy_csc
 from oracles import brute_char_ngrams, brute_fit, brute_transform, dense_from_sparse
 
 
@@ -182,6 +186,18 @@ class TestFitVocabulary:
                 corpus_size=1,
             )
 
+    @pytest.mark.parametrize(
+        "df, idf, message",
+        [
+            ({"b": 1}, {"a": 1.0, "b": 1.0}, r"^document_frequency .* missing \['a'\], extra \[\]"),
+            ({"a": 1, "b": 1, "zz": 3}, None, r"^document_frequency .* \[\], extra \['zz'\]"),
+            ({"a": 1, "b": 1}, {"a": 1.0, "q": 2.0}, r"idf .* missing \['b'\], extra \['q'\]"),
+        ],
+    )
+    def test_statistics_of_other_terms_are_refused(self, df, idf, message):
+        with pytest.raises(ValueError, match=message):
+            Vocabulary(char_config(), {"a": 0, "b": 1}, df, 2, idf=idf)
+
     @pytest.mark.parametrize("read_first", [False, True])
     def test_a_vocabulary_built_from_dicts_is_a_value(self, read_first):
         index, df, idf = {"b": 1, "a": 0}, {"a": 2, "b": 1}, {"a": 1.0, "b": 1.5}
@@ -288,12 +304,12 @@ class TestFeatureUnion:
 
     def test_index_arithmetic(self):
         X = union_transform(self.streams, self.blocks())
-        assert X.format == "csc" and X.shape == (2, 4)
-        rows = X.tocsr()
+        assert isinstance(X, CscMatrix) and X.shape == (2, 4)
+        rows = scipy_csc(X).tocsr()
         assert rows[0].indices.tolist() == [0, 1, 3]
-        assert X[0, 3] == 1.0
+        assert rows[0, 3] == 1.0
         assert rows[1].indices.tolist() == [0, 2]
-        assert X[1, 2] == 1.0
+        assert rows[1, 2] == 1.0
 
     def test_two_empty(self):
         X = union_transform([stream_of("zz")], self.blocks())
@@ -301,7 +317,7 @@ class TestFeatureUnion:
         assert X.shape == (1, 4)
 
     def test_no_renormalization(self):
-        X = union_transform([stream_of("abab")], self.blocks())
+        X = scipy_csc(union_transform([stream_of("abab")], self.blocks()))
         tfidf_part, count_part = X[0, :2].toarray().ravel(), X[0, 2:].toarray().ravel()
         assert math.hypot(*tfidf_part) == pytest.approx(1.0)  # unit norm
         assert count_part.tolist() == [0.0, 2.0]            # counts
@@ -464,7 +480,7 @@ def test_batch_builder_matches_oracle(docs, scoring, min_n, span, min_df, weight
     assert vocab.idf == idf
 
     texts = docs + scoring
-    X = union_transform([stream_of(text) for text in texts], (vocab,))
+    X = scipy_csc(union_transform([stream_of(text) for text in texts], (vocab,)))
     assert X.shape == (len(texts), len(index))
     for row, text in enumerate(texts):
         dense = X[row].toarray().ravel().tolist()
@@ -487,7 +503,7 @@ def test_tfidf_norm_adds_each_rows_squares_left_to_right():
     for value in idf:
         acc += value * value
     assert acc == 1e16 != math.fsum(value * value for value in idf)
-    rows = X.tocsr()
+    rows = scipy_csc(X).tocsr()
     assert rows[0].indices.tolist() == list(range(len(terms)))
     assert rows[0].data.tolist() == [value / math.sqrt(acc) for value in idf]
     assert rows[1].nnz == 0
@@ -504,7 +520,7 @@ def test_tfidf_weighting_is_the_same_in_any_slices(size, monkeypatch):
     whole = union_transform(streams, (vocab,))
     monkeypatch.setattr(vectorize, "_NORM_SLICE", size)
     sliced = union_transform(streams, (vocab,))
-    assert whole.nnz > size and sliced.format == "csc"
+    assert whole.nnz > size and isinstance(sliced, CscMatrix)
     for name in ("data", "indices", "indptr"):
         assert getattr(sliced, name).tobytes() == getattr(whole, name).tobytes()
 
@@ -555,7 +571,8 @@ def test_batch_builder_shares_counts_across_blocks():
     separate = tuple(fit_vocabulary(streams, c) for c in blocks)
     assert shared == separate
     assert len(counts.keys) == 5  # lengths 1 to 5, each counted once
-    assert (union_transform(counts, shared) != union_transform(streams, separate)).nnz == 0
+    assert (scipy_csc(union_transform(counts, shared))
+            != scipy_csc(union_transform(streams, separate))).nnz == 0
 
 
 def test_counts_hold_every_length_up_to_max_n_and_no_scratch():
@@ -571,7 +588,8 @@ def test_counts_hold_every_length_up_to_max_n_and_no_scratch():
     }
     vocabs = tuple(fit_vocabulary(counts, c) for c in blocks)
     assert vocabs == tuple(fit_vocabulary(streams, c) for c in blocks)
-    assert (union_transform(counts, vocabs) != union_transform(streams, vocabs)).nnz == 0
+    assert (scipy_csc(union_transform(counts, vocabs))
+            != scipy_csc(union_transform(streams, vocabs))).nnz == 0
     with pytest.raises(ValueError, match="length 5 were not counted"):
         counts.span(NgramRange(1, 5))
     with pytest.raises(ValueError, match="length 5 were not counted"):
@@ -612,11 +630,10 @@ def assert_counts_match_brute_force(ngram_counts, docs, max_n):
     # one column per term and the empty column after them; each column's
     # rows strictly ascending, so no repeats
     matrix = ngram_counts.matrix
-    assert matrix.format == "csc" and matrix.shape == (len(docs), len(terms) + 1)
+    assert isinstance(matrix, CscMatrix) and matrix.shape == (len(docs), len(terms) + 1)
     assert matrix.indptr[-1] == matrix.indptr[-2]
-    assert sp.csc_matrix((matrix.data, matrix.indices, matrix.indptr),
-                         shape=matrix.shape).has_canonical_format
-    rows = matrix.tocsr()
+    assert scipy_csc(matrix).has_canonical_format
+    rows = scipy_csc(matrix).tocsr()
     expected_tf, expected_df = Counter(), Counter()
     for row, text in enumerate(docs):
         start, end = rows.indptr[row], rows.indptr[row + 1]
@@ -700,9 +717,8 @@ def test_every_block_is_float64_with_canonical_rows(docs, scoring, min_n, span):
     terms = vocab.terms()
     for texts, side in sides:
         block = vectorize._block(side, vocab)
-        assert block.format == "csc" and block.dtype == np.float64
-        assert sp.csc_matrix((block.data, block.indices, block.indptr),
-                             shape=block.shape).has_canonical_format
+        assert isinstance(block, CscMatrix) and block.data.dtype == np.float64
+        assert scipy_csc(block).has_canonical_format
         columns = np.repeat(np.arange(block.shape[1]), np.diff(block.indptr))
         for row, text in enumerate(texts):
             entries = block.indices == row
@@ -759,7 +775,7 @@ def test_edge_code_points_count_and_look_up_as_the_oracle(docs, scoring, max_n, 
     vocab = Vocabulary.from_columns(
         char_config(1, max_n, weighting=Weighting.COUNT), terms, [1] * len(terms), len(docs), None
     )
-    X = union_transform(counts, (vocab,))
+    X = scipy_csc(union_transform(counts, (vocab,)))
     for row, text in enumerate(texts):
         dense = X[row].toarray().ravel().tolist()
         assert dense == brute_transform(text, vocab.term_to_index, None, 1, max_n)
@@ -811,7 +827,7 @@ def test_terms_outside_the_blocks_lengths_score_as_absent(
     texts = docs + scoring
     streams = [stream_of(text, f"d{i}") for i, text in enumerate(texts)]
     for features in (streams, NgramCounts(streams, counted)):
-        X = union_transform(features, (vocab,))
+        X = scipy_csc(union_transform(features, (vocab,)))
         assert X.shape == (len(texts), len(index))
         for row, text in enumerate(texts):
             dense = X[row].toarray().ravel().tolist()
@@ -836,7 +852,7 @@ def test_a_vocabulary_given_other_counts_looks_its_terms_up(monkeypatch):
     other = NgramCounts(other_streams, 3)
     assert union_transform(other, (vocab,)).nnz == 0
     same = NgramCounts(fitted_streams, 3)
-    assert (union_transform(same, (vocab,)) != fitted).nnz == 0
+    assert (scipy_csc(union_transform(same, (vocab,))) != scipy_csc(fitted)).nnz == 0
     assert lookups == [other, same]
     # once its counts are freed, new counts (which may reuse their
     # address) are looked up
@@ -844,3 +860,105 @@ def test_a_vocabulary_given_other_counts_looks_its_terms_up(monkeypatch):
     for _ in range(5):
         assert union_transform(NgramCounts(other_streams, 3), (vocab,)).nnz == 0
     assert len(lookups) == 7
+
+
+# ----------------------------------------------------------------------
+# The CSC arrays against scipy's, as the pipeline built them with scipy.
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=level_corpora(), max_n=st.integers(1, 7))
+def test_count_matrix_is_scipys_summed_csr_conversion(docs, max_n):
+    """Each length's matrix as it was built: one CSR entry per occurrence,
+    in position order, converted to CSC and its repeats summed; then the
+    lengths and the empty column side by side."""
+    counts = NgramCounts([stream_of(text) for text in docs], max_n)
+    column_of = {term: c for c, term in enumerate(counts.terms(np.arange(counts.first[-1])))}
+    levels = []
+    for n in range(1, max_n + 1):
+        columns, indptr = [], [0]
+        for text in docs:
+            columns += [column_of[text[p : p + n]] - counts.first[n - 1]
+                        for p in range(len(text) - n + 1)]
+            indptr.append(len(columns))
+        level = sp.csr_matrix(
+            (np.ones(len(columns), dtype=np.int32), columns, indptr),
+            shape=(len(docs), len(counts.keys[n - 1])),
+        ).tocsc()
+        level.sum_duplicates()
+        levels.append(level)
+    levels.append(sp.csc_matrix((len(docs), 1), dtype=np.int32))
+    expected = sp.hstack(levels, format="csc")
+    matrix = counts.matrix
+    assert matrix.shape == expected.shape and matrix.nnz == expected.nnz
+    assert matrix.data.dtype == expected.data.dtype
+    for name in ("data", "indices", "indptr"):
+        assert getattr(matrix, name).tolist() == getattr(expected, name).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=level_corpora(), min_n=st.integers(1, 3), span=st.integers(0, 2),
+       extra=st.integers(0, 2), data=st.data())
+def test_block_gathers_the_columns_scipy_gathers(docs, min_n, span, extra, data):
+    """A block is scipy's ``matrix[:, columns]`` of the count matrix, with
+    -1 (the empty last column) for a term the counts lack or that is
+    outside the block's lengths."""
+    ngram_range = NgramRange(min_n, min_n + span)
+    counts = NgramCounts([stream_of(text) for text in docs], ngram_range.max_n + extra)
+    known = counts.terms(np.arange(counts.first[-1]))
+    absent = ["z" * n for n in range(1, 4)] + [WIDE_ALPHABET[0] * 20]
+    terms = sorted(set(data.draw(st.lists(st.sampled_from(known + absent), max_size=25))))
+    vocab = Vocabulary.from_columns(
+        char_config(min_n, ngram_range.max_n, weighting=Weighting.COUNT),
+        terms, [1] * len(terms), len(docs), None,
+    )
+    block = vectorize._block(counts, vocab)
+    column_of = dict(zip(known, range(len(known))))
+    span_of = counts.span(ngram_range)
+    columns = [column_of[t] if t in column_of and column_of[t] in range(span_of.start, span_of.stop)
+               else -1 for t in terms]
+    expected = scipy_csc(counts.matrix)[:, columns]
+    assert block.shape == expected.shape
+    assert block.data.tobytes() == expected.data.astype(np.float64).tobytes()
+    assert block.indices.tolist() == expected.indices.tolist()
+    assert block.indptr.tolist() == expected.indptr.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_rows=st.integers(0, 6), n_blocks=st.integers(1, 4))
+def test_joined_blocks_are_scipys_hstack(data, n_rows, n_blocks):
+    matrices = [data.draw(csc_matrices(n_rows=n_rows)) for _ in range(n_blocks)]
+    joined = join_blocks([CscMatrix(m.data, m.indices, m.indptr, m.shape) for m in matrices])
+    expected = sp.hstack(matrices, format="csc")
+    assert joined.shape == expected.shape
+    assert joined.data.tobytes() == expected.data.tobytes()
+    assert joined.indices.tolist() == expected.indices.tolist()
+    assert joined.indptr.tolist() == expected.indptr.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=csc_matrices(), seed=st.integers(0, 2**32 - 1))
+def test_tfidf_weighs_each_row_as_a_loop_over_scipys_rows(matrix, seed):
+    """Each value is its count times its idf over the root of its row's
+    squares, added left to right over the row as scipy stores it in CSR."""
+    counts = abs(matrix)
+    counts.data = np.ceil(counts.data)  # whole counts, at least 1
+    rng = np.random.default_rng(seed)
+    idf = (rng.random(counts.shape[1]) * 10.0 ** rng.integers(-3, 4, counts.shape[1])).tolist()
+    terms = [f"t{column}" for column in range(counts.shape[1])]
+    vocab = Vocabulary.from_columns(char_config(), terms, [1] * len(terms), 2, idf)
+    weighed = weigh(CscMatrix(counts.data, counts.indices, counts.indptr, counts.shape), vocab)
+    expected = {}
+    rows = counts.tocsr()
+    for row in range(rows.shape[0]):
+        start, end = rows.indptr[row], rows.indptr[row + 1]
+        values = [count * idf[c] for c, count in zip(rows.indices[start:end], rows.data[start:end])]
+        acc = 0.0
+        for value in values:
+            acc += value * value
+        for c, value in zip(rows.indices[start:end].tolist(), values):
+            expected[row, c] = value / math.sqrt(acc)
+    columns = np.repeat(np.arange(counts.shape[1]), np.diff(counts.indptr))
+    assert weighed.indices.tolist() == counts.indices.tolist()
+    assert weighed.indptr.tolist() == counts.indptr.tolist()
+    assert weighed.data.tolist() == [expected[r, c] for r, c in zip(counts.indices, columns)]
