@@ -31,19 +31,24 @@ over all of them. Each occurrence becomes the code ``column * documents
 so, since it keeps ties in position order, and after marking one value
 sort does. A cell's repeats are then one run, and the run's length is
 its count. A vocabulary is a set of those columns: fitting selects from
-the slice of its lengths, and a transform gathers its columns (as
-fitted, or found by ``NgramCounts.lookup``) into a CSC block in term
-order. CSC is the one layout from the counts to the scores, held in the
-package's own ``CscMatrix`` of numpy arrays rather than scipy's, whose
-import would cost every command more than its work at bench scale.
-Python strings are made only for the terms a vocabulary keeps.
+the slice of its lengths, and a transform gathers its columns into a CSC
+block in term order. The columns are found by keys, not strings: a
+fitted vocabulary keeps the ``KeySpace`` of the counts it was fitted on
+(their alphabet and each length's sorted keys), so it takes its fitted
+columns on those counts, and on any others maps them through the other
+counts' ``column_map``, which re-keys every key of that space into
+theirs. Only a vocabulary read from a model file has its terms looked
+up, symbol by symbol, by ``NgramCounts.lookup``. CSC is the one layout
+from the counts to the scores, held in the package's own ``CscMatrix``
+of numpy arrays rather than scipy's, whose import would cost every
+command more than its work at bench scale. Python strings are made only
+for the terms a vocabulary keeps.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import weakref
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass, replace
@@ -182,18 +187,21 @@ class Vocabulary:
     A vocabulary is immutable, and its value is its config, columns and
     corpus size.
 
-    ``fitted_columns`` and ``fitted_on`` are set by ``fit_vocabulary``
+    ``fitted_columns`` and ``key_space`` are set by ``fit_vocabulary``
     alone: each term's column in the ``NgramCounts`` it was fitted on,
-    and a weak reference to those counts, so that a transform of the
-    same counts need not look the terms up while the counts themselves
-    are freed with their last user. They are not part of the
-    vocabulary's value."""
+    and those counts' ``KeySpace``, so that a transform finds its
+    columns by keys rather than terms, on those counts or any others.
+    The counts themselves are freed with their last user; the key space
+    they share with their vocabularies costs 8 bytes for every distinct
+    n-gram of every counted length, and 4 for every symbol, for as long
+    as one of them lives. They are not part of the vocabulary's
+    value."""
 
     config: VectorizerConfig
     corpus_size: int
     columns: TermColumns
     fitted_columns: np.ndarray | None
-    fitted_on: weakref.ref | None
+    key_space: KeySpace | None
 
     def __init__(
         self,
@@ -202,8 +210,6 @@ class Vocabulary:
         document_frequency: dict[str, int],
         corpus_size: int,
         idf: dict[str, float] | None = None,
-        fitted_columns: np.ndarray | None = None,
-        fitted_on: weakref.ref | None = None,
     ):
         terms = sorted(term_to_index, key=term_to_index.__getitem__)
         if list(map(term_to_index.__getitem__, terms)) != list(range(len(terms))):
@@ -219,7 +225,7 @@ class Vocabulary:
                 )
         held = Vocabulary.from_columns(
             config, terms, list(map(document_frequency.__getitem__, terms)), corpus_size,
-            None if idf is None else list(map(idf.__getitem__, terms)), fitted_columns, fitted_on,
+            None if idf is None else list(map(idf.__getitem__, terms)),
         )
         vars(self).update(vars(held))
 
@@ -232,7 +238,7 @@ class Vocabulary:
         corpus_size: int,
         idf: list[float] | None,
         fitted_columns: np.ndarray | None = None,
-        fitted_on: weakref.ref | None = None,
+        key_space: KeySpace | None = None,
     ) -> Vocabulary:
         """The vocabulary of distinct ``terms`` given in index order, with
         their document frequencies and idfs (``None`` for counts)."""
@@ -240,7 +246,7 @@ class Vocabulary:
         idf_column = None if idf is None else np.array(idf, dtype=np.float64)
         vars(vocab).update(
             config=config, corpus_size=corpus_size, fitted_columns=fitted_columns,
-            fitted_on=fitted_on, columns=TermColumns(terms, df, idf_column),
+            key_space=key_space, columns=TermColumns(terms, df, idf_column),
         )
         return vocab
 
@@ -290,6 +296,20 @@ class Vocabulary:
 # Corpus-level counting.
 
 
+@dataclass(frozen=True, eq=False)
+class KeySpace:
+    """How one ``NgramCounts`` keys and numbers its n-grams: its
+    ``alphabet`` of sorted code points, coded ``1..A``; ``base``, which is
+    ``A + 1``; ``keys[n - 1]``, length n's keys, sorted; and ``first``,
+    where each length's columns start, with the column count last. Two
+    key spaces are equal only when they are one object."""
+
+    alphabet: np.ndarray
+    base: int
+    keys: list[np.ndarray]
+    first: np.ndarray
+
+
 class NgramCounts:
     """Exact per-document counts of every character n-gram of lengths
     1..``max_n`` of a list of token streams, all counted when it is built,
@@ -303,9 +323,11 @@ class NgramCounts:
     column after the last, which stands for a term these counts do not
     contain. ``tf`` and ``df`` are the column sums and column supports,
     and ``where`` a start position of each column's n-gram in
-    ``surface``. ``keys[n - 1]`` holds length n's keys, sorted, for
-    looking terms up. The counting scratch (about five integers per
-    symbol) is freed before the constructor returns."""
+    ``surface``. ``key_space`` holds the alphabet, each length's keys and
+    ``first``, and outlives the counts in the vocabularies fitted on
+    them; ``column_maps`` keeps the ``column_map`` of each other key
+    space these counts were asked for. The counting scratch (about five
+    integers per symbol) is freed before the constructor returns."""
 
     def __init__(self, streams: Sequence[TokenStream], max_n: int):
         documents = [stream.joined_text for stream in streams]
@@ -316,16 +338,15 @@ class NgramCounts:
         # from a table over the code points (at most 0x110000 of them)
         present = np.zeros(int(points.max(initial=0)) + 1, dtype=bool)
         present[points] = True
-        self.alphabet = np.flatnonzero(present).astype(points.dtype)
+        alphabet = np.flatnonzero(present).astype(points.dtype)
         codes = np.cumsum(present, dtype=np.int32)[points]  # 1..A
         del documents, points, present  # counting needs only the codes
         index = np.int32 if len(codes) < 2**31 else np.int64
-        self.base = len(self.alphabet) + 1
+        base = len(alphabet) + 1
         starts = np.cumsum(sizes) - sizes
         # symbols left in the document from each position onwards
         remaining = (np.repeat(starts + sizes, sizes) - np.arange(len(codes))).astype(index)
-        self.keys: list[np.ndarray] = []
-        levels, tf, where = [], [], []
+        levels, tf, where, level_keys = [], [], [], []
         positions = np.arange(len(codes), dtype=index)
         rows = np.repeat(np.arange(len(sizes), dtype=index), sizes)  # each position's document
         ranks = np.zeros(len(codes), dtype=index)
@@ -334,14 +355,14 @@ class NgramCounts:
             positions, rows = positions[alive], rows[alive]
             keys = ranks[alive].astype(np.int64)
             del alive, ranks  # the previous length's, freed before this one's are made
-            keys *= self.base
+            keys *= base
             keys += codes[positions + (n - 1)]
             # keys, ranks = np.unique(keys, return_inverse=True), in less
             # memory: by marking the possible keys when they are fewer than
             # the n-grams, else by sorting. Either way, ``cells`` ends up
             # holding each n-gram's rank * documents + row, sorted, in the
             # narrower integer that holds every such code.
-            bound = (len(self.keys[-1]) if self.keys else 1) * self.base
+            bound = (len(level_keys[-1]) if level_keys else 1) * base
             cell = np.int32 if min(bound, len(keys)) * len(sizes) < 2**31 else np.int64
             if bound <= len(keys):
                 present = np.zeros(bound, dtype=bool)
@@ -369,7 +390,7 @@ class NgramCounts:
             tf.append(np.bincount(ranks, minlength=len(keys)))
             where.append(np.empty(len(keys), dtype=index))
             where[-1][ranks] = positions
-            self.keys.append(keys)
+            level_keys.append(keys)
         del codes, remaining, positions, rows, ranks, keys, cells  # before the copy below
         empty = np.zeros(0, dtype=np.int32)
         levels.append(CscMatrix(empty, empty.astype(index), np.zeros(2, dtype=np.int64),
@@ -377,21 +398,23 @@ class NgramCounts:
         self.matrix = join_blocks(levels)
         self.tf, self.where = np.concatenate(tf), np.concatenate(where)
         self.df = np.diff(self.matrix.indptr[:-1])
-        self.first = np.cumsum([0, *map(len, self.keys)])
+        first = np.cumsum([0, *map(len, level_keys)])
+        self.key_space = KeySpace(alphabet, base, level_keys, first)
+        self.column_maps: dict[KeySpace, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
     def span(self, ngram_range: NgramRange) -> slice:
         """The columns of the lengths ``ngram_range`` covers."""
-        n = ngram_range.max_n
-        if n > len(self.keys):
-            raise ValueError(f"n-grams of length {n} were not counted (max_n={len(self.keys)})")
-        return slice(int(self.first[ngram_range.min_n - 1]), int(self.first[ngram_range.max_n]))
+        n, first = ngram_range.max_n, self.key_space.first
+        if n >= len(first):
+            raise ValueError(f"n-grams of length {n} were not counted (max_n={len(first) - 1})")
+        return slice(int(first[ngram_range.min_n - 1]), int(first[n]))
 
     def terms(self, columns: np.ndarray) -> list[str]:
         """The n-gram of each column."""
-        lengths = np.searchsorted(self.first, columns, side="right")
+        lengths = np.searchsorted(self.key_space.first, columns, side="right")
         surface = self.surface
         return [surface[p : p + n] for p, n in zip(self.where[columns].tolist(), lengths.tolist())]
 
@@ -401,26 +424,62 @@ class NgramCounts:
         was, one symbol at a time, and looked up per prefix."""
         lengths = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
         points = np.frombuffer("".join(terms).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        space = self.key_space
         # code 0, which no corpus symbol has, for a point outside the alphabet
-        top = int(self.alphabet[-1]) + 1 if len(self.alphabet) else 0
+        top = int(space.alphabet[-1]) + 1 if len(space.alphabet) else 0
         table = np.zeros(top + 1, dtype=np.int32)
-        table[self.alphabet] = np.arange(1, len(self.alphabet) + 1, dtype=np.int32)
+        table[space.alphabet] = np.arange(1, space.base, dtype=np.int32)
         codes = table[np.minimum(points, top)]
         starts = np.cumsum(lengths) - lengths
         ranks = np.zeros(len(terms), dtype=np.int64)
         columns = np.full(len(terms), -1, dtype=np.int64)
         reading = np.flatnonzero(lengths)  # the terms found so far that go on
-        for n, level_keys in enumerate(self.keys, 1):
-            keys = ranks[reading] * self.base + codes[starts[reading] + (n - 1)]
+        for n, level_keys in enumerate(space.keys, 1):
+            keys = ranks[reading] * space.base + codes[starts[reading] + (n - 1)]
             at = np.searchsorted(level_keys, keys)
             hit = at < len(level_keys)
             hit[hit] = level_keys[at[hit]] == keys[hit]
             reading, at = reading[hit], at[hit]
             ranks[reading] = at
             ended = lengths[reading] == n
-            columns[reading[ended]] = self.first[n - 1] + at[ended]
+            columns[reading[ended]] = space.first[n - 1] + at[ended]
             reading = reading[~ended]
         return columns
+
+    def column_map(self, source: KeySpace) -> np.ndarray:
+        """The column of these counts that holds each column's n-gram of
+        the key space ``source``, or -1 for an n-gram these counts do not
+        contain. Made once per key space and kept in ``column_maps``."""
+        found = self.column_maps.get(source)
+        if found is None:
+            found = self.column_maps[source] = _column_map(source, self.key_space)
+        return found
+
+
+def _column_map(source: KeySpace, target: KeySpace) -> np.ndarray:
+    """Every key of ``source`` re-keyed into ``target`` a length at a
+    time, as ``target rank of its prefix * target.base + target code of
+    its last symbol``, and searched for among ``target``'s keys of that
+    length: the target column of each source column, or -1."""
+    # each source code's target code, 0 for a symbol ``target`` lacks
+    at = np.searchsorted(target.alphabet, source.alphabet)
+    found = at < len(target.alphabet)
+    found[found] = target.alphabet[at[found]] == source.alphabet[found]
+    codes = np.zeros(source.base, dtype=np.int64)
+    codes[1:][found] = at[found] + 1
+    columns = np.full(int(source.first[-1]), -1, dtype=np.int64)
+    ranks = np.zeros(1, dtype=np.int64)  # the empty prefix's, for length 1
+    for n, (keys, level_keys) in enumerate(zip(source.keys, target.keys), 1):
+        prefixes, last = np.divmod(keys, source.base)
+        # a prefix of rank -1 or a symbol of code 0 gives a key below 0
+        # or one of code 0, which no key of ``target`` is
+        wanted = ranks[prefixes] * target.base + codes[last]
+        at = np.searchsorted(level_keys, wanted)
+        hit = at < len(level_keys)
+        hit[hit] = level_keys[at[hit]] == wanted[hit]
+        ranks = np.where(hit, at, -1)
+        columns[source.first[n - 1] : source.first[n]] = np.where(hit, at + target.first[n - 1], -1)
+    return columns
 
 
 # Bits of an int64 that a key and its position may share in one sort.
@@ -526,7 +585,7 @@ def fit_vocabulary(
     if config.weighting is Weighting.TFIDF:
         idf = _smooth_idfs(corpus_size, document_frequency)
     return Vocabulary.from_columns(
-        config, terms, document_frequency, corpus_size, idf, fitted_columns, weakref.ref(counts)
+        config, terms, document_frequency, corpus_size, idf, fitted_columns, counts.key_space
     )
 
 
@@ -545,7 +604,7 @@ def with_weighting(vocab: Vocabulary, weighting: Weighting) -> Vocabulary:
     idf = _smooth_idfs(vocab.corpus_size, df) if weighting is Weighting.TFIDF else None
     return Vocabulary.from_columns(
         replace(vocab.config, weighting=weighting), terms, df, vocab.corpus_size, idf,
-        vocab.fitted_columns, vocab.fitted_on,
+        vocab.fitted_columns, vocab.key_space,
     )
 
 
@@ -553,12 +612,17 @@ def _block(counts: NgramCounts, vocab: Vocabulary) -> CscMatrix:
     """One vocabulary's documents x terms occurrence counts, as float64
     CSC with each column's rows ascending: the vocabulary's columns of
     ``counts`` gathered in term order. The columns are its fitted ones
-    when ``counts`` are the counts it was fitted on, and looked up
-    otherwise; a term outside the block's lengths gets the empty last one."""
-    if vocab.fitted_on is not None and vocab.fitted_on() is counts:
+    when ``counts`` are the counts it was fitted on, those mapped by
+    ``column_map`` on other counts, and looked up for a vocabulary read
+    from a model file; a term outside the block's lengths gets the empty
+    last one."""
+    if vocab.key_space is counts.key_space:
         columns = vocab.fitted_columns
     else:
-        columns = counts.lookup(vocab.terms())
+        if vocab.key_space is None:
+            columns = counts.lookup(vocab.terms())
+        else:
+            columns = counts.column_map(vocab.key_space)[vocab.fitted_columns]
         span = counts.span(vocab.config.range)
         columns[(columns < span.start) | (columns >= span.stop)] = -1
     matrix = counts.matrix

@@ -182,18 +182,65 @@ class TestEvaluatePipeline:
             assert full_by_id[author_id] == predicted
 
     def test_fit_pipeline_frees_its_counts(self, monkeypatch):
-        made = []
+        made = []  # weak references to each counts and its arrays, key space last
 
         class RecordingCounts(NgramCounts):
             def __init__(self, streams, max_n):
                 super().__init__(streams, max_n)
-                made.append(weakref.ref(self))
+                arrays = (self.matrix.data, self.matrix.indices, self.tf, self.df, self.where)
+                made.append(list(map(weakref.ref, (self, *arrays, self.key_space))))
 
         monkeypatch.setattr(evaluation, "NgramCounts", RecordingCounts)
         model = fit_pipeline(make_corpus(labeled_pairs(4, 4)), SMALL_CONFIG)
-        assert len(made) == 1 and made[0]() is None
+        assert len(made) == 1
+        *freed, key_space = made[0]
+        assert [ref() for ref in freed] == [None] * len(freed)
         (vocab,) = model.feature_spec
-        assert vocab.fitted_on() is None and len(vocab.fitted_columns) == len(vocab)
+        assert key_space() is vocab.key_space and len(vocab.fitted_columns) == len(vocab)
+        assert set(vars(vocab.key_space)) == {"alphabet", "base", "keys", "first"}
+
+    @pytest.mark.parametrize("language", [Language.EN, Language.ES])
+    def test_fitted_and_loaded_models_score_the_held_out_side_alike(
+        self, language, tmp_path, monkeypatch
+    ):
+        """A fitted model's vocabularies are mapped onto the held-out
+        counts by key, and the same model read from its file looks their
+        terms up: both give the same decision values, bit for bit, also
+        on held-out authors without some of the fitted terms and symbols."""
+        generate_corpus_dir(tmp_path / "corpus", authors_per_class=6, tweets_per_author=10,
+                            seed=7, language=language)
+        with pytest.warns(UserWarning):
+            corpus = load_corpus(tmp_path / "corpus", language)
+        train_part, test_part = split_corpus(corpus, SplitSpec(seed=5))
+        model = fit_pipeline(train_part, final_config(language))
+        models.save_model(model, tmp_path / "model.txt")
+        loaded = models.load_model(tmp_path / "model.txt")
+        assert loaded.feature_spec == model.feature_spec
+        held_out = preprocess_corpus(test_part, load_stopwords(language))
+        # "a" and "e" become symbols no training author has, and one author has none
+        swapped = str.maketrans({"a": "\u2603", "e": "\U0001f700"})
+        without = [replace(s, tokens=tuple(t.translate(swapped) for t in s.tokens))
+                   for s in held_out] + [replace(held_out[0], author_id="silent", tokens=())]
+        routes = []
+        column_map, lookup = vectorize._column_map, NgramCounts.lookup
+
+        def recording_map(source, target):
+            routes.append("map")
+            return column_map(source, target)
+
+        def recording_lookup(counts, terms):
+            routes.append("lookup")
+            return lookup(counts, terms)
+
+        monkeypatch.setattr(vectorize, "_column_map", recording_map)
+        monkeypatch.setattr(NgramCounts, "lookup", recording_lookup)
+        for side in (held_out, without):
+            routes.clear()
+            fitted = models.decision_values(model, side)
+            assert routes == ["map"]  # one map serves every block
+            read = models.decision_values(loaded, side)
+            assert routes == ["map"] + ["lookup"] * len(model.feature_spec)
+            assert fitted.dtype == read.dtype and fitted.tobytes() == read.tobytes()
 
     def test_metrics_consistent_with_predictions(self):
         corpus = make_corpus(labeled_pairs(7, 7))
@@ -455,22 +502,26 @@ class TestSharedGrid:
     @pytest.mark.parametrize("folds", [1, 3])
     def test_each_side_is_counted_once_per_term_list(self, hard_corpus, folds, monkeypatch):
         """One count matrix per side for each distinct term list of each
-        term-list tuple of a split, the training side's from the fit's
-        columns, never looked up."""
-        built, lookups = [], []  # (counts, whether from the fit's columns)
-        block, lookup = vectorize._block, NgramCounts.lookup
+        term-list tuple of a split: the training side's from the fit's
+        columns, the held-out side's through one column map per split,
+        and neither looked up by terms."""
+        built, maps, lookups = [], [], []  # (key space, whether the fit's); (source, target)
+        block, column_map, lookup = vectorize._block, vectorize._column_map, NgramCounts.lookup
 
         def recording_block(counts, vocab):
-            before = len(lookups)
-            matrix = block(counts, vocab)
-            built.append((counts, len(lookups) == before))
-            return matrix
+            built.append((counts.key_space, vocab.key_space is counts.key_space))
+            return block(counts, vocab)
+
+        def recording_map(source, target):
+            maps.append((source, target))
+            return column_map(source, target)
 
         def recording_lookup(counts, terms):
             lookups.append(counts)
             return lookup(counts, terms)
 
         monkeypatch.setattr(vectorize, "_block", recording_block)
+        monkeypatch.setattr(vectorize, "_column_map", recording_map)
         monkeypatch.setattr(NgramCounts, "lookup", recording_lookup)
         spec = SplitSpec(seed=11)
         grid_search(hard_corpus, self.GRID, spec, folds=folds)
@@ -483,8 +534,11 @@ class TestSharedGrid:
         assert term_lists < sum(len(c.vectorizers) for c in self.GRID) * folds  # some shared
         assert len(built) == 2 * term_lists
         assert sum(fitted for _, fitted in built) == term_lists
-        assert lookups
-        assert not any(looked is counts for looked in lookups for counts, fitted in built if fitted)
+        training_sides = list(dict.fromkeys(space for space, fitted in built if fitted))
+        assert len(training_sides) == folds
+        assert [source for source, _ in maps] == training_sides  # one map per split
+        assert {target for _, target in maps} == {space for space, fitted in built if not fitted}
+        assert lookups == []
 
     @pytest.mark.parametrize("folds", [1, 3])
     def test_classifiers_of_a_vectorizer_group_share_one_gram(
@@ -671,7 +725,7 @@ class TestCountedLengths:
 
         def recording_init(self, streams, max_n):
             init(self, streams, max_n)
-            lengths.append(len(self.keys))
+            lengths.append(len(self.key_space.keys))
 
         monkeypatch.setattr(NgramCounts, "__init__", recording_init)
         return lengths

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -570,7 +571,7 @@ def test_batch_builder_shares_counts_across_blocks():
     shared = tuple(fit_vocabulary(counts, c) for c in blocks)
     separate = tuple(fit_vocabulary(streams, c) for c in blocks)
     assert shared == separate
-    assert len(counts.keys) == 5  # lengths 1 to 5, each counted once
+    assert len(counts.key_space.keys) == 5  # lengths 1 to 5, each counted once
     assert (scipy_csc(union_transform(counts, shared))
             != scipy_csc(union_transform(streams, separate))).nnz == 0
 
@@ -580,16 +581,18 @@ def test_counts_hold_every_length_up_to_max_n_and_no_scratch():
     blocks = (char_config(1, 3, max_features=6), char_config(2, 4, weighting=Weighting.COUNT))
     counts = NgramCounts(streams, 4)
     assert len(counts) == len(streams)
-    assert len(counts.keys) == 4  # lengths 1 to 4, no further
-    assert len(counts.first) == 5
+    assert len(counts.key_space.keys) == 4  # lengths 1 to 4, no further
+    assert len(counts.key_space.first) == 5
     # the counting scratch does not outlive the constructor
     assert set(vars(counts)) == {
-        "surface", "alphabet", "base", "keys", "matrix", "tf", "df", "where", "first"
+        "surface", "key_space", "column_maps", "matrix", "tf", "df", "where"
     }
+    assert set(vars(counts.key_space)) == {"alphabet", "base", "keys", "first"}
     vocabs = tuple(fit_vocabulary(counts, c) for c in blocks)
     assert vocabs == tuple(fit_vocabulary(streams, c) for c in blocks)
     assert (scipy_csc(union_transform(counts, vocabs))
             != scipy_csc(union_transform(streams, vocabs))).nnz == 0
+    assert counts.column_maps == {}  # its own vocabularies need no map
     with pytest.raises(ValueError, match="length 5 were not counted"):
         counts.span(NgramRange(1, 5))
     with pytest.raises(ValueError, match="length 5 were not counted"):
@@ -617,16 +620,18 @@ def level_corpora(draw):
 
 
 def assert_counts_match_brute_force(ngram_counts, docs, max_n):
-    assert len(ngram_counts.keys) == max_n
-    first = ngram_counts.first.tolist()
+    space = ngram_counts.key_space
+    assert len(space.keys) == max_n
+    first = space.first.tolist()
     assert first[0] == 0 and len(first) == max_n + 1
     symbols = sorted({ord(symbol) for text in docs for symbol in text})
-    assert ngram_counts.alphabet.dtype == np.uint32 and ngram_counts.alphabet.tolist() == symbols
+    assert space.alphabet.dtype == np.uint32 and space.alphabet.tolist() == symbols
+    assert space.base == len(symbols) + 1
     terms = ngram_counts.terms(np.arange(first[-1]))
     for n in range(1, max_n + 1):
         level = terms[first[n - 1] : first[n]]
         assert {len(term) for term in level} <= {n}
-        assert level == sorted(set(level)) and len(level) == len(ngram_counts.keys[n - 1])
+        assert level == sorted(set(level)) and len(level) == len(space.keys[n - 1])
     # one column per term and the empty column after them; each column's
     # rows strictly ascending, so no repeats
     matrix = ngram_counts.matrix
@@ -648,11 +653,12 @@ def assert_counts_match_brute_force(ngram_counts, docs, max_n):
 
 def assert_same_counts(got, expected):
     """Every array of two ``NgramCounts``, equal in value and dtype."""
+    left, right = got.key_space, expected.key_space
     pairs = [(got.matrix.data, expected.matrix.data), (got.matrix.indices, expected.matrix.indices),
-             (got.matrix.indptr, expected.matrix.indptr), *zip(got.keys, expected.keys)]
-    pairs += [(getattr(got, name), getattr(expected, name))
-              for name in ("alphabet", "tf", "df", "where", "first")]
-    assert len(got.keys) == len(expected.keys) and got.base == expected.base
+             (got.matrix.indptr, expected.matrix.indptr), *zip(left.keys, right.keys),
+             (left.alphabet, right.alphabet), (left.first, right.first)]
+    pairs += [(getattr(got, name), getattr(expected, name)) for name in ("tf", "df", "where")]
+    assert len(left.keys) == len(right.keys) and left.base == right.base
     for mine, theirs in pairs:
         assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist()
 
@@ -731,7 +737,8 @@ def test_every_block_is_float64_with_canonical_rows(docs, scoring, min_n, span):
 @given(docs=level_corpora(), max_n=st.integers(1, 5), data=st.data())
 def test_mixed_length_columns_agree_with_term_by_term_lookup(docs, max_n, data):
     counts = NgramCounts([stream_of(text) for text in docs], max_n)
-    column_of = {term: c for c, term in enumerate(counts.terms(np.arange(counts.first[-1])))}
+    everything = np.arange(counts.key_space.first[-1])
+    column_of = {term: c for c, term in enumerate(counts.terms(everything))}
     present = data.draw(st.lists(st.sampled_from(sorted(column_of)), max_size=20)) if column_of else []
     # absent terms: over a few known symbols and some unknown ones, and
     # present terms extended or changed by an unknown symbol
@@ -745,6 +752,55 @@ def test_mixed_length_columns_agree_with_term_by_term_lookup(docs, max_n, data):
     terms = data.draw(st.permutations(present + absent))
     assert counts.lookup(terms).tolist() == [column_of.get(term, -1) for term in terms]
     assert counts.lookup([]).tolist() == []
+
+
+@st.composite
+def target_corpora(draw, source):
+    """Documents to map the counts of ``source`` onto: drawn apart from
+    them, sharing suffixes of some of them, over astral code points that
+    no document of ``source`` holds, or without a symbol."""
+    kind = draw(st.sampled_from(["shared", "drawn", "disjoint", "no symbols"]))
+    if kind == "no symbols":
+        return [""] * draw(st.integers(1, 3))
+    docs = draw(level_corpora())
+    if kind == "shared":
+        texts = draw(st.lists(st.sampled_from(source), min_size=1, max_size=4))
+        docs += [text[draw(st.integers(0, len(text) // 2)):] for text in texts]
+    if kind == "disjoint":  # WIDE_ALPHABET moved up by 0x20000
+        docs = ["".join(chr(ord(symbol) + 0x20000) for symbol in text) for text in docs]
+    return docs
+
+
+@settings(max_examples=100, deadline=None)
+@given(source_docs=level_corpora().filter(any), source_n=st.integers(1, 6),
+       target_n=st.integers(1, 7), data=st.data())
+def test_column_map_agrees_with_looking_each_term_up(source_docs, source_n, target_n, data):
+    """Every column of one counts' key space, mapped onto other counts,
+    is the column that looking its term up there finds; so a fitted
+    vocabulary's block is the block of its terms looked up and masked to
+    its lengths, whether the other counts share its alphabet, hold none
+    of it, hold no symbol, or count fewer lengths."""
+    source = NgramCounts([stream_of(text) for text in source_docs], source_n)
+    target_docs = data.draw(target_corpora(source_docs))
+    target = NgramCounts([stream_of(text) for text in target_docs], target_n)
+    mapped = target.column_map(source.key_space)
+    terms = source.terms(np.arange(source.key_space.first[-1]))
+    assert mapped.tolist() == target.lookup(terms).tolist()
+    assert target.column_map(source.key_space) is mapped
+    assert list(target.column_maps) == [source.key_space]
+    min_n = data.draw(st.integers(1, min(source_n, target_n)))
+    max_n = data.draw(st.integers(min_n, min(source_n, target_n)))
+    try:
+        vocab = fit_vocabulary(source, char_config(min_n, max_n, weighting=Weighting.COUNT))
+    except EmptyVocabulary:
+        return
+    loaded = Vocabulary.from_columns(vocab.config, vocab.terms(), vocab.columns.df,
+                                     vocab.corpus_size, None)
+    by_key, by_term = vectorize._block(target, vocab), vectorize._block(target, loaded)
+    assert by_key.shape == by_term.shape
+    for got, expected in zip((by_key.data, by_key.indices, by_key.indptr),
+                             (by_term.data, by_term.indices, by_term.indptr)):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 # Texts over lone surrogates and the largest code point, with or without
@@ -769,7 +825,8 @@ def test_edge_code_points_count_and_look_up_as_the_oracle(docs, scoring, max_n, 
     streams = [stream_of(text, f"d{i}") for i, text in enumerate(texts)]
     counts = NgramCounts(streams, max_n)
     assert_counts_match_brute_force(counts, texts, max_n)
-    column_of = {term: c for c, term in enumerate(counts.terms(np.arange(counts.first[-1])))}
+    everything = np.arange(counts.key_space.first[-1])
+    column_of = {term: c for c, term in enumerate(counts.terms(everything))}
     assert counts.lookup(terms).tolist() == [column_of.get(term, -1) for term in terms]
     terms = sorted(terms)
     vocab = Vocabulary.from_columns(
@@ -834,32 +891,55 @@ def test_terms_outside_the_blocks_lengths_score_as_absent(
             assert dense == brute_transform(text, index, idf, min_n, ngram_range.max_n)
 
 
-def test_a_vocabulary_given_other_counts_looks_its_terms_up(monkeypatch):
+def test_a_fitted_vocabulary_is_mapped_onto_other_counts_and_a_loaded_one_looked_up(
+    monkeypatch, tmp_path
+):
     fitted_streams = [stream_of(t) for t in ("abcab", "bca cab")]
     other_streams = [stream_of(t) for t in ("xyz", "zyxyz")]  # no n-gram in common
     counts = NgramCounts(fitted_streams, 3)
     vocab = fit_vocabulary(counts, char_config(1, 3, weighting=Weighting.COUNT))
-    lookups = []
-    lookup = NgramCounts.lookup
+    assert vocab.key_space is counts.key_space
+    lookups, maps = [], []  # the counts looked up in; the (source, target) key spaces mapped
+    lookup, column_map = NgramCounts.lookup, vectorize._column_map
 
     def recording_lookup(self, terms):
         lookups.append(self)
         return lookup(self, terms)
 
+    def recording_map(source, target):
+        maps.append((source, target))
+        return column_map(source, target)
+
     monkeypatch.setattr(NgramCounts, "lookup", recording_lookup)
+    monkeypatch.setattr(vectorize, "_column_map", recording_map)
     fitted = union_transform(counts, (vocab,))
-    assert lookups == [] and fitted.nnz
+    assert lookups == maps == [] and fitted.nnz and counts.column_maps == {}
     other = NgramCounts(other_streams, 3)
     assert union_transform(other, (vocab,)).nnz == 0
     same = NgramCounts(fitted_streams, 3)
-    assert (scipy_csc(union_transform(same, (vocab,))) != scipy_csc(fitted)).nnz == 0
-    assert lookups == [other, same]
-    # once its counts are freed, new counts (which may reuse their
-    # address) are looked up
+    for _ in range(2):  # the second transform reuses the map the first made
+        assert (scipy_csc(union_transform(same, (vocab,))) != scipy_csc(fitted)).nnz == 0
+    assert lookups == []
+    assert maps == [(vocab.key_space, other.key_space), (vocab.key_space, same.key_space)]
+    assert list(same.column_maps) == [vocab.key_space]
+    # the key space outlives the counts it came from, and new counts
+    # are mapped from it
+    freed = weakref.ref(counts)
     del counts, same
+    assert freed() is None
     for _ in range(5):
         assert union_transform(NgramCounts(other_streams, 3), (vocab,)).nnz == 0
-    assert len(lookups) == 7
+    assert len(maps) == 7 and lookups == []
+    # the same vocabulary read from a model file has no key space, and is
+    # looked up
+    save_model(LinearModel(ModelKind.SVM, np.ones(len(vocab)), 0.0, (vocab,), Language.EN),
+               tmp_path / "model.txt")
+    (loaded,) = load_model(tmp_path / "model.txt").feature_spec
+    assert loaded == vocab and loaded.key_space is None and loaded.fitted_columns is None
+    for side in (other, NgramCounts(fitted_streams, 3)):
+        block = union_transform(side, (loaded,))
+        assert (scipy_csc(block) != scipy_csc(union_transform(side, (vocab,)))).nnz == 0
+    assert len(lookups) == 2 and len(maps) == 8
 
 
 # ----------------------------------------------------------------------
@@ -873,17 +953,18 @@ def test_count_matrix_is_scipys_summed_csr_conversion(docs, max_n):
     in position order, converted to CSC and its repeats summed; then the
     lengths and the empty column side by side."""
     counts = NgramCounts([stream_of(text) for text in docs], max_n)
-    column_of = {term: c for c, term in enumerate(counts.terms(np.arange(counts.first[-1])))}
+    everything = np.arange(counts.key_space.first[-1])
+    column_of = {term: c for c, term in enumerate(counts.terms(everything))}
     levels = []
     for n in range(1, max_n + 1):
         columns, indptr = [], [0]
         for text in docs:
-            columns += [column_of[text[p : p + n]] - counts.first[n - 1]
+            columns += [column_of[text[p : p + n]] - counts.key_space.first[n - 1]
                         for p in range(len(text) - n + 1)]
             indptr.append(len(columns))
         level = sp.csr_matrix(
             (np.ones(len(columns), dtype=np.int32), columns, indptr),
-            shape=(len(docs), len(counts.keys[n - 1])),
+            shape=(len(docs), len(counts.key_space.keys[n - 1])),
         ).tocsc()
         level.sum_duplicates()
         levels.append(level)
@@ -905,7 +986,7 @@ def test_block_gathers_the_columns_scipy_gathers(docs, min_n, span, extra, data)
     outside the block's lengths."""
     ngram_range = NgramRange(min_n, min_n + span)
     counts = NgramCounts([stream_of(text) for text in docs], ngram_range.max_n + extra)
-    known = counts.terms(np.arange(counts.first[-1]))
+    known = counts.terms(np.arange(counts.key_space.first[-1]))
     absent = ["z" * n for n in range(1, 4)] + [WIDE_ALPHABET[0] * 20]
     terms = sorted(set(data.draw(st.lists(st.sampled_from(known + absent), max_size=25))))
     vocab = Vocabulary.from_columns(
