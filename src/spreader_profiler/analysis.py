@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import AuthorDocument, Corpus, Label
+from .corpus import Corpus, Label
 from .errors import UnlabeledCorpus
 from .preprocess import EMOJI_RE
 
@@ -70,11 +70,6 @@ class ClassTally:
 
 def _is_uppercased(token: str) -> bool:
     return len(token) >= 2 and token.isalpha() and token == token.upper()
-
-
-def author_tally(doc: AuthorDocument) -> ClassTally:
-    """Raw-text statistics for a single author."""
-    return class_tally([doc])
 
 
 def class_tally(authors) -> ClassTally:

@@ -32,13 +32,12 @@ so, since it keeps ties in position order, and after marking one value
 sort does. A cell's repeats are then one run, and the run's length is
 its count. A vocabulary is a set of those columns: fitting selects from
 the slice of its lengths, and a transform gathers its columns into a CSC
-block in term order. The columns are found by keys, not strings: a
-fitted vocabulary keeps the ``KeySpace`` of the counts it was fitted on
-(their alphabet and each length's sorted keys), so it takes its fitted
-columns on those counts, and on any others maps them through the other
-counts' ``column_map``, which re-keys every key of that space into
-theirs. Only a vocabulary read from a model file has its terms looked
-up, symbol by symbol, by ``NgramCounts.lookup``. CSC is the one layout
+block in term order. The columns are found by keys, never by strings:
+every vocabulary has a ``KeySpace`` and its terms' columns in it, those
+of the counts it was fitted on or, for any other, of its own terms'
+prefixes. A transform takes them as they are on the counts the key space
+came from, and on others maps them through those counts' ``column_map``,
+which re-keys every key of that space into theirs. CSC is the one layout
 from the counts to the scores, held in the package's own ``CscMatrix``
 of numpy arrays rather than scipy's, whose import would cost every
 command more than its work at bench scale. Python strings are made only
@@ -180,28 +179,24 @@ class Vocabulary:
     A vocabulary holds its config, its corpus size and ``columns``: the
     terms in index order with their statistics. Built from the dicts, it
     copies them into columns at once, and refuses indices other than
-    exactly 0..n-1 and statistics of other terms than the indexed ones;
-    ``from_columns`` takes the columns as they are. Each dict
+    exactly 0..n-1 in ascending term order and statistics of other terms
+    than the indexed ones; ``from_columns`` takes the columns as they
+    are, but refuses an idf that contradicts the weighting. Each dict
     (``term_to_index``, ``document_frequency``, ``idf``) is derived the
     first time it is read, so scoring with a loaded model builds none.
     A vocabulary is immutable, and its value is its config, columns and
     corpus size.
 
-    ``fitted_columns`` and ``key_space`` are set by ``fit_vocabulary``
-    alone: each term's column in the ``NgramCounts`` it was fitted on,
-    and those counts' ``KeySpace``, so that a transform finds its
-    columns by keys rather than terms, on those counts or any others.
-    The counts themselves are freed with their last user; the key space
-    they share with their vocabularies costs 8 bytes for every distinct
-    n-gram of every counted length, and 4 for every symbol, for as long
-    as one of them lives. They are not part of the vocabulary's
-    value."""
+    ``key_space`` and ``fitted_columns`` are a ``KeySpace`` and each
+    term's column in it, by which a transform finds its columns. A fitted
+    vocabulary has those of the ``NgramCounts`` it was fitted on, shared
+    with the counts and outliving them (8 bytes for every distinct n-gram
+    of every counted length, and 4 for every symbol); any other keys its
+    own terms' prefixes when first read. Neither is part of its value."""
 
     config: VectorizerConfig
     corpus_size: int
     columns: TermColumns
-    fitted_columns: np.ndarray | None
-    key_space: KeySpace | None
 
     def __init__(
         self,
@@ -211,11 +206,10 @@ class Vocabulary:
         corpus_size: int,
         idf: dict[str, float] | None = None,
     ):
-        terms = sorted(term_to_index, key=term_to_index.__getitem__)
+        terms = sorted(term_to_index)
         if list(map(term_to_index.__getitem__, terms)) != list(range(len(terms))):
-            raise ValueError(
-                f"vocabulary indices are not exactly 0..{len(terms) - 1}, one per term"
-            )
+            raise ValueError(f"vocabulary indices are not exactly 0..{len(terms) - 1}, "
+                             "one per term in ascending term order")
         for name, given in (("document_frequency", document_frequency), ("idf", idf)):
             if given is not None and given.keys() != term_to_index.keys():
                 raise ValueError(
@@ -237,17 +231,20 @@ class Vocabulary:
         df: list[int],
         corpus_size: int,
         idf: list[float] | None,
-        fitted_columns: np.ndarray | None = None,
-        key_space: KeySpace | None = None,
+        keys: tuple[KeySpace, np.ndarray] | None = None,
     ) -> Vocabulary:
-        """The vocabulary of distinct ``terms`` given in index order, with
-        their document frequencies and idfs (``None`` for counts)."""
+        """The vocabulary of ``terms``, ascending, in index order, with
+        their document frequencies, their idfs (``None`` for counts) and
+        optionally their ``keys``: a key space and their columns in it."""
+        if (idf is None) != (config.weighting is Weighting.COUNT):
+            raise ValueError("a count vocabulary holds no idf" if idf is not None
+                             else "a TF-IDF vocabulary needs the idf of each term")
         vocab = cls.__new__(cls)
         idf_column = None if idf is None else np.array(idf, dtype=np.float64)
-        vars(vocab).update(
-            config=config, corpus_size=corpus_size, fitted_columns=fitted_columns,
-            key_space=key_space, columns=TermColumns(terms, df, idf_column),
-        )
+        vars(vocab).update(config=config, corpus_size=corpus_size,
+                           columns=TermColumns(terms, df, idf_column))
+        if keys is not None:
+            vars(vocab)["_keys"] = keys
         return vocab
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -291,6 +288,18 @@ class Vocabulary:
         """Terms in index order (shared, not a copy)."""
         return self.columns.terms
 
+    @cached_property
+    def _keys(self) -> tuple[KeySpace, np.ndarray]:
+        return _term_key_space(self.columns.terms)
+
+    @property
+    def key_space(self) -> KeySpace:
+        return self._keys[0]
+
+    @property
+    def fitted_columns(self) -> np.ndarray:
+        return self._keys[1]
+
 
 # ----------------------------------------------------------------------
 # Corpus-level counting.
@@ -298,7 +307,7 @@ class Vocabulary:
 
 @dataclass(frozen=True, eq=False)
 class KeySpace:
-    """How one ``NgramCounts`` keys and numbers its n-grams: its
+    """How one ``NgramCounts`` or vocabulary keys and numbers n-grams: its
     ``alphabet`` of sorted code points, coded ``1..A``; ``base``, which is
     ``A + 1``; ``keys[n - 1]``, length n's keys, sorted; and ``first``,
     where each length's columns start, with the column count last. Two
@@ -308,6 +317,39 @@ class KeySpace:
     base: int
     keys: list[np.ndarray]
     first: np.ndarray
+
+
+def _coded(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique`` of the code points of ``text`` and the code ``1..A``
+    of each, from a table over the points (at most 0x110000 of them)."""
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    present = np.zeros(int(points.max(initial=0)) + 1, dtype=bool)
+    present[points] = True
+    return np.flatnonzero(present).astype(points.dtype), np.cumsum(present, dtype=np.int32)[points]
+
+
+def _term_key_space(terms: Sequence[str]) -> tuple[KeySpace, np.ndarray]:
+    """The key space of the prefixes of ``terms``, keyed as ``NgramCounts``
+    keys a corpus's n-grams, and each term's column in it: the column of
+    its key at its own length, or -1 for the empty term, which has none."""
+    lengths = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
+    alphabet, codes = _coded("".join(terms))
+    base = len(alphabet) + 1
+    starts = np.cumsum(lengths) - lengths
+    ranks = np.zeros(len(terms), dtype=np.int64)  # of each term's prefix so far
+    level_keys = []
+    reading = np.flatnonzero(lengths)  # the terms of this length or longer
+    for n in range(1, int(lengths.max(initial=0)) + 1):
+        keys = ranks[reading] * base + codes[starts[reading] + (n - 1)]
+        # ascending terms give ascending keys, each distinct prefix one
+        # run (terms in another order map alike, a key heading many runs)
+        runs = _run_starts(keys)
+        ranks[reading] = np.repeat(np.arange(len(runs)), np.diff(runs, append=len(keys)))
+        level_keys.append(keys[runs])
+        reading = reading[lengths[reading] > n]
+    first = np.cumsum([0, *map(len, level_keys)])
+    columns = np.where(lengths > 0, first[lengths - 1] + ranks, -1)
+    return KeySpace(alphabet, base, level_keys, first), columns
 
 
 class NgramCounts:
@@ -333,14 +375,8 @@ class NgramCounts:
         documents = [stream.joined_text for stream in streams]
         sizes = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
         self.surface = "".join(documents)
-        points = np.frombuffer(self.surface.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        # the alphabet and codes of np.unique(points, return_inverse=True),
-        # from a table over the code points (at most 0x110000 of them)
-        present = np.zeros(int(points.max(initial=0)) + 1, dtype=bool)
-        present[points] = True
-        alphabet = np.flatnonzero(present).astype(points.dtype)
-        codes = np.cumsum(present, dtype=np.int32)[points]  # 1..A
-        del documents, points, present  # counting needs only the codes
+        alphabet, codes = _coded(self.surface)
+        del documents  # counting needs only the codes
         index = np.int32 if len(codes) < 2**31 else np.int64
         base = len(alphabet) + 1
         starts = np.cumsum(sizes) - sizes
@@ -398,8 +434,7 @@ class NgramCounts:
         self.matrix = join_blocks(levels)
         self.tf, self.where = np.concatenate(tf), np.concatenate(where)
         self.df = np.diff(self.matrix.indptr[:-1])
-        first = np.cumsum([0, *map(len, level_keys)])
-        self.key_space = KeySpace(alphabet, base, level_keys, first)
+        self.key_space = KeySpace(alphabet, base, level_keys, np.cumsum([0, *map(len, level_keys)]))
         self.column_maps: dict[KeySpace, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -418,38 +453,11 @@ class NgramCounts:
         surface = self.surface
         return [surface[p : p + n] for p, n in zip(self.where[columns].tolist(), lengths.tolist())]
 
-    def lookup(self, terms: Sequence[str]) -> np.ndarray:
-        """The column of each term, of any length, or -1 for a term these
-        counts do not contain: the terms are keyed exactly as the corpus
-        was, one symbol at a time, and looked up per prefix."""
-        lengths = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
-        points = np.frombuffer("".join(terms).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        space = self.key_space
-        # code 0, which no corpus symbol has, for a point outside the alphabet
-        top = int(space.alphabet[-1]) + 1 if len(space.alphabet) else 0
-        table = np.zeros(top + 1, dtype=np.int32)
-        table[space.alphabet] = np.arange(1, space.base, dtype=np.int32)
-        codes = table[np.minimum(points, top)]
-        starts = np.cumsum(lengths) - lengths
-        ranks = np.zeros(len(terms), dtype=np.int64)
-        columns = np.full(len(terms), -1, dtype=np.int64)
-        reading = np.flatnonzero(lengths)  # the terms found so far that go on
-        for n, level_keys in enumerate(space.keys, 1):
-            keys = ranks[reading] * space.base + codes[starts[reading] + (n - 1)]
-            at = np.searchsorted(level_keys, keys)
-            hit = at < len(level_keys)
-            hit[hit] = level_keys[at[hit]] == keys[hit]
-            reading, at = reading[hit], at[hit]
-            ranks[reading] = at
-            ended = lengths[reading] == n
-            columns[reading[ended]] = space.first[n - 1] + at[ended]
-            reading = reading[~ended]
-        return columns
-
     def column_map(self, source: KeySpace) -> np.ndarray:
         """The column of these counts that holds each column's n-gram of
         the key space ``source``, or -1 for an n-gram these counts do not
-        contain. Made once per key space and kept in ``column_maps``."""
+        contain, and -1 last, for column -1. Made once per key space and
+        kept in ``column_maps``."""
         found = self.column_maps.get(source)
         if found is None:
             found = self.column_maps[source] = _column_map(source, self.key_space)
@@ -460,14 +468,15 @@ def _column_map(source: KeySpace, target: KeySpace) -> np.ndarray:
     """Every key of ``source`` re-keyed into ``target`` a length at a
     time, as ``target rank of its prefix * target.base + target code of
     its last symbol``, and searched for among ``target``'s keys of that
-    length: the target column of each source column, or -1."""
+    length: the target column of each source column, or -1; and -1 last,
+    for column -1, the empty term's, which has no key."""
     # each source code's target code, 0 for a symbol ``target`` lacks
     at = np.searchsorted(target.alphabet, source.alphabet)
     found = at < len(target.alphabet)
     found[found] = target.alphabet[at[found]] == source.alphabet[found]
     codes = np.zeros(source.base, dtype=np.int64)
     codes[1:][found] = at[found] + 1
-    columns = np.full(int(source.first[-1]), -1, dtype=np.int64)
+    columns = np.full(int(source.first[-1]) + 1, -1, dtype=np.int64)
     ranks = np.zeros(1, dtype=np.int64)  # the empty prefix's, for length 1
     for n, (keys, level_keys) in enumerate(zip(source.keys, target.keys), 1):
         prefixes, last = np.divmod(keys, source.base)
@@ -585,7 +594,7 @@ def fit_vocabulary(
     if config.weighting is Weighting.TFIDF:
         idf = _smooth_idfs(corpus_size, document_frequency)
     return Vocabulary.from_columns(
-        config, terms, document_frequency, corpus_size, idf, fitted_columns, counts.key_space
+        config, terms, document_frequency, corpus_size, idf, (counts.key_space, fitted_columns)
     )
 
 
@@ -603,26 +612,21 @@ def with_weighting(vocab: Vocabulary, weighting: Weighting) -> Vocabulary:
     terms, df, _ = vocab.columns
     idf = _smooth_idfs(vocab.corpus_size, df) if weighting is Weighting.TFIDF else None
     return Vocabulary.from_columns(
-        replace(vocab.config, weighting=weighting), terms, df, vocab.corpus_size, idf,
-        vocab.fitted_columns, vocab.key_space,
+        replace(vocab.config, weighting=weighting), terms, df, vocab.corpus_size, idf, vocab._keys
     )
 
 
 def _block(counts: NgramCounts, vocab: Vocabulary) -> CscMatrix:
     """One vocabulary's documents x terms occurrence counts, as float64
     CSC with each column's rows ascending: the vocabulary's columns of
-    ``counts`` gathered in term order. The columns are its fitted ones
-    when ``counts`` are the counts it was fitted on, those mapped by
-    ``column_map`` on other counts, and looked up for a vocabulary read
-    from a model file; a term outside the block's lengths gets the empty
-    last one."""
+    ``counts`` gathered in term order. The columns are its own when
+    ``counts`` hold its key space, else those mapped by ``column_map``;
+    a term these counts lack, or outside the block's lengths, gets the
+    empty last one."""
     if vocab.key_space is counts.key_space:
         columns = vocab.fitted_columns
     else:
-        if vocab.key_space is None:
-            columns = counts.lookup(vocab.terms())
-        else:
-            columns = counts.column_map(vocab.key_space)[vocab.fitted_columns]
+        columns = counts.column_map(vocab.key_space)[vocab.fitted_columns]
         span = counts.span(vocab.config.range)
         columns[(columns < span.start) | (columns >= span.stop)] = -1
     matrix = counts.matrix

@@ -1,3 +1,4 @@
+import ctypes
 import os
 from pathlib import Path
 
@@ -15,6 +16,24 @@ from spreader_profiler.synth import generate_corpus_dir
 # so that a run's verdict does not depend on the runs before it.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+def pytest_report_header(config):
+    """The BLAS numpy was built with and the OpenBLAS core it runs,
+    which the golden model digests depend on: each kernel orders the
+    training sums differently (read from numpy's bundled library, else
+    "unknown")."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    core = "unknown"
+    for library in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        try:
+            corename = ctypes.CDLL(str(library)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    name, version = blas.get("name", "unknown"), blas.get("version", "")
+    return f"numpy BLAS: {name} {version}, OpenBLAS core: {core}"
 
 
 def pan_data_dir():

@@ -2,7 +2,6 @@ import pytest
 
 from spreader_profiler.analysis import (
     ClassTally,
-    author_tally,
     class_tally,
     corpus_stats,
     render_stats_table,
@@ -16,7 +15,7 @@ from conftest import make_author, make_corpus, pan_data_dir
 class TestAuthorTally:
     def test_hand_counted_example(self):
         doc = make_author("a1", ["RT #USER#: GO NOW", "ok 😀😀"], Label.TRUE_NEWS_SPREADER)
-        stats = author_tally(doc).finalize()
+        stats = class_tally([doc]).finalize()
         assert stats.retweets == 1
         assert stats.user_tokens == 1
         assert stats.emojis_total == 2
@@ -33,23 +32,23 @@ class TestAuthorTally:
 
     def test_phrase_run_does_not_span_tweets(self):
         doc = make_author("a1", ["ONE TWO", "THREE FOUR"])
-        stats = author_tally(doc).finalize()
+        stats = class_tally([doc]).finalize()
         assert stats.uppercased_phrases_total == 2
 
     def test_rt_must_lead_the_tweet(self):
         doc = make_author("a1", ["ok RT #USER# hi", "RT go"])
-        stats = author_tally(doc).finalize()
+        stats = class_tally([doc]).finalize()
         assert stats.retweets == 1
 
     def test_placeholder_counting_is_substring_exact(self):
         doc = make_author("a1", ["…#URL# #URL#end #HASHTAG##HASHTAG#"])
-        stats = author_tally(doc).finalize()
+        stats = class_tally([doc]).finalize()
         assert stats.url_tokens == 2
         assert stats.hashtag_tokens == 2
 
     def test_single_letter_not_uppercased_token(self):
         doc = make_author("a1", ["A BIG DEAL"])
-        stats = author_tally(doc).finalize()
+        stats = class_tally([doc]).finalize()
         assert stats.uppercased_tokens_total == 2  # BIG, DEAL; 'A' is too short
 
 

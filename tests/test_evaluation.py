@@ -204,9 +204,10 @@ class TestEvaluatePipeline:
         self, language, tmp_path, monkeypatch
     ):
         """A fitted model's vocabularies are mapped onto the held-out
-        counts by key, and the same model read from its file looks their
-        terms up: both give the same decision values, bit for bit, also
-        on held-out authors without some of the fitted terms and symbols."""
+        counts from the key space they were fitted in, and the same model
+        read from its file from key spaces of their own terms: both give
+        the same decision values, bit for bit, also on held-out authors
+        without some of the fitted terms and symbols."""
         generate_corpus_dir(tmp_path / "corpus", authors_per_class=6, tweets_per_author=10,
                             seed=7, language=language)
         with pytest.warns(UserWarning):
@@ -221,25 +222,22 @@ class TestEvaluatePipeline:
         swapped = str.maketrans({"a": "\u2603", "e": "\U0001f700"})
         without = [replace(s, tokens=tuple(t.translate(swapped) for t in s.tokens))
                    for s in held_out] + [replace(held_out[0], author_id="silent", tokens=())]
-        routes = []
-        column_map, lookup = vectorize._column_map, NgramCounts.lookup
+        sources = []  # the key space of each column map made
+        column_map = vectorize._column_map
 
         def recording_map(source, target):
-            routes.append("map")
+            sources.append(source)
             return column_map(source, target)
 
-        def recording_lookup(counts, terms):
-            routes.append("lookup")
-            return lookup(counts, terms)
-
         monkeypatch.setattr(vectorize, "_column_map", recording_map)
-        monkeypatch.setattr(NgramCounts, "lookup", recording_lookup)
         for side in (held_out, without):
-            routes.clear()
+            sources.clear()
             fitted = models.decision_values(model, side)
-            assert routes == ["map"]  # one map serves every block
+            assert sources == [model.feature_spec[0].key_space]  # one map serves every block
             read = models.decision_values(loaded, side)
-            assert routes == ["map"] + ["lookup"] * len(model.feature_spec)
+            # one map for each block read, from the key space of its own terms
+            assert sources[1:] == [vocab.key_space for vocab in loaded.feature_spec]
+            assert len(set(map(id, sources))) == 1 + len(loaded.feature_spec)
             assert fitted.dtype == read.dtype and fitted.tobytes() == read.tobytes()
 
     def test_metrics_consistent_with_predictions(self):
@@ -503,10 +501,10 @@ class TestSharedGrid:
     def test_each_side_is_counted_once_per_term_list(self, hard_corpus, folds, monkeypatch):
         """One count matrix per side for each distinct term list of each
         term-list tuple of a split: the training side's from the fit's
-        columns, the held-out side's through one column map per split,
-        and neither looked up by terms."""
-        built, maps, lookups = [], [], []  # (key space, whether the fit's); (source, target)
-        block, column_map, lookup = vectorize._block, vectorize._column_map, NgramCounts.lookup
+        columns, the held-out side's through one column map per split
+        from the fit's key space."""
+        built, maps = [], []  # (key space, whether the fit's); (source, target)
+        block, column_map = vectorize._block, vectorize._column_map
 
         def recording_block(counts, vocab):
             built.append((counts.key_space, vocab.key_space is counts.key_space))
@@ -516,13 +514,8 @@ class TestSharedGrid:
             maps.append((source, target))
             return column_map(source, target)
 
-        def recording_lookup(counts, terms):
-            lookups.append(counts)
-            return lookup(counts, terms)
-
         monkeypatch.setattr(vectorize, "_block", recording_block)
         monkeypatch.setattr(vectorize, "_column_map", recording_map)
-        monkeypatch.setattr(NgramCounts, "lookup", recording_lookup)
         spec = SplitSpec(seed=11)
         grid_search(hard_corpus, self.GRID, spec, folds=folds)
         pairs = split_folds(hard_corpus, spec, folds)
@@ -538,7 +531,6 @@ class TestSharedGrid:
         assert len(training_sides) == folds
         assert [source for source, _ in maps] == training_sides  # one map per split
         assert {target for _, target in maps} == {space for space, fitted in built if not fitted}
-        assert lookups == []
 
     @pytest.mark.parametrize("folds", [1, 3])
     def test_classifiers_of_a_vectorizer_group_share_one_gram(

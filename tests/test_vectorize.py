@@ -199,6 +199,28 @@ class TestFitVocabulary:
         with pytest.raises(ValueError, match=message):
             Vocabulary(char_config(), {"a": 0, "b": 1}, df, 2, idf=idf)
 
+    def test_an_index_order_other_than_term_order_is_refused(self):
+        # save_model would write it, and load_model refuse the file
+        with pytest.raises(ValueError, match="one per term in ascending term order"):
+            Vocabulary(char_config(weighting=Weighting.COUNT), {"b": 0, "a": 1},
+                       {"a": 1, "b": 1}, 1)
+
+    @pytest.mark.parametrize(
+        "weighting, idf, message",
+        [
+            (Weighting.COUNT, [1.0, 1.5], "a count vocabulary holds no idf"),
+            (Weighting.TFIDF, None, "a TF-IDF vocabulary needs the idf of each term"),
+        ],
+    )
+    def test_an_idf_that_contradicts_the_weighting_is_refused(self, weighting, idf, message):
+        # save_model would write either, and load_model refuse the file
+        config = char_config(weighting=weighting)
+        with pytest.raises(ValueError, match=message):
+            Vocabulary.from_columns(config, ["a", "b"], [1, 1], 2, idf)
+        with pytest.raises(ValueError, match=message):
+            Vocabulary(config, {"a": 0, "b": 1}, {"a": 1, "b": 1}, 2,
+                       idf=None if idf is None else dict(zip("ab", idf)))
+
     @pytest.mark.parametrize("read_first", [False, True])
     def test_a_vocabulary_built_from_dicts_is_a_value(self, read_first):
         index, df, idf = {"b": 1, "a": 0}, {"a": 2, "b": 1}, {"a": 1.0, "b": 1.5}
@@ -736,6 +758,10 @@ def test_every_block_is_float64_with_canonical_rows(docs, scoring, min_n, span):
 @settings(max_examples=60, deadline=None)
 @given(docs=level_corpora(), max_n=st.integers(1, 5), data=st.data())
 def test_mixed_length_columns_agree_with_term_by_term_lookup(docs, max_n, data):
+    """Terms keyed by their prefixes and mapped onto counts find the
+    column that holds each there, in any order and with repeats, and -1
+    for a term the counts lack and for the empty term; a corpus's own
+    n-grams key exactly as the corpus does."""
     counts = NgramCounts([stream_of(text) for text in docs], max_n)
     everything = np.arange(counts.key_space.first[-1])
     column_of = {term: c for c, term in enumerate(counts.terms(everything))}
@@ -748,10 +774,37 @@ def test_mixed_length_columns_agree_with_term_by_term_lookup(docs, max_n, data):
         max_size=20,
     ))
     absent += [term + "z" for term in present if len(term) < max_n]
-    absent += ["z" + term[1:] for term in present]
+    absent += ["z" + term[1:] for term in present] + [""]
     terms = data.draw(st.permutations(present + absent))
-    assert counts.lookup(terms).tolist() == [column_of.get(term, -1) for term in terms]
-    assert counts.lookup([]).tolist() == []
+    space, columns = vectorize._term_key_space(terms)
+    assert counts.column_map(space)[columns].tolist() == [column_of.get(t, -1) for t in terms]
+    space, columns = vectorize._term_key_space([])
+    assert counts.column_map(space)[columns].tolist() == []
+    own, columns = vectorize._term_key_space(sorted(column_of))
+    assert columns.tolist() == [column_of[term] for term in sorted(column_of)]
+    assert own.alphabet.tolist() == counts.key_space.alphabet.tolist()
+    assert own.base == counts.key_space.base
+    assert [keys.tolist() for keys in own.keys] == [
+        keys.tolist() for keys in counts.key_space.keys if len(keys)
+    ]
+    assert own.first.tolist() == counts.key_space.first[: len(own.first)].tolist()
+
+
+def test_a_vocabulary_keys_its_terms_on_first_read():
+    """A vocabulary not fitted on counts keys its terms' prefixes the first
+    time its key space or columns are read: codes 1..A over its sorted
+    code points, and each length's keys ``rank(prefix) * (A + 1) + code``."""
+    config = char_config(1, 2, weighting=Weighting.COUNT)
+    vocab = Vocabulary.from_columns(config, ["", "a", "ab", "b", "ba"], [1] * 5, 1, None)
+    assert "_keys" not in vars(vocab)
+    space = vocab.key_space
+    assert space.alphabet.tolist() == [ord("a"), ord("b")] and space.base == 3
+    assert [keys.tolist() for keys in space.keys] == [[1, 2], [0 * 3 + 2, 1 * 3 + 1]]
+    assert space.first.tolist() == [0, 2, 4]
+    assert vocab.fitted_columns.tolist() == [-1, 0, 2, 1, 3]  # the empty term has no key
+    assert vocab.key_space is space
+    empty = Vocabulary.from_columns(config, [], [], 1, None)
+    assert empty.fitted_columns.tolist() == [] and empty.key_space.keys == []
 
 
 @st.composite
@@ -776,16 +829,19 @@ def target_corpora(draw, source):
        target_n=st.integers(1, 7), data=st.data())
 def test_column_map_agrees_with_looking_each_term_up(source_docs, source_n, target_n, data):
     """Every column of one counts' key space, mapped onto other counts,
-    is the column that looking its term up there finds; so a fitted
-    vocabulary's block is the block of its terms looked up and masked to
-    its lengths, whether the other counts share its alphabet, hold none
-    of it, hold no symbol, or count fewer lengths."""
+    is the column that holds its term there, and -1 last stands for
+    column -1; so a fitted vocabulary's block is the block of the same
+    terms keyed by their own prefixes and masked to its lengths, whether
+    the other counts share its alphabet, hold none of it, hold no
+    symbol, or count fewer lengths."""
     source = NgramCounts([stream_of(text) for text in source_docs], source_n)
     target_docs = data.draw(target_corpora(source_docs))
     target = NgramCounts([stream_of(text) for text in target_docs], target_n)
     mapped = target.column_map(source.key_space)
     terms = source.terms(np.arange(source.key_space.first[-1]))
-    assert mapped.tolist() == target.lookup(terms).tolist()
+    known = target.terms(np.arange(target.key_space.first[-1]))
+    column_of = dict(zip(known, range(len(known))))
+    assert mapped.tolist() == [column_of.get(term, -1) for term in terms] + [-1]
     assert target.column_map(source.key_space) is mapped
     assert list(target.column_maps) == [source.key_space]
     min_n = data.draw(st.integers(1, min(source_n, target_n)))
@@ -818,16 +874,17 @@ ABOVE_ALPHABET = ["a", "\udfff", "\U0010fffe", "\U0010ffff", "z"]
                    max_size=12, unique=True),
 )
 def test_edge_code_points_count_and_look_up_as_the_oracle(docs, scoring, max_n, terms):
-    """Counting and lookup over U+10FFFF, a lone surrogate, and terms
-    holding a point above the largest of the counted corpus (which gets
-    no code, so the term is absent)."""
+    """Counting and keying terms over U+10FFFF, a lone surrogate, and
+    terms holding a point above the largest of the counted corpus (which
+    gets no code there, so the term is absent)."""
     texts = docs + scoring
     streams = [stream_of(text, f"d{i}") for i, text in enumerate(texts)]
     counts = NgramCounts(streams, max_n)
     assert_counts_match_brute_force(counts, texts, max_n)
     everything = np.arange(counts.key_space.first[-1])
     column_of = {term: c for c, term in enumerate(counts.terms(everything))}
-    assert counts.lookup(terms).tolist() == [column_of.get(term, -1) for term in terms]
+    space, columns = vectorize._term_key_space(terms)
+    assert counts.column_map(space)[columns].tolist() == [column_of.get(t, -1) for t in terms]
     terms = sorted(terms)
     vocab = Vocabulary.from_columns(
         char_config(1, max_n, weighting=Weighting.COUNT), terms, [1] * len(terms), len(docs), None
@@ -891,7 +948,7 @@ def test_terms_outside_the_blocks_lengths_score_as_absent(
             assert dense == brute_transform(text, index, idf, min_n, ngram_range.max_n)
 
 
-def test_a_fitted_vocabulary_is_mapped_onto_other_counts_and_a_loaded_one_looked_up(
+def test_a_fitted_vocabulary_is_mapped_onto_other_counts_and_a_loaded_one_keyed_by_its_terms(
     monkeypatch, tmp_path
 ):
     fitted_streams = [stream_of(t) for t in ("abcab", "bca cab")]
@@ -899,27 +956,22 @@ def test_a_fitted_vocabulary_is_mapped_onto_other_counts_and_a_loaded_one_looked
     counts = NgramCounts(fitted_streams, 3)
     vocab = fit_vocabulary(counts, char_config(1, 3, weighting=Weighting.COUNT))
     assert vocab.key_space is counts.key_space
-    lookups, maps = [], []  # the counts looked up in; the (source, target) key spaces mapped
-    lookup, column_map = NgramCounts.lookup, vectorize._column_map
-
-    def recording_lookup(self, terms):
-        lookups.append(self)
-        return lookup(self, terms)
+    assert not hasattr(NgramCounts, "lookup")  # terms are never looked up one by one
+    maps = []  # the (source, target) key spaces mapped
+    column_map = vectorize._column_map
 
     def recording_map(source, target):
         maps.append((source, target))
         return column_map(source, target)
 
-    monkeypatch.setattr(NgramCounts, "lookup", recording_lookup)
     monkeypatch.setattr(vectorize, "_column_map", recording_map)
     fitted = union_transform(counts, (vocab,))
-    assert lookups == maps == [] and fitted.nnz and counts.column_maps == {}
+    assert maps == [] and fitted.nnz and counts.column_maps == {}
     other = NgramCounts(other_streams, 3)
     assert union_transform(other, (vocab,)).nnz == 0
     same = NgramCounts(fitted_streams, 3)
     for _ in range(2):  # the second transform reuses the map the first made
         assert (scipy_csc(union_transform(same, (vocab,))) != scipy_csc(fitted)).nnz == 0
-    assert lookups == []
     assert maps == [(vocab.key_space, other.key_space), (vocab.key_space, same.key_space)]
     assert list(same.column_maps) == [vocab.key_space]
     # the key space outlives the counts it came from, and new counts
@@ -929,17 +981,22 @@ def test_a_fitted_vocabulary_is_mapped_onto_other_counts_and_a_loaded_one_looked
     assert freed() is None
     for _ in range(5):
         assert union_transform(NgramCounts(other_streams, 3), (vocab,)).nnz == 0
-    assert len(maps) == 7 and lookups == []
-    # the same vocabulary read from a model file has no key space, and is
-    # looked up
+    assert len(maps) == 7
+    # the same vocabulary read from a model file keys its own terms when
+    # first scored, and is mapped once onto each counts
     save_model(LinearModel(ModelKind.SVM, np.ones(len(vocab)), 0.0, (vocab,), Language.EN),
                tmp_path / "model.txt")
     (loaded,) = load_model(tmp_path / "model.txt").feature_spec
-    assert loaded == vocab and loaded.key_space is None and loaded.fitted_columns is None
-    for side in (other, NgramCounts(fitted_streams, 3)):
-        block = union_transform(side, (loaded,))
-        assert (scipy_csc(block) != scipy_csc(union_transform(side, (vocab,)))).nnz == 0
-    assert len(lookups) == 2 and len(maps) == 8
+    assert loaded == vocab and "_keys" not in vars(loaded)  # loading keys no term
+    sides = [other, NgramCounts(fitted_streams, 3)]
+    expected = [scipy_csc(union_transform(side, (vocab,))) for side in sides]
+    assert len(maps) == 8
+    for side, block in zip(sides, expected):
+        for _ in range(2):
+            assert (scipy_csc(union_transform(side, (loaded,))) != block).nnz == 0
+    assert loaded.key_space is not vocab.key_space
+    assert [source for source, _ in maps[8:]] == [loaded.key_space] * 2
+    assert list(other.column_maps) == [vocab.key_space, loaded.key_space]
 
 
 # ----------------------------------------------------------------------
