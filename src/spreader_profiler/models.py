@@ -838,7 +838,8 @@ def _read_vocabulary(
     """One block's ``count`` vocabulary lines, a chunk at a time: each df
     must lie in ``[1; corpus_size]``, never empty (a fit sees a document),
     the chunk must be what the writer writes for its terms, dfs and the
-    smooth IDF of each df, and terms strictly ascend; each df parsed once."""
+    smooth IDF of each df, and terms strictly ascend (as ``from_columns``
+    checks); each df parsed once."""
     if corpus_size < 1:
         raise CorruptModelFile(f"corpus_size {corpus_size} is below 1")
     tfidf = config.weighting is Weighting.TFIDF
@@ -859,15 +860,13 @@ def _read_vocabulary(
         idf_chunk = list(map(idf_of.__getitem__, df_chunk)) if tfidf else None
         written = _vocabulary_lines(chunk, df_chunk, idf_chunk, lo)
         _refuse_unless(written.encode("ascii"), block, "vocabulary", lo)
-        ordered = terms[-1:] + chunk
-        if not all(map(str.__lt__, ordered, ordered[1:])):
-            p = next(p for p in range(1, len(ordered)) if not ordered[p - 1] < ordered[p])
-            position = lo + len(chunk) - len(ordered) + p
-            raise CorruptModelFile(f"vocabulary term {position} is out of order")
         terms.extend(chunk)
         dfs.extend(df_chunk)
     idfs = list(map(idf_of.__getitem__, dfs)) if tfidf else None
-    return Vocabulary.from_columns(config, terms, dfs, corpus_size, idfs)
+    try:
+        return Vocabulary.from_columns(config, terms, dfs, corpus_size, idfs)
+    except ValueError as error:  # "vocabulary term N is out of order"
+        raise CorruptModelFile(str(error)) from None
 
 
 def _read_weights(reader: _LineReader, count: int) -> np.ndarray:

@@ -20,7 +20,13 @@ dense codes ``1..A`` in sorted order, and each n-gram gets the exact
 integer key ``rank(its (n-1)-prefix) * (A + 1) + code(its last
 symbol)``, where the rank is the prefix's position among the corpus's
 distinct (n-1)-grams. Keys therefore sort like the terms and stay below
-``positions * (A + 1)`` for any alphabet. Each length's distinct keys
+``positions * (A + 1)`` for any alphabet. Every length reads the same
+positions, one array of them, with nothing compacted: the codes run on
+in ``max_n`` zeros past the last symbol, so length n reads the code
+``n - 1`` places on from each position. The last ``n - 1`` positions of
+each document start no n-gram; they are dead, and their key is the
+bound of the length's keys, above every n-gram's, so they rank last and
+their cells are cut off the sorted end. Each length's distinct keys
 become its columns, ranked by a table marking the keys that occur when
 the possible keys are no more than the n-grams, else by one value sort
 of each key packed above its position (an ``argsort`` when the two do
@@ -30,7 +36,11 @@ over all of them. Each occurrence becomes the code ``column * documents
 + row`` of its cell, and the codes are sorted: the key sort leaves them
 so, since it keeps ties in position order, and after marking one value
 sort does. A cell's repeats are then one run, and the run's length is
-its count. A vocabulary is a set of those columns: fitting selects from
+its count. The counts hold no text: a column's n-gram is spelled from
+its key, walked down its prefixes, and the column sums are made when a
+fit first reads them, so scoring makes neither. A fit orders its terms
+by their codes, which ascend with the code points, so as Python orders
+strings. A vocabulary is a set of those columns: fitting selects from
 the slice of its lengths, and a transform gathers its columns into a CSC
 block in term order. The columns are found by keys, never by strings:
 every vocabulary has a ``KeySpace`` and its terms' columns in it, those
@@ -181,9 +191,11 @@ class Vocabulary:
     copies them into columns at once, and refuses indices other than
     exactly 0..n-1 in ascending term order and statistics of other terms
     than the indexed ones; ``from_columns`` takes the columns as they
-    are, but refuses an idf that contradicts the weighting. Each dict
-    (``term_to_index``, ``document_frequency``, ``idf``) is derived the
-    first time it is read, so scoring with a loaded model builds none.
+    are, but refuses an idf that contradicts the weighting and, unless a
+    fit gives them with their keys, terms that do not strictly ascend.
+    Each dict (``term_to_index``, ``document_frequency``, ``idf``) is
+    derived the first time it is read, so scoring with a loaded model
+    builds none.
     A vocabulary is immutable, and its value is its config, columns and
     corpus size.
 
@@ -235,10 +247,15 @@ class Vocabulary:
     ) -> Vocabulary:
         """The vocabulary of ``terms``, ascending, in index order, with
         their document frequencies, their idfs (``None`` for counts) and
-        optionally their ``keys``: a key space and their columns in it."""
+        optionally their ``keys``: a key space and their columns in it.
+        Terms given without keys are checked to ascend strictly, a pair at
+        a time; a fit's ascend as it orders them."""
         if (idf is None) != (config.weighting is Weighting.COUNT):
             raise ValueError("a count vocabulary holds no idf" if idf is not None
                              else "a TF-IDF vocabulary needs the idf of each term")
+        if keys is None and not all(map(str.__lt__, terms, terms[1:])):
+            p = next(p for p in range(1, len(terms)) if not terms[p - 1] < terms[p])
+            raise ValueError(f"vocabulary term {p} is out of order")
         vocab = cls.__new__(cls)
         idf_column = None if idf is None else np.array(idf, dtype=np.float64)
         vars(vocab).update(config=config, corpus_size=corpus_size,
@@ -363,79 +380,96 @@ class NgramCounts:
     length n run from ``first[n - 1]`` to ``first[n]``. ``matrix`` is the
     documents x columns count matrix (a ``CscMatrix``), with one empty
     column after the last, which stands for a term these counts do not
-    contain. ``tf`` and ``df`` are the column sums and column supports,
-    and ``where`` a start position of each column's n-gram in
-    ``surface``. ``key_space`` holds the alphabet, each length's keys and
-    ``first``, and outlives the counts in the vocabularies fitted on
-    them; ``column_maps`` keeps the ``column_map`` of each other key
-    space these counts were asked for. The counting scratch (about five
-    integers per symbol) is freed before the constructor returns."""
+    contain. ``df`` holds the column supports; ``tf``, the column sums,
+    is made the first time a fit's cap reads it, and ``terms`` spells
+    columns from their keys, so the counts keep no text. ``key_space``
+    holds the alphabet, each length's keys and ``first``, and outlives
+    the counts in the vocabularies fitted on them; ``column_maps`` keeps
+    the ``column_map`` of each other key space these counts were asked
+    for. Every length is counted in the same scratch, about six integers
+    per symbol (each position's code, document, rank, key and cell),
+    freed before the constructor returns."""
 
     def __init__(self, streams: Sequence[TokenStream], max_n: int):
         documents = [stream.joined_text for stream in streams]
         sizes = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
-        self.surface = "".join(documents)
-        alphabet, codes = _coded(self.surface)
+        alphabet, codes = _coded("".join(documents))
         del documents  # counting needs only the codes
-        index = np.int32 if len(codes) < 2**31 else np.int64
+        symbols = len(codes)
+        # run on in zeros, so that every length reads a view of the codes
+        codes = np.append(codes, np.zeros(max_n, dtype=codes.dtype))
+        index = np.int32 if symbols < 2**31 else np.int64
+        # a cell code rank * documents + row, rank at most the symbols
+        cell = np.int32 if (symbols + 1) * len(sizes) < 2**31 else np.int64
         base = len(alphabet) + 1
-        starts = np.cumsum(sizes) - sizes
-        # symbols left in the document from each position onwards
-        remaining = (np.repeat(starts + sizes, sizes) - np.arange(len(codes))).astype(index)
-        levels, tf, where, level_keys = [], [], [], []
-        positions = np.arange(len(codes), dtype=index)
+        ends = np.cumsum(sizes)
         rows = np.repeat(np.arange(len(sizes), dtype=index), sizes)  # each position's document
-        ranks = np.zeros(len(codes), dtype=index)
+        # the scratch of every length: each position's key, its n-gram's
+        # rank (its prefix's, until the key is made) and its cell
+        ranks = np.zeros(symbols, dtype=index)
+        keys = np.empty(symbols, dtype=np.int64)
+        cells = np.empty(symbols, dtype=cell)
+        levels, level_keys = [], []
         for n in range(1, max_n + 1):
-            alive = remaining[positions] >= n
-            positions, rows = positions[alive], rows[alive]
-            keys = ranks[alive].astype(np.int64)
-            del alive, ranks  # the previous length's, freed before this one's are made
-            keys *= base
-            keys += codes[positions + (n - 1)]
+            bound = (len(level_keys[-1]) if level_keys else 1) * base
+            np.multiply(ranks, base, out=keys, dtype=np.int64)
+            keys += codes[n - 1 : n - 1 + symbols]
+            # the last n - 1 positions of each document start no n-gram:
+            # their key is ``bound``, above every n-gram's, so they rank
+            # last and their cells are cut off the sorted end
+            tails = ends[:, None] - np.arange(1, n)
+            dead = tails[tails >= (ends - sizes)[:, None]]
+            keys[dead] = bound
+            live = symbols - len(dead)
             # keys, ranks = np.unique(keys, return_inverse=True), in less
             # memory: by marking the possible keys when they are fewer than
             # the n-grams, else by sorting. Either way, ``cells`` ends up
-            # holding each n-gram's rank * documents + row, sorted, in the
-            # narrower integer that holds every such code.
-            bound = (len(level_keys[-1]) if level_keys else 1) * base
-            cell = np.int32 if min(bound, len(keys)) * len(sizes) < 2**31 else np.int64
-            if bound <= len(keys):
-                present = np.zeros(bound, dtype=bool)
+            # holding each n-gram's rank * documents + row, sorted.
+            if bound <= live:
+                present = np.zeros(bound + 1, dtype=bool)  # and the dead key
                 present[keys] = True
-                ranks = (np.cumsum(present, dtype=index) - 1)[keys]
-                keys = np.flatnonzero(present)
+                table = np.cumsum(present, dtype=index)
+                table -= 1
+                np.take(table, keys, out=ranks)
+                del table
+                level = np.flatnonzero(present[:bound])
                 del present
-                cells = ranks.astype(cell)
-                cells *= len(sizes)
+                np.multiply(ranks, len(sizes), out=cells, dtype=cell)
                 cells += rows
                 cells.sort()
             else:
-                # sorted by key and then by position, so by row
-                keys, order = _sorted_with_order(keys)
+                # sorted by key and then by position, so by row; the
+                # position each sorted key came from goes to ``cells``
+                _sort_with_order(keys, cells)
                 starts = _run_starts(keys)
-                cells = np.repeat(np.arange(len(starts), dtype=cell),
-                                  np.diff(starts, append=len(keys)))
-                keys = keys[starts]
-                ranks = np.empty(len(positions), dtype=index)
-                ranks[order] = cells
-                cells *= len(sizes)
-                cells += rows[order]
-                del order, starts
-            levels.append(_count_cells(cells, len(sizes), len(keys), index))
-            tf.append(np.bincount(ranks, minlength=len(keys)))
-            where.append(np.empty(len(keys), dtype=index))
-            where[-1][ranks] = positions
-            level_keys.append(keys)
-        del codes, remaining, positions, rows, ranks, keys, cells  # before the copy below
+                level = keys[starts[: len(starts) - (live < symbols)]]  # the dead run last
+                # each sorted key's rank, in ``keys``
+                keys[:] = 0
+                keys[starts[1:]] = 1
+                del starts
+                np.cumsum(keys, out=keys)
+                ranks[cells] = keys
+                keys *= len(sizes)
+                np.take(rows, cells, out=cells)
+                np.add(cells, keys, out=cells, casting="same_kind")
+            levels.append(_count_cells(cells[:live], len(sizes), len(level), index))
+            level_keys.append(level)
+        del codes, rows, ranks, keys, cells  # before the copy below
         empty = np.zeros(0, dtype=np.int32)
         levels.append(CscMatrix(empty, empty.astype(index), np.zeros(2, dtype=np.int64),
                                 (len(sizes), 1)))
         self.matrix = join_blocks(levels)
-        self.tf, self.where = np.concatenate(tf), np.concatenate(where)
         self.df = np.diff(self.matrix.indptr[:-1])
         self.key_space = KeySpace(alphabet, base, level_keys, np.cumsum([0, *map(len, level_keys)]))
         self.column_maps: dict[KeySpace, np.ndarray] = {}
+
+    @cached_property
+    def tf(self) -> np.ndarray:
+        """Each column's count summed over the documents, made when first
+        read: a fit's cap reads it, scoring never."""
+        matrix = self.matrix
+        # every column but the empty last one holds an entry
+        return np.add.reduceat(matrix.data, matrix.indptr[:-2], dtype=np.int64)
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -448,10 +482,11 @@ class NgramCounts:
         return slice(int(first[ngram_range.min_n - 1]), int(first[n]))
 
     def terms(self, columns: np.ndarray) -> list[str]:
-        """The n-gram of each column."""
-        lengths = np.searchsorted(self.key_space.first, columns, side="right")
-        surface = self.surface
-        return [surface[p : p + n] for p, n in zip(self.where[columns].tolist(), lengths.tolist())]
+        """The n-gram of each column, in the order given, decoded from its
+        key."""
+        distinct, at = np.unique(columns, return_inverse=True)
+        spelled = _spelled(self.key_space.alphabet, _code_rows(self.key_space, distinct))
+        return list(map(spelled.__getitem__, at.tolist()))
 
     def column_map(self, source: KeySpace) -> np.ndarray:
         """The column of these counts that holds each column's n-gram of
@@ -462,6 +497,37 @@ class NgramCounts:
         if found is None:
             found = self.column_maps[source] = _column_map(source, self.key_space)
         return found
+
+
+def _code_rows(space: KeySpace, columns: np.ndarray) -> np.ndarray:
+    """The codes of the n-grams of the ascending ``columns`` of ``space``,
+    a row each, padded with code 0; so the rows' lexical order
+    (``np.lexsort`` of the columns reversed) is the n-grams' string order.
+    Each length's columns are one run, and their keys are walked down
+    their prefixes together."""
+    columns = np.asarray(columns, dtype=np.int64)
+    longest = int(np.searchsorted(space.first, columns[-1], side="right")) if len(columns) else 0
+    rows = np.zeros((len(columns), longest), dtype=np.min_scalar_type(space.base - 1))
+    bounds = np.searchsorted(columns, space.first).tolist()
+    for n in range(1, longest + 1):
+        run = slice(bounds[n - 1], bounds[n])
+        ranks = columns[run] - space.first[n - 1]
+        for k in reversed(range(n)):
+            ranks, rows[run, k] = np.divmod(space.keys[k][ranks], space.base)
+    return rows
+
+
+def _spelled(alphabet: np.ndarray, rows: np.ndarray) -> list[str]:
+    """The strings that the ``_code_rows`` rows spell over ``alphabet``:
+    their code points viewed as fixed-width numpy strings, which drop the
+    padding as trailing NULs."""
+    if not rows.size:
+        return [""] * len(rows)
+    terms = np.insert(alphabet, 0, 0)[rows].view(f"<U{rows.shape[1]}")[:, 0].tolist()
+    if alphabet[0] == 0:  # n-grams that end in U+0000 lost it with the padding
+        lengths = np.count_nonzero(rows, axis=1).tolist()
+        terms = [term.ljust(n, "\0") for term, n in zip(terms, lengths)]
+    return terms
 
 
 def _column_map(source: KeySpace, target: KeySpace) -> np.ndarray:
@@ -495,21 +561,24 @@ def _column_map(source: KeySpace, target: KeySpace) -> np.ndarray:
 _KEY_BITS = 63
 
 
-def _sorted_with_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``keys[order], order`` for an ``order`` that sorts the non-negative
-    int64 ``keys``, which it may overwrite, with ties in their order. Each
-    key is packed above its position into one int64, so one value sort
-    gives both; keys too large to share the bits are arg-sorted."""
+def _sort_with_order(keys: np.ndarray, order: np.ndarray) -> None:
+    """Sort the non-negative int64 ``keys`` in place, ties in their order,
+    and write to ``order`` the position each sorted key came from. Each key
+    is packed above its position into one int64, so one value sort gives
+    both; keys too large to share the bits are arg-sorted."""
     shift = max(len(keys) - 1, 0).bit_length()
     if int(keys.max(initial=0)).bit_length() + shift > _KEY_BITS:
-        order = np.argsort(keys, kind="stable")
-        return keys[order], order
+        order[:] = np.argsort(keys, kind="stable")
+        keys[:] = keys[order]
+        return
+    order[:] = 1  # then the positions, by a running sum in place
+    order[:1] = 0
+    np.cumsum(order, out=order)
     keys <<= shift
-    keys |= np.arange(len(keys))
+    keys |= order
     keys.sort()
-    order = keys & ((1 << shift) - 1)
+    np.bitwise_and(keys, (1 << shift) - 1, out=order, casting="same_kind")
     keys >>= shift
-    return keys, order
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -525,9 +594,13 @@ def _count_cells(cells: np.ndarray, n_rows: int, n_columns: int, index) -> CscMa
     of one occurrence each, in which every column occurs: every run of
     equal codes is one entry."""
     starts = _run_starts(cells)
-    data = np.diff(starts, append=len(cells)).astype(np.int32)
-    columns, rows = np.divmod(cells[starts], n_rows)
-    del starts  # before the arrays of the matrix are made
+    data = np.empty(len(starts), dtype=np.int32)
+    np.subtract(starts[1:], starts[:-1], out=data[:-1], casting="same_kind")
+    data[-1:] = len(cells) - starts[-1:]
+    columns = cells[starts]
+    del starts  # before the rows are made
+    rows = columns % n_rows
+    columns //= n_rows
     return CscMatrix(data, rows.astype(index, copy=False),
                      np.append(_run_starts(columns), len(columns)), (n_rows, n_columns))
 
@@ -550,7 +623,8 @@ def smooth_idf(corpus_size: int, df: int) -> float:
 
 def selected_columns(counts: NgramCounts, config: VectorizerConfig) -> np.ndarray:
     """The columns of ``counts`` that a fit under ``config`` keeps, in
-    ascending order, with no term made but those tied at a cap.
+    ascending order, with no term made: ties at a cap go to the smaller
+    term by their codes.
 
     Terms below ``min_df`` documents are dropped first; if
     ``max_features`` is set, the survivors are ranked by total corpus
@@ -566,9 +640,8 @@ def selected_columns(counts: NgramCounts, config: VectorizerConfig) -> np.ndarra
         tf = counts.tf[numbers]
         threshold = np.partition(tf, len(tf) - cap)[len(tf) - cap]
         tied = np.flatnonzero(tf == threshold)
-        tied_terms = counts.terms(numbers[tied])
         slots = cap - int(np.count_nonzero(tf > threshold))
-        by_term = sorted(range(len(tied)), key=tied_terms.__getitem__)[:slots]
+        by_term = np.lexsort(_code_rows(counts.key_space, numbers[tied]).T[::-1])[:slots]
         numbers = numbers[np.sort(np.concatenate([np.flatnonzero(tf > threshold), tied[by_term]]))]
     if not len(numbers):
         raise EmptyVocabulary(f"no term survived min_df={config.min_df}")
@@ -584,9 +657,9 @@ def fit_vocabulary(
     """
     counts = _as_counts(streams, config.range.max_n)
     numbers = selected_columns(counts, config)
-    found = counts.terms(numbers)
-    order = sorted(range(len(found)), key=found.__getitem__)
-    terms = list(map(found.__getitem__, order))
+    rows = _code_rows(counts.key_space, numbers)
+    order = np.lexsort(rows.T[::-1])
+    terms = _spelled(counts.key_space.alphabet, rows[order])
     fitted_columns = numbers[order]
     document_frequency = counts.df[fitted_columns].tolist()
     corpus_size = len(counts)
@@ -616,6 +689,11 @@ def with_weighting(vocab: Vocabulary, weighting: Weighting) -> Vocabulary:
     )
 
 
+# Entries gathered or weighed at a time, so that no temporary is the
+# block's size.
+_NORM_SLICE = 1 << 16
+
+
 def _block(counts: NgramCounts, vocab: Vocabulary) -> CscMatrix:
     """One vocabulary's documents x terms occurrence counts, as float64
     CSC with each column's rows ascending: the vocabulary's columns of
@@ -635,14 +713,17 @@ def _block(counts: NgramCounts, vocab: Vocabulary) -> CscMatrix:
     sizes = matrix.indptr[1:][columns] - starts
     indptr = np.zeros(len(columns) + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
-    taken = np.repeat(starts - indptr[:-1], sizes)
-    taken += np.arange(len(taken))
-    return CscMatrix(matrix.data[taken].astype(np.float64), matrix.indices[taken], indptr,
-                     (matrix.shape[0], len(columns)))
-
-
-# Entries weighed at a time, so that no temporary is the block's size.
-_NORM_SLICE = 1 << 16
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=matrix.indices.dtype)
+    # a run of columns of about _NORM_SLICE entries at a time, so that no
+    # index array is the block's size
+    cuts = np.searchsorted(indptr, np.arange(_NORM_SLICE, indptr[-1], _NORM_SLICE)).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(columns)]):
+        taken = np.repeat(starts[lo:hi] - indptr[lo:hi], sizes[lo:hi])
+        taken += np.arange(indptr[lo], indptr[hi])
+        data[indptr[lo] : indptr[hi]] = matrix.data[taken]
+        indices[indptr[lo] : indptr[hi]] = matrix.indices[taken]
+    return CscMatrix(data, indices, indptr, (matrix.shape[0], len(columns)))
 
 
 def weigh(block: CscMatrix, vocab: Vocabulary) -> CscMatrix:
@@ -677,7 +758,9 @@ def union_transform(
     becomes an empty row.
     """
     counts = _as_counts(streams, max(vocab.config.range.max_n for vocab in vocabs))
-    return join_blocks([weigh(_block(counts, vocab), vocab) for vocab in vocabs])
+    blocks = [weigh(_block(counts, vocab), vocab) for vocab in vocabs]
+    del counts, streams  # counts made here are freed before the blocks are joined
+    return join_blocks(blocks)
 
 
 def join_blocks(blocks: Sequence[CscMatrix]) -> CscMatrix:

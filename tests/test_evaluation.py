@@ -187,7 +187,7 @@ class TestEvaluatePipeline:
         class RecordingCounts(NgramCounts):
             def __init__(self, streams, max_n):
                 super().__init__(streams, max_n)
-                arrays = (self.matrix.data, self.matrix.indices, self.tf, self.df, self.where)
+                arrays = (self.matrix.data, self.matrix.indices, self.matrix.indptr, self.df)
                 made.append(list(map(weakref.ref, (self, *arrays, self.key_space))))
 
         monkeypatch.setattr(evaluation, "NgramCounts", RecordingCounts)

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import tracemalloc
 import warnings
 import weakref
 from collections import Counter
@@ -12,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spreader_profiler import vectorize
-from spreader_profiler.corpus import Language
+from spreader_profiler.corpus import Corpus, Label, Language
 from spreader_profiler.errors import EmptyVocabulary
 from spreader_profiler.models import LinearModel, ModelKind, decision_values, load_model, save_model
-from spreader_profiler.preprocess import TokenStream
+from spreader_profiler.preprocess import TokenStream, load_stopwords, preprocess_corpus
+from spreader_profiler.synth import synth_author
 from spreader_profiler.vectorize import (
     Analyzer,
     CscMatrix,
@@ -204,6 +207,15 @@ class TestFitVocabulary:
         with pytest.raises(ValueError, match="one per term in ascending term order"):
             Vocabulary(char_config(weighting=Weighting.COUNT), {"b": 0, "a": 1},
                        {"a": 1, "b": 1}, 1)
+
+    @pytest.mark.parametrize("terms, position", [(["b", "a", "a"], 1), (["a", "b", "b"], 2),
+                                                 (["a", "\U0001f600", "\ud800"], 2)])
+    def test_terms_given_out_of_order_are_refused(self, terms, position):
+        # save_model would write them, and load_model refuse the file; a
+        # lone surrogate is below an astral symbol, as its code point is
+        config = char_config(weighting=Weighting.COUNT)
+        with pytest.raises(ValueError, match=f"vocabulary term {position} is out of order"):
+            Vocabulary.from_columns(config, terms, [1] * len(terms), 1, None)
 
     @pytest.mark.parametrize(
         "weighting, idf, message",
@@ -534,8 +546,9 @@ def test_tfidf_norm_adds_each_rows_squares_left_to_right():
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7])
 def test_tfidf_weighting_is_the_same_in_any_slices(size, monkeypatch):
-    """``weigh`` squares and divides a bounded slice of entries at a time;
-    the slices do not change a bit of the result."""
+    """``_block`` gathers, and ``weigh`` squares and divides, a bounded
+    slice of entries at a time; the slices do not change a bit of the
+    result."""
     rng = random.Random(size)
     docs = ["".join(rng.choice("abc ") for _ in range(rng.randint(0, 12))) for _ in range(6)]
     streams = [stream_of(text) for text in docs]
@@ -605,12 +618,14 @@ def test_counts_hold_every_length_up_to_max_n_and_no_scratch():
     assert len(counts) == len(streams)
     assert len(counts.key_space.keys) == 4  # lengths 1 to 4, no further
     assert len(counts.key_space.first) == 5
-    # the counting scratch does not outlive the constructor
-    assert set(vars(counts)) == {
-        "surface", "key_space", "column_maps", "matrix", "tf", "df", "where"
-    }
+    # the counting scratch does not outlive the constructor, and tf is
+    # made only when a fit reads it
+    assert set(vars(counts)) == {"key_space", "column_maps", "matrix", "df"}
     assert set(vars(counts.key_space)) == {"alphabet", "base", "keys", "first"}
     vocabs = tuple(fit_vocabulary(counts, c) for c in blocks)
+    scored = NgramCounts(streams, 4)
+    union_transform(scored, vocabs)
+    assert set(vars(scored)) == {"key_space", "column_maps", "matrix", "df"}
     assert vocabs == tuple(fit_vocabulary(streams, c) for c in blocks)
     assert (scipy_csc(union_transform(counts, vocabs))
             != scipy_csc(union_transform(streams, vocabs))).nnz == 0
@@ -674,13 +689,16 @@ def assert_counts_match_brute_force(ngram_counts, docs, max_n):
 
 
 def assert_same_counts(got, expected):
-    """Every array of two ``NgramCounts``, equal in value and dtype."""
+    """Every array of two ``NgramCounts``, equal in value and dtype, and
+    their terms."""
     left, right = got.key_space, expected.key_space
     pairs = [(got.matrix.data, expected.matrix.data), (got.matrix.indices, expected.matrix.indices),
              (got.matrix.indptr, expected.matrix.indptr), *zip(left.keys, right.keys),
              (left.alphabet, right.alphabet), (left.first, right.first)]
-    pairs += [(getattr(got, name), getattr(expected, name)) for name in ("tf", "df", "where")]
+    pairs += [(getattr(got, name), getattr(expected, name)) for name in ("tf", "df")]
     assert len(left.keys) == len(right.keys) and left.base == right.base
+    columns = np.arange(left.first[-1])
+    assert got.terms(columns) == expected.terms(columns)
     for mine, theirs in pairs:
         assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist()
 
@@ -702,6 +720,107 @@ def test_counts_from_the_argsort_fallback_match_brute_force_counts(docs, max_n, 
         counts = NgramCounts(streams, max_n)
     assert_counts_match_brute_force(counts, docs, max_n)
     assert_same_counts(counts, NgramCounts(streams, max_n))
+
+
+# Corpora whose dead positions (the last n - 1 of each document, which
+# start no n-gram) matter: a document shorter than n, empty documents and
+# one-symbol documents, and n-grams that would run on into the next
+# document ("ab" then "abab" would give "aba").
+EDGE_CORPORA = {
+    "shorter than n": ["ab", "a", "abcab", "abcdabcd"],
+    "empty documents": ["", "abcab", "", "bb", ""],
+    "only empty documents": ["", "", ""],
+    "one-symbol documents": ["a", "b", "a", "😀"],
+    "runs into the next document": ["ab", "abab", "ba", "b", "a"],
+}
+# A document appended to steer the ranking of the lengths: a long one over
+# two symbols has every length ranked by marking the possible keys, and one
+# of 300 distinct symbols every length from 2 on (and length 1 too when no
+# symbol repeats) by sorting them, or by arg-sorting with no bits to pack.
+STEERING = {
+    "as it comes": None,
+    "marking": "ab" * 300,
+    "sorting": "".join(WIDE_ALPHABET[:300]),
+    "arg-sorting": "".join(WIDE_ALPHABET[:300]),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(EDGE_CORPORA))
+@pytest.mark.parametrize("ranking", list(STEERING))
+@pytest.mark.parametrize("max_n", [1, 3, 5])
+def test_dead_positions_count_nothing_in_every_branch(corpus, ranking, max_n, monkeypatch):
+    docs = EDGE_CORPORA[corpus] + ([STEERING[ranking]] if STEERING[ranking] else [])
+    sort = mock.Mock(wraps=vectorize._sort_with_order)
+    monkeypatch.setattr(vectorize, "_sort_with_order", sort)
+    argsort = mock.Mock(wraps=np.argsort)
+    monkeypatch.setattr(np, "argsort", argsort)
+    if ranking == "arg-sorting":
+        monkeypatch.setattr(vectorize, "_KEY_BITS", 0)
+    counts = NgramCounts([stream_of(text) for text in docs], max_n)
+    assert_counts_match_brute_force(counts, docs, max_n)
+    text = "".join(docs)
+    sorted_lengths = max_n - (len(set(text)) < len(text))
+    if ranking != "as it comes":
+        assert sort.call_count == (0 if ranking == "marking" else sorted_lengths)
+        assert argsort.call_count == (sorted_lengths if ranking == "arg-sorting" else 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(docs=level_corpora(), max_n=st.integers(1, 5), data=st.data())
+def test_terms_of_any_columns_in_any_order(docs, max_n, data):
+    """``terms`` spells the given columns in their order, repeats and all,
+    over surrogates, astral symbols and U+0000, also at an n-gram's end."""
+    docs = docs + data.draw(st.lists(st.text(alphabet="a\x00\ud800\udc00\U0001f600", max_size=8),
+                                     max_size=3))
+    counts = NgramCounts([stream_of(text) for text in docs], max_n)
+    everything = counts.terms(np.arange(counts.key_space.first[-1]))
+    assert_counts_match_brute_force(counts, docs, max_n)
+    columns = data.draw(st.lists(st.integers(0, len(everything) - 1), max_size=30)
+                        if everything else st.just([]))
+    assert counts.terms(np.array(columns, dtype=np.int64)) == [everything[c] for c in columns]
+    assert counts.terms(np.zeros(0, dtype=np.int64)) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(docs=st.lists(st.text(alphabet="ab\x00\ud800\udfff\U0001f600\U0010ffff", max_size=12),
+                     min_size=1, max_size=4),
+       min_n=st.integers(1, 3), span=st.integers(0, 3), cap=st.none() | st.integers(1, 6))
+def test_fitted_terms_ascend_as_python_orders_strings(docs, min_n, span, cap):
+    """A fit orders its terms by their codes, which ascend with the code
+    points, so as Python orders the strings: lone surrogates below the
+    astral symbols, a prefix before its extensions, U+0000 lowest."""
+    config = char_config(min_n, min_n + span, cap)
+    try:
+        vocab = fit_vocabulary([stream_of(text) for text in docs], config)
+    except EmptyVocabulary:
+        return
+    index, _, _ = brute_fit(docs, min_n, min_n + span, 1, cap, True)
+    assert vocab.terms() == sorted(index)
+
+
+def test_counting_peaks_below_per_length_copies():
+    """The traced peak of counting a fixed synthetic ES corpus (60 authors
+    per class, 50 tweets each, seed 7: 334,448 symbols) up to length 7.
+    Counting that compacted its position, row and rank arrays at every
+    length, and kept a tf and a start position per column, peaked at
+    18,562,373 bytes there, 55.5 per symbol (numpy 2.4); reading one
+    position array at every length peaks at about 49.3. The bound is the
+    former, so a change that brings the per-length copies back fails."""
+    rng = random.Random(7)
+    authors = tuple(synth_author(rng, label, Language.ES, 50)
+                    for label in (Label.TRUE_NEWS_SPREADER, Label.FAKE_NEWS_SPREADER)
+                    for _ in range(60))
+    streams = preprocess_corpus(Corpus(Language.ES, authors), load_stopwords(Language.ES))
+    symbols = sum(len(stream.joined_text) for stream in streams)
+    assert symbols == 334_448
+    gc.collect()
+    tracemalloc.start()
+    try:
+        NgramCounts(streams, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 55.5 * symbols, (peak, peak / symbols)
 
 
 def test_the_argsort_fallback_runs_only_when_keys_outgrow_the_bits(monkeypatch):
