@@ -400,10 +400,12 @@ class NgramCounts:
         codes = np.append(codes, np.zeros(max_n, dtype=codes.dtype))
         index = np.int32 if symbols < 2**31 else np.int64
         # a cell code rank * documents + row, rank at most the symbols
-        cell = np.int32 if (symbols + 1) * len(sizes) < 2**31 else np.int64
+        cell = np.int32 if (symbols + 1) * len(sizes) < _CELL_LIMIT else np.int64
         base = len(alphabet) + 1
         ends = np.cumsum(sizes)
-        rows = np.repeat(np.arange(len(sizes), dtype=index), sizes)  # each position's document
+        # each position's document, in the cells' type: it is added to them
+        # and gathered into them
+        rows = np.repeat(np.arange(len(sizes), dtype=cell), sizes)
         # the scratch of every length: each position's key, its n-gram's
         # rank (its prefix's, until the key is made) and its cell
         ranks = np.zeros(symbols, dtype=index)
@@ -559,6 +561,8 @@ def _column_map(source: KeySpace, target: KeySpace) -> np.ndarray:
 
 # Bits of an int64 that a key and its position may share in one sort.
 _KEY_BITS = 63
+# Cell codes (rank * documents + row) at or above this need int64.
+_CELL_LIMIT = 2**31
 
 
 def _sort_with_order(keys: np.ndarray, order: np.ndarray) -> None:

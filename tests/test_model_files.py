@@ -326,6 +326,28 @@ class TestEditsBothRefuse:
         lines[last - 1] = terms[-1] + lines[last - 1][len(terms[-2]) :]
         _both_refuse(lines, tmp_path)
 
+    def test_terms_out_of_order_are_named_after_every_chunk_is_read(self, tmp_path):
+        # the reader checks the order once all terms are read, so an error
+        # in a later chunk is the one it names; the per-line reader names
+        # the first line at fault
+        terms = [f"t{i:05d}" for i in range(_CHUNK_LINES + 1)]
+        lines = _render_model(_hand_model(terms)).split("\n")[:-2]
+        start = _vocabulary_start(lines)
+        lines[start] = terms[1] + lines[start][len(terms[0]) :]
+        lines[start + 1] = terms[0] + lines[start + 1][len(terms[1]) :]
+        path = tmp_path / "model.txt"
+        path.write_text(_file(lines), encoding="utf-8")
+        with pytest.raises(CorruptModelFile, match="^vocabulary term 1 is out of order$"):
+            load_model(path)
+        last = start + _CHUNK_LINES
+        assert lines[last] == f"{terms[-1]}\t{_CHUNK_LINES}\t1\t-"
+        lines[last] = f"{terms[-1]}\t{_CHUNK_LINES}\t0\t-"
+        path.write_text(_file(lines), encoding="utf-8")
+        with pytest.raises(CorruptModelFile, match="^vocabulary term 1 is out of order$"):
+            oracle_load_model(path)
+        with pytest.raises(CorruptModelFile, match=r"^document frequency 0 is not in \[1; 1\]$"):
+            load_model(path)
+
 
 class TestOnlyTheReaderRefuses:
     """Files the per-line reader accepted although a load and a save

@@ -748,16 +748,25 @@ STEERING = {
 @pytest.mark.parametrize("corpus", sorted(EDGE_CORPORA))
 @pytest.mark.parametrize("ranking", list(STEERING))
 @pytest.mark.parametrize("max_n", [1, 3, 5])
-def test_dead_positions_count_nothing_in_every_branch(corpus, ranking, max_n, monkeypatch):
+@pytest.mark.parametrize("cells", ["int32", "int64"])
+def test_dead_positions_count_nothing_in_every_branch(corpus, ranking, max_n, cells, monkeypatch):
+    """Also with int64 cell codes beside int32 rows and ranks, which a
+    corpus of (symbols + 1) * documents >= 2**31 gets: the counts are the
+    same, arrays and dtypes."""
     docs = EDGE_CORPORA[corpus] + ([STEERING[ranking]] if STEERING[ranking] else [])
+    streams = [stream_of(text) for text in docs]
+    expected = NgramCounts(streams, max_n)
     sort = mock.Mock(wraps=vectorize._sort_with_order)
     monkeypatch.setattr(vectorize, "_sort_with_order", sort)
     argsort = mock.Mock(wraps=np.argsort)
     monkeypatch.setattr(np, "argsort", argsort)
     if ranking == "arg-sorting":
         monkeypatch.setattr(vectorize, "_KEY_BITS", 0)
-    counts = NgramCounts([stream_of(text) for text in docs], max_n)
+    if cells == "int64":
+        monkeypatch.setattr(vectorize, "_CELL_LIMIT", 0)
+    counts = NgramCounts(streams, max_n)
     assert_counts_match_brute_force(counts, docs, max_n)
+    assert_same_counts(counts, expected)
     text = "".join(docs)
     sorted_lengths = max_n - (len(set(text)) < len(text))
     if ranking != "as it comes":
@@ -820,7 +829,9 @@ def test_counting_peaks_below_per_length_copies():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 55.5 * symbols, (peak, peak / symbols)
+    assert peak <= 55.5 * symbols, (
+        f"{peak / symbols:.1f} bytes per symbol; the bound was measured under numpy 2.4 "
+        f"and this is numpy {np.__version__}, whose own scratch may differ")
 
 
 def test_the_argsort_fallback_runs_only_when_keys_outgrow_the_bits(monkeypatch):
