@@ -36,69 +36,50 @@ class CorpusStats:
     fake_class: ClassStats
 
 
-@dataclass
-class ClassTally:
-    """Accumulator behind :class:`ClassStats`: the token set and emoji
-    counter so far, and the running totals."""
-
-    tokens: set[str]
-    emoji: Counter
-    url_tokens: int = 0
-    hashtag_tokens: int = 0
-    user_tokens: int = 0
-    retweets: int = 0
-    uppercased_tokens_total: int = 0
-    uppercased_phrases_total: int = 0
-
-    @classmethod
-    def empty(cls) -> "ClassTally":
-        return cls(tokens=set(), emoji=Counter())
-
-    def finalize(self) -> ClassStats:
-        return ClassStats(
-            unique_tokens=len(self.tokens),
-            emojis_total=sum(self.emoji.values()),
-            emojis_unique=len(self.emoji),
-            url_tokens=self.url_tokens,
-            hashtag_tokens=self.hashtag_tokens,
-            user_tokens=self.user_tokens,
-            retweets=self.retweets,
-            uppercased_tokens_total=self.uppercased_tokens_total,
-            uppercased_phrases_total=self.uppercased_phrases_total,
-        )
-
-
 def _is_uppercased(token: str) -> bool:
     return len(token) >= 2 and token.isalpha() and token == token.upper()
 
 
-def class_tally(authors) -> ClassTally:
+def class_tally(authors) -> ClassStats:
     """Raw-text statistics for a group of authors, in one pass over their
     tweets: every statistic is a sum or union over tweets (an uppercase
     phrase ends with its tweet), so grouping the tweets into authors
     changes none of them."""
-    tally = ClassTally.empty()
+    unique: set[str] = set()
+    emoji: Counter = Counter()
+    url_tokens = hashtag_tokens = user_tokens = retweets = 0
+    uppercased_tokens_total = uppercased_phrases_total = 0
     for tweet in (tweet for doc in authors for tweet in doc.tweets):
-        tally.emoji.update(EMOJI_RE.findall(tweet))
-        tally.url_tokens += tweet.count("#URL#")
-        tally.hashtag_tokens += tweet.count("#HASHTAG#")
-        tally.user_tokens += tweet.count("#USER#")
+        emoji.update(EMOJI_RE.findall(tweet))
+        url_tokens += tweet.count("#URL#")
+        hashtag_tokens += tweet.count("#HASHTAG#")
+        user_tokens += tweet.count("#USER#")
         tokens = tweet.split()
-        tally.tokens.update(tokens)
+        unique.update(tokens)
         if tokens and tokens[0] == "RT":
-            tally.retweets += 1
+            retweets += 1
         run = 0
         for token in tokens:
             if _is_uppercased(token):
-                tally.uppercased_tokens_total += 1
+                uppercased_tokens_total += 1
                 run += 1
             else:
                 if run >= 2:
-                    tally.uppercased_phrases_total += 1
+                    uppercased_phrases_total += 1
                 run = 0
         if run >= 2:
-            tally.uppercased_phrases_total += 1
-    return tally
+            uppercased_phrases_total += 1
+    return ClassStats(
+        unique_tokens=len(unique),
+        emojis_total=sum(emoji.values()),
+        emojis_unique=len(emoji),
+        url_tokens=url_tokens,
+        hashtag_tokens=hashtag_tokens,
+        user_tokens=user_tokens,
+        retweets=retweets,
+        uppercased_tokens_total=uppercased_tokens_total,
+        uppercased_phrases_total=uppercased_phrases_total,
+    )
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
@@ -108,8 +89,8 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     true_authors = [a for a in corpus if a.label == Label.TRUE_NEWS_SPREADER]
     fake_authors = [a for a in corpus if a.label == Label.FAKE_NEWS_SPREADER]
     return CorpusStats(
-        true_class=class_tally(true_authors).finalize(),
-        fake_class=class_tally(fake_authors).finalize(),
+        true_class=class_tally(true_authors),
+        fake_class=class_tally(fake_authors),
     )
 
 

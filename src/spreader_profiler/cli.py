@@ -41,9 +41,9 @@ from .evaluation import (
     render_grid_report,
     render_grid_tsv,
     render_report,
+    score_corpus,
 )
-from .models import ModelKind, decision_values, label_of, load_model, save_model
-from .preprocess import load_stopwords, preprocess_corpus
+from .models import ModelKind, label_of, load_model, save_model
 from .vectorize import NgramRange, VectorizerConfig, Weighting
 
 
@@ -273,11 +273,9 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     corpus = load_corpus(args.input, model.language)
-    stopwords = load_stopwords(model.language)
-    values = decision_values(model, preprocess_corpus(corpus, stopwords))
     lines = [
         f"{author.author_id}:::{int(label_of(value))}"
-        for author, value in zip(corpus, values.tolist())
+        for author, value in zip(corpus, score_corpus(model, corpus).tolist())
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -324,6 +322,8 @@ def _read_config_overrides(path: str) -> list[str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if "\0" in line:  # argv cannot hold one, and no path may
+            raise DataError(f"{path}:{lineno}: a config line may not hold a NUL, got {line!r}")
         extra.extend([f"--{key.strip()}", value.strip()])
     return extra
 

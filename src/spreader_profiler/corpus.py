@@ -138,21 +138,15 @@ class SplitSpec:
 
 
 def parse_author_xml(raw: bytes | str, author_id: str) -> AuthorDocument:
-    """Parse one author file into an (unlabeled) :class:`AuthorDocument`,
-    with a ``NonStandardTweetCount`` warning unless it holds 100 tweets.
+    """Parse one author file into an (unlabeled) :class:`AuthorDocument`.
 
     The file layout is ``<author><documents><document>…`` with one
     tweet per ``<document>``; CDATA wrapping and XML entities are both
     handled by the parser. The caller supplies ``author_id`` (taken
-    from the file name stem when reading from disk).
+    from the file name stem when reading from disk). A tweet count other
+    than 100 is not checked here: ``load_corpus`` warns once for a
+    directory.
     """
-    doc = _parse_author(raw, author_id)
-    if len(doc.tweets) != EXPECTED_TWEETS_PER_AUTHOR:
-        warnings.warn(_odd_count(doc), NonStandardTweetCount, stacklevel=2)
-    return doc
-
-
-def _parse_author(raw: bytes | str, author_id: str) -> AuthorDocument:
     try:
         root = ET.fromstring(raw)
     except ET.ParseError as exc:
@@ -161,11 +155,6 @@ def _parse_author(raw: bytes | str, author_id: str) -> AuthorDocument:
     if not tweets:
         raise EmptyAuthor(f"author {author_id}: no <document> elements")
     return AuthorDocument(author_id=author_id, tweets=tuple(tweets))
-
-
-def _odd_count(doc: AuthorDocument) -> str:
-    tweets, expected = len(doc.tweets), EXPECTED_TWEETS_PER_AUTHOR
-    return f"author {doc.author_id} has {tweets} tweets, expected {expected}"
 
 
 def render_author_xml(doc: AuthorDocument, language: Language | None = None) -> bytes:
@@ -223,14 +212,16 @@ def load_corpus(directory: str | Path, language: Language | str) -> Corpus:
     for path in xml_paths:
         if not path.stem.isalnum():
             raise InvalidAuthorId(f"{path.name}: author file names must be <alphanumeric id>.xml")
-        authors.append(_parse_author(path.read_bytes(), author_id=path.stem))
+        authors.append(parse_author_xml(path.read_bytes(), author_id=path.stem))
     # One summary of the odd tweet counts, so a whole directory of
     # non-conformant files does not flood stderr.
     odd_counts = [a for a in authors if len(a.tweets) != EXPECTED_TWEETS_PER_AUTHOR]
     if odd_counts:
+        first = odd_counts[0]
         warnings.warn(
             f"{len(odd_counts)} of {len(authors)} authors in {directory} do not have "
-            f"{EXPECTED_TWEETS_PER_AUTHOR} tweets (first: {_odd_count(odd_counts[0])})",
+            f"{EXPECTED_TWEETS_PER_AUTHOR} tweets (first: author {first.author_id} has "
+            f"{len(first.tweets)} tweets, expected {EXPECTED_TWEETS_PER_AUTHOR})",
             NonStandardTweetCount,
             stacklevel=2,
         )

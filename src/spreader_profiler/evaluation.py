@@ -193,6 +193,14 @@ def fit_pipeline(train_corpus: Corpus, config: PipelineConfig) -> LinearModel:
     return _fit(vocabularies, X, labels, config, train_corpus.language)
 
 
+def score_corpus(model: LinearModel, corpus: Corpus) -> np.ndarray:
+    """The decision value of each author of ``corpus``, in corpus order:
+    preprocessed with the stopwords of the model's language and
+    vectorized with the model's vocabularies."""
+    stopwords = load_stopwords(model.language)
+    return decision_values(model, preprocess_corpus(corpus, stopwords))
+
+
 def _report(corpus: Corpus, values: np.ndarray, positive_class: Label) -> EvalReport:
     """Label each author of a labeled corpus from its decision value and
     count the outcome."""
@@ -223,9 +231,7 @@ def evaluate_model(
     """Score a labeled corpus with a trained model."""
     if not test_corpus.is_labeled:
         raise UnlabeledCorpus("evaluation needs labels")
-    stopwords = load_stopwords(model.language)
-    values = decision_values(model, preprocess_corpus(test_corpus, stopwords))
-    return _report(test_corpus, values, positive_class)
+    return _report(test_corpus, score_corpus(model, test_corpus), positive_class)
 
 
 def evaluate_pipeline(

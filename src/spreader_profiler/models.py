@@ -561,17 +561,6 @@ def predict(model: LinearModel, x: SparseVector) -> Label:
     return label_of(decision_value(model, x))
 
 
-def predict_proba(model: LinearModel, x: SparseVector) -> float:
-    """Probability that ``x`` belongs to the fake-news-spreader class."""
-    if model.kind is not ModelKind.LOGREG:
-        raise WrongModelKind("probabilities are only defined for logistic regression")
-    z = decision_value(model, x)
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
 # ----------------------------------------------------------------------
 # Persistence: a versioned UTF-8 text format. Header lines, one
 # vocabulary section per feature block (term, index, document
@@ -902,6 +891,8 @@ def load_model(path: str | Path) -> LinearModel:
         raise CorruptModelFile(f"{path}: no such model file") from exc
     except IsADirectoryError as exc:
         raise CorruptModelFile(f"{path} is a directory, not a model file") from exc
+    except OSError as exc:  # a symlink loop, a name too long, no permission, ...
+        raise CorruptModelFile(f"{path}: cannot read model file ({exc.strerror})") from exc
     except UnicodeDecodeError as exc:
         raise CorruptModelFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if b"\r" in data:

@@ -17,12 +17,15 @@ from spreader_profiler.synth import generate_corpus_dir
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "spreader_profiler"
+
 
 def pytest_report_header(config):
     """The BLAS numpy was built with and the OpenBLAS core it runs,
     which the golden model digests depend on: each kernel orders the
     training sums differently (read from numpy's bundled library, else
-    "unknown")."""
+    "unknown"). Then the package's size: the lines of every module under
+    ``src/``, as ``wc -l`` counts them, and their total."""
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     core = "unknown"
     for library in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
@@ -33,7 +36,19 @@ def pytest_report_header(config):
         corename.restype = ctypes.c_char_p
         core = corename().decode()
     name, version = blas.get("name", "unknown"), blas.get("version", "")
-    return f"numpy BLAS: {name} {version}, OpenBLAS core: {core}"
+    lines = {path.name: path.read_bytes().count(b"\n") for path in sorted(SRC.glob("*.py"))}
+    sizes = ", ".join(f"{module} {count:,}" for module, count in lines.items())
+    return [
+        f"numpy BLAS: {name} {version}, OpenBLAS core: {core}",
+        f"src lines: {sum(lines.values()):,} ({sizes})",
+    ]
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """Under ``-q`` pytest prints no header, so its lines end the log."""
+    if config.get_verbosity() < 0:
+        for line in pytest_report_header(config):
+            terminalreporter.write_line(line)
 
 
 def pan_data_dir():

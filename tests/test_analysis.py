@@ -1,7 +1,6 @@
 import pytest
 
 from spreader_profiler.analysis import (
-    ClassTally,
     class_tally,
     corpus_stats,
     render_stats_table,
@@ -15,7 +14,7 @@ from conftest import make_author, make_corpus, pan_data_dir
 class TestAuthorTally:
     def test_hand_counted_example(self):
         doc = make_author("a1", ["RT #USER#: GO NOW", "ok 😀😀"], Label.TRUE_NEWS_SPREADER)
-        stats = class_tally([doc]).finalize()
+        stats = class_tally([doc])
         assert stats.retweets == 1
         assert stats.user_tokens == 1
         assert stats.emojis_total == 2
@@ -24,7 +23,7 @@ class TestAuthorTally:
         assert stats.uppercased_phrases_total == 1  # the GO NOW run
 
     def test_empty_class_is_all_zeros(self):
-        stats = ClassTally.empty().finalize()
+        stats = class_tally([])
         assert stats.unique_tokens == 0
         assert stats.emojis_total == 0
         assert stats.retweets == 0
@@ -32,23 +31,23 @@ class TestAuthorTally:
 
     def test_phrase_run_does_not_span_tweets(self):
         doc = make_author("a1", ["ONE TWO", "THREE FOUR"])
-        stats = class_tally([doc]).finalize()
+        stats = class_tally([doc])
         assert stats.uppercased_phrases_total == 2
 
     def test_rt_must_lead_the_tweet(self):
         doc = make_author("a1", ["ok RT #USER# hi", "RT go"])
-        stats = class_tally([doc]).finalize()
+        stats = class_tally([doc])
         assert stats.retweets == 1
 
     def test_placeholder_counting_is_substring_exact(self):
         doc = make_author("a1", ["…#URL# #URL#end #HASHTAG##HASHTAG#"])
-        stats = class_tally([doc]).finalize()
+        stats = class_tally([doc])
         assert stats.url_tokens == 2
         assert stats.hashtag_tokens == 2
 
     def test_single_letter_not_uppercased_token(self):
         doc = make_author("a1", ["A BIG DEAL"])
-        stats = class_tally([doc]).finalize()
+        stats = class_tally([doc])
         assert stats.uppercased_tokens_total == 2  # BIG, DEAL; 'A' is too short
 
 
@@ -78,18 +77,18 @@ class TestCorpusStats:
     def test_tallies_do_not_depend_on_how_tweets_are_grouped_into_authors(self):
         authors = list(self._corpus())
         tweets = [tweet for author in authors for tweet in author.tweets]
-        whole = class_tally(authors).finalize()
-        assert class_tally([make_author("x1", tweets)]).finalize() == whole
+        whole = class_tally(authors)
+        assert class_tally([make_author("x1", tweets)]) == whole
         for cut in range(1, len(tweets)):
             regrouped = [make_author("x1", tweets[:cut]), make_author("x2", tweets[cut:])]
-            assert class_tally(regrouped).finalize() == whole
+            assert class_tally(regrouped) == whole
         singles = [make_author(f"x{i}", [tweet]) for i, tweet in enumerate(tweets)]
-        assert class_tally(singles).finalize() == whole
+        assert class_tally(singles) == whole
 
     def test_permutation_invariance(self):
         authors = list(self._corpus())
-        forward = class_tally(authors).finalize()
-        backward = class_tally(list(reversed(authors))).finalize()
+        forward = class_tally(authors)
+        backward = class_tally(list(reversed(authors)))
         assert forward == backward
 
     def test_unique_tokens_deduplicate_across_authors(self):

@@ -284,7 +284,9 @@ class TestExitCodes:
         self.assert_one_line(capsys, "data error: ")
 
     @pytest.mark.parametrize("subcommand", ["evaluate", "predict"])
-    @pytest.mark.parametrize("kind", ["directory", "non-utf8", "missing"])
+    @pytest.mark.parametrize(
+        "kind", ["directory", "non-utf8", "missing", "symlink-loop", "name-too-long"]
+    )
     def test_unreadable_model_is_model_error(
         self, subcommand, kind, tmp_path, small_synth_dir, capsys
     ):
@@ -294,6 +296,11 @@ class TestExitCodes:
         elif kind == "non-utf8":
             model = tmp_path / "binary.model"
             model.write_bytes(b"spreader-profiler-model 1\n\xff\xfe\n")
+        elif kind == "symlink-loop":
+            model = tmp_path / "loop.model"
+            model.symlink_to(model)
+        elif kind == "name-too-long":
+            model = tmp_path / ("m" * 300)
         assert run([subcommand, "--model", model, "--input", small_synth_dir]) == 3
         self.assert_one_line(capsys, "model error: ")
 
@@ -524,6 +531,19 @@ class TestConfigFile:
         assert run(["train", "--input", small_synth_dir, "--lang", "en",
                     "--config", tmp_path]) == 2
         TestExitCodes.assert_one_line(capsys, "data error: ")
+
+    @pytest.mark.parametrize("subcommand, line", [
+        ("evaluate", "model=a\0b"),
+        ("predict", "out=p\0.txt"),
+    ])
+    def test_nul_in_config_is_data_error(self, subcommand, line, fuzz_inputs, tmp_path, capsys):
+        """Each value would otherwise reach a path: the model read, or the
+        predictions written with a readable model."""
+        corpus, model = fuzz_inputs
+        config = tmp_path / "run.conf"
+        config.write_text(f"# a comment\n{line}\n")
+        assert run([subcommand, "--model", model, "--input", corpus, "--config", config]) == 2
+        TestExitCodes.assert_one_line(capsys, f"data error: {config}:2: ")
 
     def test_non_utf8_config_is_data_error(self, small_synth_dir, tmp_path, capsys):
         config = tmp_path / "run.conf"

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -61,10 +62,12 @@ class TestParseAuthorXml:
         doc = parse_author_xml(raw, author_id="a1")
         assert doc.tweets == ("a & b",)
 
-    def test_non_hundred_count_warns(self):
+    def test_an_odd_tweet_count_is_not_warned_of(self):
         raw = b"<documents><document>only one</document></documents>"
-        with pytest.warns(NonStandardTweetCount):
-            parse_author_xml(raw, author_id="a1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            doc = parse_author_xml(raw, author_id="a1")
+        assert doc.tweets == ("only one",)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -165,6 +168,9 @@ class TestLoadCorpus:
         summaries = [w for w in caught if "3 of 3 authors" in str(w.message)]
         assert len(summaries) == 1
         assert len(caught) == 1
+        assert str(caught[0].message).endswith(
+            " do not have 100 tweets (first: author a1 has 1 tweets, expected 100)"
+        )
 
 
 class TestCorpusInvariants:

@@ -18,7 +18,6 @@ from spreader_profiler.errors import (
     DimensionMismatch,
     SingleClassInput,
     UnsupportedVersion,
-    WrongModelKind,
 )
 from spreader_profiler.models import (
     LinearModel,
@@ -31,7 +30,6 @@ from spreader_profiler.models import (
     decision_values,
     load_model,
     predict,
-    predict_proba,
     row_gram,
     save_model,
     train,
@@ -95,8 +93,8 @@ class TestSeparablePair:
         model = train_logreg(self.X, self.y)
         assert predict(model, self.X[0]) is FAKE
         assert predict(model, self.X[1]) is TRUE
-        assert predict_proba(model, self.X[0]) > 0.5
-        assert predict_proba(model, self.X[1]) < 0.5
+        assert decision_value(model, self.X[0]) > 0.0
+        assert decision_value(model, self.X[1]) < 0.0
 
 
 class TestTrainingContracts:
@@ -142,7 +140,8 @@ class TestTrainingContracts:
         y = [FAKE, TRUE] * 5
         model = train_logreg(X, y)
         assert np.allclose(model.weights, 0.0, atol=1e-4)
-        assert predict_proba(model, X[0]) == pytest.approx(0.5, abs=1e-4)
+        # a probability within 1e-4 of 1/2, since the logistic's slope there is 1/4
+        assert decision_value(model, X[0]) == pytest.approx(0.0, abs=4e-4)
 
     def test_duplicated_data_with_halved_C_matches(self):
         X, y = make_blobs(n=20, dim=4, seed=9, separation=1.2)
@@ -673,27 +672,6 @@ class TestPredict:
         model = LinearModel(ModelKind.SVM, np.array([1.0]), 0.0, (), Language.EN)
         with pytest.raises(DimensionMismatch):
             predict(model, sparse([1.0, 2.0]))
-
-
-class TestPredictProba:
-    def test_half_at_zero(self):
-        model = LinearModel(ModelKind.LOGREG, np.array([1.0]), 0.0, (), Language.EN)
-        assert predict_proba(model, SparseVector((), 1)) == 0.5
-
-    def test_monotone_in_decision_value(self):
-        model = LinearModel(ModelKind.LOGREG, np.array([1.0]), 0.0, (), Language.EN)
-        values = [predict_proba(model, sparse([z])) for z in (-30.0, -2.0, 0.5, 3.0, 40.0)]
-        assert values == sorted(values)
-        assert values[-1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_sigma_of_ln3(self):
-        model = LinearModel(ModelKind.LOGREG, np.array([math.log(3.0), 0.0]), 0.0, (), Language.EN)
-        assert predict_proba(model, sparse([1.0, 0.0], 2)) == pytest.approx(0.75)
-
-    def test_svm_refused(self):
-        model = LinearModel(ModelKind.SVM, np.array([1.0]), 0.0, (), Language.EN)
-        with pytest.raises(WrongModelKind):
-            predict_proba(model, sparse([1.0]))
 
 
 def _fitted_model(seed=0):
