@@ -19,35 +19,24 @@ import argparse
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .analysis import corpus_stats, render_stats_table
 from .corpus import Label, Language, SplitSpec, load_corpus, split_corpus, split_folds
 from .errors import DataError, ModelError, UsageError
-from .evaluation import (
-    GRID_MAX_FEATURES,
-    GRID_MIN_DF,
-    GRID_MODELS,
-    GRID_NGRAM_RANGES,
-    GRID_WEIGHTINGS,
-    PipelineConfig,
-    default_grid,
-    evaluate_model,
-    final_config,
-    fit_pipeline,
-    grid_search,
-    render_grid_report,
-    render_grid_tsv,
-    render_report,
-    score_corpus,
-)
-from .models import ModelKind, label_of, load_model, save_model
-from .vectorize import NgramRange, VectorizerConfig, Weighting
+
+# The pipeline's modules import numpy, so each command imports the names
+# it calls when it runs, and the parser is built without them.
+if TYPE_CHECKING:
+    from .evaluation import PipelineConfig
+    from .vectorize import NgramRange
 
 
 def _parse_range(text: str) -> NgramRange:
+    from .vectorize import NgramRange
+
     low, _, high = text.partition(":")
     try:
         low, high = int(low), int(high)
@@ -77,6 +66,18 @@ def _comma_list(parse_one):
                 raise argparse.ArgumentTypeError(message) from exc
         return tuple(values)
 
+    return parse
+
+
+def _enum(module: str, name: str):
+    """A converter to the enum ``name`` of ``module``, imported when the
+    converter is called; the converter has the enum's name, which
+    argparse's messages use."""
+
+    def parse(text: str):
+        return getattr(import_module(f".{module}", __package__), name)(text)
+
+    parse.__name__ = name
     return parse
 
 
@@ -158,17 +159,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--folds", type=int, default=1, help="stratified folds (default: one split)")
     p_grid.add_argument("--positive-class", type=_positive_label, default=Label.FAKE_NEWS_SPREADER)
     p_grid.add_argument(
-        "--ranges", type=_comma_list(_parse_range), default=GRID_NGRAM_RANGES,
+        "--ranges", type=_comma_list(_parse_range),
         help="comma-separated n-gram ranges, e.g. 1:3,2:7",
     )
-    p_grid.add_argument("--min-df", type=_comma_list(int), default=GRID_MIN_DF)
-    p_grid.add_argument("--max-features", type=_comma_list(int), default=GRID_MAX_FEATURES)
+    p_grid.add_argument("--min-df", type=_comma_list(int))
+    p_grid.add_argument("--max-features", type=_comma_list(int))
     p_grid.add_argument(
-        "--weighting", type=_comma_list(Weighting), default=GRID_WEIGHTINGS,
+        "--weighting", type=_comma_list(_enum("vectorize", "Weighting")),
         help="comma-separated subset of tfidf,count",
     )
     p_grid.add_argument(
-        "--models", type=_comma_list(ModelKind), default=GRID_MODELS,
+        "--models", type=_comma_list(_enum("models", "ModelKind")),
         help="comma-separated subset of svm,logreg",
     )
     p_grid.add_argument("--out", help="TSV results file; a .report.txt sibling is also written")
@@ -185,6 +186,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _pipeline_config(args, language: Language) -> PipelineConfig:
+    from .evaluation import PipelineConfig, final_config
+    from .models import ModelKind
+    from .vectorize import VectorizerConfig, Weighting
+
     config = final_config(language)
     overrides = (args.model, args.range, args.max_features, args.min_df, args.weighting)
     if all(value is None for value in overrides):
@@ -212,6 +217,8 @@ def _usage_errors():
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import corpus_stats, render_stats_table
+
     corpus = load_corpus(args.input, args.lang)
     _emit(render_stats_table(corpus_stats(corpus)), args.out)
     return 0
@@ -229,6 +236,9 @@ def _split_header(spec: SplitSpec, train_corpus, test_corpus) -> str:
 
 
 def cmd_train(args) -> int:
+    from .evaluation import evaluate_model, fit_pipeline, render_report
+    from .models import save_model
+
     language = Language.parse(args.lang)
     with _usage_errors():
         spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
@@ -253,6 +263,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import evaluate_model, render_report
+    from .models import load_model
+
     if args.split != "all":
         with _usage_errors():
             spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
@@ -271,6 +284,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .evaluation import score_corpus
+    from .models import label_of, load_model
+
     model = load_model(args.model)
     corpus = load_corpus(args.input, model.language)
     lines = [
@@ -281,20 +297,31 @@ def cmd_predict(args) -> int:
     return 0
 
 
+# Each grid flag and the keyword of default_grid that it sets.
+_GRID_FLAGS = {
+    "ranges": "ranges",
+    "min_df": "min_dfs",
+    "max_features": "max_features",
+    "weighting": "weightings",
+    "models": "models",
+}
+
+
 def cmd_gridsearch(args) -> int:
+    from .evaluation import default_grid, grid_search, render_grid_report, render_grid_tsv
+
     language = Language.parse(args.lang)
-    for flag in ("ranges", "min_df", "max_features", "weighting", "models"):
-        if not getattr(args, flag):
+    given = {}  # a flag not given keeps default_grid's documented values
+    for flag, keyword in _GRID_FLAGS.items():
+        values = getattr(args, flag)
+        if values is None:
+            continue
+        if not values:
             raise UsageError(f"--{flag.replace('_', '-')} needs at least one value")
+        given[keyword] = values
     with _usage_errors():
         spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
-        grid = default_grid(
-            ranges=args.ranges,
-            min_dfs=args.min_df,
-            max_features=args.max_features,
-            weightings=args.weighting,
-            models=args.models,
-        )
+        grid = default_grid(**given)
     if args.folds < 1:
         raise UsageError(f"--folds must be >= 1, got {args.folds}")
     corpus = load_corpus(args.input, language)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
 from pathlib import Path
 
 from .corpus import AuthorDocument, Label, Language, render_author_xml
@@ -100,8 +101,13 @@ def generate_corpus_dir(
 ) -> Path:
     """Write a synthetic corpus directory and return its path.
 
-    The same arguments always produce byte-identical files.
+    The same arguments always produce byte-identical files. A count
+    below 1 is refused with ``ValueError`` before anything is written.
     """
+    counts = {"authors_per_class": authors_per_class, "tweets_per_author": tweets_per_author}
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     if isinstance(language, str):
         language = Language.parse(language)
     out_dir = Path(out_dir)
@@ -139,14 +145,20 @@ def main(argv: list[str] | None = None) -> int:
         "--unlabeled", action="store_true", help="omit truth.txt (prediction-style corpus)"
     )
     args = parser.parse_args(argv)
-    path = generate_corpus_dir(
-        args.out_dir,
-        authors_per_class=args.authors_per_class,
-        tweets_per_author=args.tweets_per_author,
-        seed=args.seed,
-        language=args.lang,
-        labeled=not args.unlabeled,
-    )
+    try:
+        path = generate_corpus_dir(
+            args.out_dir,
+            authors_per_class=args.authors_per_class,
+            tweets_per_author=args.tweets_per_author,
+            seed=args.seed,
+            language=args.lang,
+            labeled=not args.unlabeled,
+        )
+    except ValueError as exc:  # a count below 1
+        parser.error(str(exc))
+    except OSError as exc:  # an out_dir that cannot be made or written
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     total = 2 * args.authors_per_class
     print(f"wrote {total} authors to {path}")
     return 0

@@ -1,5 +1,7 @@
 import ctypes
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,10 @@ def pytest_report_header(config):
     which the golden model digests depend on: each kernel orders the
     training sums differently (read from numpy's bundled library, else
     "unknown"). Then the package's size: the lines of every module under
-    ``src/``, as ``wc -l`` counts them, and their total."""
+    ``src/``, as ``wc -l`` counts them, and their total. Last, the
+    package modules that a bare ``import spreader_profiler.cli`` loads in
+    a fresh interpreter, and whether numpy is among them, so that a
+    start-up regression shows in every log."""
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     core = "unknown"
     for library in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
@@ -41,7 +46,25 @@ def pytest_report_header(config):
     return [
         f"numpy BLAS: {name} {version}, OpenBLAS core: {core}",
         f"src lines: {sum(lines.values()):,} ({sizes})",
+        f"import spreader_profiler.cli loads: {_startup_footprint()}",
     ]
+
+
+_FOOTPRINT = """
+import sys
+import spreader_profiler.cli
+names = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("spreader_profiler."))
+print(", ".join(names), "and", "numpy" if "numpy" in sys.modules else "no numpy")
+"""
+
+
+def _startup_footprint() -> str:
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    return done.stdout.strip() if done.returncode == 0 else f"failed ({done.stderr.strip()[-200:]})"
 
 
 def pytest_terminal_summary(terminalreporter, config):

@@ -1,3 +1,5 @@
+import pytest
+
 from spreader_profiler.corpus import Label, load_corpus
 from spreader_profiler.synth import generate_corpus_dir, main
 
@@ -33,3 +35,41 @@ def test_module_cli(tmp_path, capsys):
     assert "wrote 4 authors" in capsys.readouterr().out
     corpus = load_corpus(tmp_path / "m", "es")
     assert len(corpus) == 4
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--authors-per-class", "0"], "authors_per_class must be >= 1, got 0"),
+        (["--authors-per-class", "-2"], "authors_per_class must be >= 1, got -2"),
+        (["--tweets-per-author", "0"], "tweets_per_author must be >= 1, got 0"),
+    ],
+)
+def test_module_cli_refuses_a_count_below_one(flags, message, tmp_path, capsys):
+    """A usage error (exit 2, argparse's message), and nothing written:
+    no directory and no truth file that no command could read."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([str(tmp_path / "out"), *flags])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"python -m spreader_profiler.synth: error: {message}\n")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("counts", [{"authors_per_class": 0}, {"tweets_per_author": -1}])
+def test_generator_refuses_a_count_below_one_before_writing(counts, tmp_path):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        generate_corpus_dir(tmp_path / "out", **counts)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("target", ["file", "under-file"])
+def test_module_cli_reports_an_unusable_out_dir_in_one_line(target, tmp_path, capsys):
+    (tmp_path / "taken").write_text("a file\n")
+    out_dir = tmp_path / "taken" if target == "file" else tmp_path / "taken" / "sub"
+    assert main([str(out_dir), "--authors-per-class", "1", "--tweets-per-author", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("python -m spreader_profiler.synth: error: [Errno ")
+    assert err.count("\n") == 1 and str(out_dir) in err
+    assert (tmp_path / "taken").read_text() == "a file\n"
