@@ -77,6 +77,7 @@ from .vectorize import (
     Vocabulary,
     Weighting,
     smooth_idf,
+    spelled_key_space,
     union_transform,
 )
 
@@ -821,41 +822,172 @@ def _unescape_column(fields: list[str]) -> list[str]:
     return terms
 
 
+# The separators of a vocabulary line: three tabs, then its newline.
+_LINE_SEPARATORS = np.frombuffer(b"\t\t\t\n", dtype=np.uint8)
+# The length of the backslash escape of each code point below 256; a
+# wider point is escaped as \uhhhh or \Uhhhhhhhh.
+_ESCAPED_WIDTHS = np.array([len(chr(p).encode("unicode_escape")) for p in range(256)],
+                           dtype=np.uint8)
+
+
+def _right_aligned(data: np.ndarray, ends: np.ndarray, widths: np.ndarray, width: int):
+    """The fields of ``data`` that end at ``ends`` and are ``widths`` bytes
+    long, none longer than ``width``, as rows of ``width`` bytes with 0
+    before each field."""
+    rows = np.take(data, ends[:, None] + np.arange(-width, 0), mode="clip")
+    rows[np.arange(width) < width - widths[:, None]] = 0
+    return rows
+
+
+def _array_chunk(block: bytes, lo: int, corpus_size: int, tfidf: bool) -> tuple | None:
+    """A chunk of vocabulary lines numbered from ``lo``, read by comparing
+    whole arrays of its bytes, or ``None`` unless every check passes: each
+    line has three tabs and then its newline; its index is ``lo`` on; its
+    df is a canonical decimal in ``[1; corpus_size]``; its idf is ``-``, or
+    for TF-IDF the hex of the smooth idf of its df; and one decode of the
+    term column gives one term per line, each of which escapes back to its
+    field, at its field's width. What passes is what the writer writes, so
+    the line reader accepts it, with the same values. A chunk read is its
+    terms, their dfs and (for TF-IDF) idfs, and the code points of each
+    term followed by a newline, with their ``lengths`` (see
+    ``spelled_key_space``)."""
+    data = np.frombuffer(block, dtype=np.uint8)
+    seps = np.flatnonzero(data < 0x20)  # the file's only such bytes are tab and newline
+    lines = len(seps) // 4
+    if len(seps) != 4 * lines or not (data[seps].reshape(lines, 4) == _LINE_SEPARATORS).all():
+        return None
+    tab1, tab2, tab3, ends = seps.reshape(lines, 4).T
+    index = _index_columns(lo, lines)
+    widths = tab2 - tab1 - 1
+    if not (widths == np.count_nonzero(index, axis=1)).all() or not (
+        _right_aligned(data, tab2, widths, index.shape[1]) == index
+    ).all():
+        return None
+    width = len(str(corpus_size))
+    widths = tab3 - tab2 - 1
+    if width > 18 or not ((widths >= 1) & (widths <= width)).all():
+        return None
+    digits = _right_aligned(data, tab3, widths, width)
+    if (digits[np.arange(lines), width - widths] == ord("0")).any():
+        return None
+    digits[digits == 0] = ord("0")
+    digits -= ord("0")
+    df = digits @ 10 ** np.arange(width - 1, -1, -1)
+    if (digits > 9).any() or (df > corpus_size).any():
+        return None
+    widths = ends - tab3 - 1
+    idf = None
+    if not tfidf:
+        if not (widths == 1).all() or not (data[tab3 + 1] == ord("-")).all():
+            return None
+    else:
+        distinct, at = np.unique(df, return_inverse=True)
+        values = [smooth_idf(corpus_size, d) for d in distinct.tolist()]
+        written = [value.hex() for value in values]
+        width = max(map(len, written))
+        table = np.frombuffer("".join(text.rjust(width, "\0") for text in written).encode("ascii"),
+                              dtype=np.uint8).reshape(len(written), width)
+        if not (widths == np.fromiter(map(len, written), dtype=np.int64)[at]).all() or not (
+            _right_aligned(data, ends, widths, width) == table[at]
+        ).all():
+            return None
+        idf = np.array(values)[at]
+    # each term and its line's newline: every byte but those from the
+    # line's first tab to its newline
+    marks = np.zeros(len(data) + 1, dtype=np.int8)
+    marks[tab1] = 1
+    marks[ends] = -1
+    spelled = data[np.cumsum(marks[:-1], dtype=np.int8) == 0]
+    column = spelled.tobytes()
+    widths = tab1 - np.append(0, ends[:-1] + 1)
+    if b"\\" not in column:  # printable ASCII, each term as it is written
+        text = column.decode("ascii")
+        points, lengths = spelled, widths
+    else:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)  # an invalid escape
+                text = codecs_decode(column, "unicode_escape")
+        except UnicodeDecodeError:
+            return None
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        newlines = np.flatnonzero(points == ord("\n"))
+        if len(newlines) != lines or newlines[-1] != len(points) - 1:
+            return None
+        escaped = _ESCAPED_WIDTHS.take(points, mode="clip")  # 4 for a wide point, as for 0xff
+        wide = np.flatnonzero(points > 0xFF)
+        escaped[wide] = np.where(points[wide] > 0xFFFF, 10, 6)
+        # each term's escape and its newline's, two bytes, at the term's field and newline
+        escaped = np.add.reduceat(escaped, np.append(0, newlines[:-1] + 1), dtype=np.int64)
+        if not (escaped == widths + 2).all():
+            return None
+        if text.encode("unicode_escape") != column.replace(b"\n", b"\\n"):
+            return None
+        lengths = np.diff(newlines, prepend=-1) - 1
+        if not len(wide):
+            points = points.astype(np.uint8)
+    terms = text.split("\n")
+    terms.pop()
+    return terms, df, idf, points, lengths
+
+
+def _line_chunk(block: bytes, lo: int, corpus_size: int, tfidf: bool) -> tuple:
+    """A chunk of vocabulary lines numbered from ``lo``, split into
+    columns and checked by writing it again from the values read; a fault
+    is named as the first line that differs, or a df out of range. Each
+    distinct df text is parsed once."""
+    fields, _, df_column, _ = _columns(block, "\t", 4)
+    terms = _unescape_column(fields)
+    df_of: dict[str, int] = {}
+    for text in set(df_column):
+        df = int(text)
+        if not 1 <= df <= corpus_size:
+            raise CorruptModelFile(f"document frequency {df} is not in [1; {corpus_size}]")
+        df_of[text] = df
+    idf_of = {df: smooth_idf(corpus_size, df) for df in df_of.values()} if tfidf else None
+    df = list(map(df_of.__getitem__, df_column))
+    idf = list(map(idf_of.__getitem__, df)) if tfidf else None
+    _refuse_unless(_vocabulary_lines(terms, df, idf, lo).encode("ascii"), block, "vocabulary", lo)
+    return (
+        terms, np.array(df, dtype=np.int64), None if idf is None else np.array(idf),
+        np.frombuffer("\n".join([*terms, ""]).encode("utf-32-le", "surrogatepass"), dtype="<u4"),
+        np.fromiter(map(len, terms), dtype=np.int64, count=len(terms)),
+    )
+
+
 def _read_vocabulary(
     reader: _LineReader, count: int, config: VectorizerConfig, corpus_size: int
 ) -> Vocabulary:
-    """One block's ``count`` vocabulary lines, a chunk at a time: each df
-    must lie in ``[1; corpus_size]``, never empty (a fit sees a document),
-    the chunk must be what the writer writes for its terms, dfs and the
-    smooth IDF of each df, and terms strictly ascend (as ``from_columns``
-    checks); each df parsed once."""
+    """One block's ``count`` vocabulary lines, a chunk at a time. Each
+    chunk is read by array comparisons (``_array_chunk``), and one they
+    refuse by the line reader (``_line_chunk``), which names the fault:
+    each df must lie in ``[1; corpus_size]``, never empty (a fit sees a
+    document), and the chunk must be what the writer writes for its
+    terms, dfs and the smooth IDF of each df. Once every chunk is read,
+    the terms are keyed from their code points, which checks that they
+    strictly ascend, and the vocabulary holds those keys."""
     if corpus_size < 1:
         raise CorruptModelFile(f"corpus_size {corpus_size} is below 1")
     tfidf = config.weighting is Weighting.TFIDF
     terms: list[str] = []
-    dfs: list[int] = []
-    df_of: dict[str, int] = {}
-    idf_of: dict[int, float] = {}
+    # each column's chunks, after an empty one of its type
+    df, idf, points, lengths = ([np.zeros(0, dtype=t)] for t in (np.int64, float, np.uint8, np.int64))
     for lo, block in reader.chunks(count):
-        fields, _, df_column, _ = _columns(block, "\t", 4)
-        chunk = _unescape_column(fields)
-        for text in set(df_column).difference(df_of):
-            df = int(text)
-            if not 1 <= df <= corpus_size:
-                raise CorruptModelFile(f"document frequency {df} is not in [1; {corpus_size}]")
-            df_of[text] = df
-            idf_of[df] = smooth_idf(corpus_size, df)
-        df_chunk = list(map(df_of.__getitem__, df_column))
-        idf_chunk = list(map(idf_of.__getitem__, df_chunk)) if tfidf else None
-        written = _vocabulary_lines(chunk, df_chunk, idf_chunk, lo)
-        _refuse_unless(written.encode("ascii"), block, "vocabulary", lo)
-        terms.extend(chunk)
-        dfs.extend(df_chunk)
-    idfs = list(map(idf_of.__getitem__, dfs)) if tfidf else None
+        chunk = _array_chunk(block, lo, corpus_size, tfidf) or _line_chunk(
+            block, lo, corpus_size, tfidf
+        )
+        terms += chunk[0]
+        for column, part in zip((df, idf, points, lengths), chunk[1:]):
+            if part is not None:
+                column.append(part)
+    df, idf, points, lengths = map(np.concatenate, (df, idf, points, lengths))
     try:
-        return Vocabulary.from_columns(config, terms, dfs, corpus_size, idfs)
+        keys = spelled_key_space(points, lengths, ascending=True)
     except ValueError as error:  # "vocabulary term N is out of order"
         raise CorruptModelFile(str(error)) from None
+    return Vocabulary.from_columns(
+        config, terms, df.tolist(), corpus_size, idf if tfidf else None, keys
+    )
 
 
 def _read_weights(reader: _LineReader, count: int) -> np.ndarray:
@@ -882,7 +1014,10 @@ def load_model(path: str | Path) -> LinearModel:
     line is parsed leniently and must be what the writer writes for the
     values read from it, so a loaded model saves to the file it came
     from; a vocabulary or weight section that contradicts itself is
-    rejected."""
+    rejected. Vocabulary chunks are read by array comparisons, and any
+    they refuse by the line reader, which names the fault (see
+    ``_read_vocabulary``); each block's terms are keyed at load, so
+    scoring never keys them."""
     try:
         data = Path(path).read_bytes()
         if not data.isascii():

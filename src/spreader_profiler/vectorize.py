@@ -191,11 +191,12 @@ class Vocabulary:
     copies them into columns at once, and refuses indices other than
     exactly 0..n-1 in ascending term order and statistics of other terms
     than the indexed ones; ``from_columns`` takes the columns as they
-    are, but refuses an idf that contradicts the weighting and, unless a
-    fit gives them with their keys, terms that do not strictly ascend.
-    Each dict (``term_to_index``, ``document_frequency``, ``idf``) is
-    derived the first time it is read, so scoring with a loaded model
-    builds none.
+    are, but refuses an idf that contradicts the weighting and, unless
+    they come with their keys (from a fit, or from a model file's reader,
+    which checks their order as it keys them), terms that do not strictly
+    ascend. Each dict (``term_to_index``, ``document_frequency``,
+    ``idf``) is derived the first time it is read, so scoring with a
+    loaded model builds none.
     A vocabulary is immutable, and its value is its config, columns and
     corpus size.
 
@@ -203,8 +204,10 @@ class Vocabulary:
     term's column in it, by which a transform finds its columns. A fitted
     vocabulary has those of the ``NgramCounts`` it was fitted on, shared
     with the counts and outliving them (8 bytes for every distinct n-gram
-    of every counted length, and 4 for every symbol); any other keys its
-    own terms' prefixes when first read. Neither is part of its value."""
+    of every counted length, and 4 for every symbol); one read from a
+    model file, those of its own terms' prefixes, made at load; any other
+    keys its own terms' prefixes when first read. Neither is part of its
+    value."""
 
     config: VectorizerConfig
     corpus_size: int
@@ -249,7 +252,8 @@ class Vocabulary:
         their document frequencies, their idfs (``None`` for counts) and
         optionally their ``keys``: a key space and their columns in it.
         Terms given without keys are checked to ascend strictly, a pair at
-        a time; a fit's ascend as it orders them."""
+        a time; a fit's ascend as it orders them, and a model file's
+        reader checks them as it keys them."""
         if (idf is None) != (config.weighting is Weighting.COUNT):
             raise ValueError("a count vocabulary holds no idf" if idf is not None
                              else "a TF-IDF vocabulary needs the idf of each term")
@@ -336,37 +340,95 @@ class KeySpace:
     first: np.ndarray
 
 
-def _coded(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique`` of the code points of ``text`` and the code ``1..A``
-    of each, from a table over the points (at most 0x110000 of them)."""
-    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+def _points(text: str) -> np.ndarray:
+    """The code points of ``text``, lone surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def _coded(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct code points of ``points``, sorted, and the code
+    ``1..A`` of each point, from a table over the points (at most 0x110000
+    of them) in the narrowest type that holds ``A``."""
     present = np.zeros(int(points.max(initial=0)) + 1, dtype=bool)
     present[points] = True
-    return np.flatnonzero(present).astype(points.dtype), np.cumsum(present, dtype=np.int32)[points]
+    table = np.cumsum(present, dtype=np.min_scalar_type(np.count_nonzero(present)))
+    return np.flatnonzero(present).astype(np.uint32), table[points]
 
 
 def _term_key_space(terms: Sequence[str]) -> tuple[KeySpace, np.ndarray]:
-    """The key space of the prefixes of ``terms``, keyed as ``NgramCounts``
-    keys a corpus's n-grams, and each term's column in it: the column of
-    its key at its own length, or -1 for the empty term, which has none."""
+    """The key space of the prefixes of ``terms``, in any order, and each
+    term's column in it (see ``spelled_key_space``)."""
     lengths = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
-    alphabet, codes = _coded("".join(terms))
-    base = len(alphabet) + 1
-    starts = np.cumsum(lengths) - lengths
-    ranks = np.zeros(len(terms), dtype=np.int64)  # of each term's prefix so far
+    return spelled_key_space(_points("\n".join([*terms, ""])), lengths)
+
+
+def spelled_key_space(
+    points: np.ndarray, lengths: np.ndarray, ascending: bool = False
+) -> tuple[KeySpace, np.ndarray]:
+    """The key space of the prefixes of the terms that ``points`` spells,
+    keyed as ``NgramCounts`` keys a corpus's n-grams, and each term's
+    column in it: the column of its key at its own length, or -1 for the
+    empty term, which has none. ``points`` holds the code points of each
+    term, ``lengths`` of them, and one more that is not read.
+
+    A length is keyed over every term at once, in index order, as ``rank
+    of the prefix * (largest point + 1) + point``, which orders and ties
+    keys as the codes do; a term too short for it gets the key -1 and no
+    rank. Each run of equal keys is one prefix, ranked in order (terms in
+    another order map alike, a key heading many runs). The alphabet is
+    then the points that end some prefix, and each distinct key is coded.
+
+    With ``ascending``, the terms must strictly ascend, else ``ValueError``
+    names the first that does not, as ``vocabulary term p is out of
+    order``. Term p is not above term p - 1 exactly when p > 0 is empty,
+    or at some length that both reach, p's key is below p - 1's, or equal
+    to it where p ends: a key compares points only within a run, where
+    the prefixes are equal, as the code rows padded with 0 compare."""
+    count = len(lengths)
+    reach = int(points.max(initial=0)) + 1
+    at = np.cumsum(lengths + 1)  # where each term's point of this length is
+    at -= lengths + 1
+    # the terms by length (a radix sort in the narrowest type), and where
+    # those of each length end
+    by_length = np.argsort(lengths.astype(np.min_scalar_type(lengths.max(initial=0))),
+                           kind="stable")
+    ends = np.cumsum(np.bincount(lengths, minlength=1)).tolist()
+    ranks = np.zeros(count, dtype=np.int64)  # of each term's prefix so far
+    columns = np.full(count, -1, dtype=np.int64)
     level_keys = []
-    reading = np.flatnonzero(lengths)  # the terms of this length or longer
-    for n in range(1, int(lengths.max(initial=0)) + 1):
-        keys = ranks[reading] * base + codes[starts[reading] + (n - 1)]
-        # ascending terms give ascending keys, each distinct prefix one
-        # run (terms in another order map alike, a key heading many runs)
-        runs = _run_starts(keys)
-        ranks[reading] = np.repeat(np.arange(len(runs)), np.diff(runs, append=len(keys)))
-        level_keys.append(keys[runs])
-        reading = reading[lengths[reading] > n]
+    # the first term at fault found at each length, after the first empty
+    # term past term 0
+    late = [np.flatnonzero(lengths[1:] == 0)[:1] + 1] if ascending else []
+    for n in range(1, len(ends)):
+        keys = ranks * reach
+        keys += points.take(at, mode="clip")
+        keys[by_length[: ends[n - 1]]] = -1
+        step = np.empty(count, dtype=bool)
+        step[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=step[1:])
+        step &= keys >= 0
+        np.cumsum(step, out=ranks)
+        ranks -= 1
+        if ascending:
+            ends_here = lengths[1:] == n
+            late.append(np.flatnonzero(
+                (keys[:-1] > keys[1:]) & (keys[1:] >= 0) | ~step[1:] & ends_here
+            )[:1] + 1)
+        ending = by_length[ends[n - 1] : ends[n]]
+        columns[ending] = ranks[ending] + sum(map(len, level_keys))
+        level_keys.append(keys[np.flatnonzero(step)])
+        at += 1
+    if any(map(len, late)):
+        raise ValueError(f"vocabulary term {int(np.concatenate(late).min())} is out of order")
+    del at, by_length, ranks
     first = np.cumsum([0, *map(len, level_keys)])
-    columns = np.where(lengths > 0, first[lengths - 1] + ranks, -1)
-    return KeySpace(alphabet, base, level_keys, first), columns
+    keys = np.concatenate([np.zeros(0, np.int64), *level_keys])
+    alphabet, codes = _coded(keys % reach)
+    keys //= reach
+    keys *= len(alphabet) + 1
+    keys += codes
+    level_keys = [keys[lo:hi] for lo, hi in zip(first[:-1], first[1:])]
+    return KeySpace(alphabet, len(alphabet) + 1, level_keys, first), columns
 
 
 class NgramCounts:
@@ -393,7 +455,7 @@ class NgramCounts:
     def __init__(self, streams: Sequence[TokenStream], max_n: int):
         documents = [stream.joined_text for stream in streams]
         sizes = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
-        alphabet, codes = _coded("".join(documents))
+        alphabet, codes = _coded(_points("".join(documents)))
         del documents  # counting needs only the codes
         symbols = len(codes)
         # run on in zeros, so that every length reads a view of the codes
@@ -450,7 +512,8 @@ class NgramCounts:
                 keys[starts[1:]] = 1
                 del starts
                 np.cumsum(keys, out=keys)
-                ranks[cells] = keys
+                if n < max_n:  # no later length reads the last one's ranks
+                    ranks[cells] = keys
                 keys *= len(sizes)
                 np.take(rows, cells, out=cells)
                 np.add(cells, keys, out=cells, casting="same_kind")

@@ -937,6 +937,61 @@ def test_a_vocabulary_keys_its_terms_on_first_read():
     assert empty.fitted_columns.tolist() == [] and empty.key_space.keys == []
 
 
+# Symbols of terms whose order a check on code rows could get wrong: U+0000,
+# the newline that follows each term in the spelled points, lone
+# surrogates, and astral symbols (two UTF-16 units, one code point).
+HOSTILE_SYMBOLS = ["\x00", "\n", "a", "b", "\xe9", "\ud800", "\udfff", "\U0001f600",
+                   "\U0010ffff"]
+
+
+@st.composite
+def term_lists(draw):
+    """Term lists that mostly ascend, with the empty term, terms that are
+    prefixes of each other, and then maybe one term moved, repeated or cut
+    to a prefix of the one before it."""
+    terms = sorted(set(draw(st.lists(
+        st.lists(st.sampled_from(HOSTILE_SYMBOLS), max_size=4).map("".join), max_size=12,
+    ))))
+    terms += [term + symbol for term in terms[: draw(st.integers(0, 3))]
+              for symbol in draw(st.lists(st.sampled_from(HOSTILE_SYMBOLS), max_size=2))]
+    terms.sort()
+    if terms and draw(st.booleans()):
+        p = draw(st.integers(0, len(terms) - 1))
+        kind = draw(st.sampled_from(["move", "repeat", "prefix"]))
+        if kind == "move":
+            terms.insert(draw(st.integers(0, len(terms) - 1)), terms.pop(p))
+        elif kind == "repeat":
+            terms.insert(p, terms[p])
+        else:
+            terms.insert(p + 1, terms[p][: draw(st.integers(0, len(terms[p])))])
+    return terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(terms=term_lists())
+def test_term_order_is_checked_on_code_rows(terms):
+    """``spelled_key_space`` refuses terms exactly when they do not
+    strictly ascend as Python orders strings, and names the first term
+    that is not above the one before it."""
+    expected = next((p for p in range(1, len(terms)) if not terms[p - 1] < terms[p]), None)
+    assert (expected is None) == all(map(str.__lt__, terms, terms[1:]))
+    points = np.frombuffer("\n".join([*terms, ""]).encode("utf-32-le", "surrogatepass"), "<u4")
+    lengths = np.array(list(map(len, terms)), dtype=np.int64)
+    if expected is not None:
+        with pytest.raises(ValueError, match=f"^vocabulary term {expected} is out of order$"):
+            vectorize.spelled_key_space(points, lengths, ascending=True)
+        return
+    space, columns = vectorize.spelled_key_space(points, lengths, ascending=True)
+    unchecked, same = vectorize._term_key_space(terms)
+    assert columns.tolist() == same.tolist()
+    assert [keys.tolist() for keys in space.keys] == [keys.tolist() for keys in unchecked.keys]
+    # each column spells its term back
+    rows = vectorize._code_rows(space, np.sort(columns[columns >= 0]))
+    spelled = dict(zip(np.sort(columns[columns >= 0]).tolist(),
+                       vectorize._spelled(space.alphabet, rows)))
+    assert [spelled.get(c, "") for c in columns.tolist()] == terms
+
+
 @st.composite
 def target_corpora(draw, source):
     """Documents to map the counts of ``source`` onto: drawn apart from
@@ -1112,12 +1167,12 @@ def test_a_fitted_vocabulary_is_mapped_onto_other_counts_and_a_loaded_one_keyed_
     for _ in range(5):
         assert union_transform(NgramCounts(other_streams, 3), (vocab,)).nnz == 0
     assert len(maps) == 7
-    # the same vocabulary read from a model file keys its own terms when
-    # first scored, and is mapped once onto each counts
+    # the same vocabulary read from a model file holds the keys of its own
+    # terms, made at load, and is mapped once onto each counts
     save_model(LinearModel(ModelKind.SVM, np.ones(len(vocab)), 0.0, (vocab,), Language.EN),
                tmp_path / "model.txt")
     (loaded,) = load_model(tmp_path / "model.txt").feature_spec
-    assert loaded == vocab and "_keys" not in vars(loaded)  # loading keys no term
+    assert loaded == vocab and "_keys" in vars(loaded)  # loading keys its terms
     sides = [other, NgramCounts(fitted_streams, 3)]
     expected = [scipy_csc(union_transform(side, (vocab,))) for side in sides]
     assert len(maps) == 8
