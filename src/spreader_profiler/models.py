@@ -865,7 +865,7 @@ def _array_chunk(block: bytes, lo: int, corpus_size: int, tfidf: bool) -> tuple 
         return None
     width = len(str(corpus_size))
     widths = tab3 - tab2 - 1
-    if width > 18 or not ((widths >= 1) & (widths <= width)).all():
+    if width > 18 or not ((widths >= 1) & (widths <= width)).all():  # 18 digits fit an int64
         return None
     digits = _right_aligned(data, tab3, widths, width)
     if (digits[np.arange(lines), width - widths] == ord("0")).any():
@@ -971,7 +971,9 @@ def _read_vocabulary(
     tfidf = config.weighting is Weighting.TFIDF
     terms: list[str] = []
     # each column's chunks, after an empty one of its type
-    df, idf, points, lengths = ([np.zeros(0, dtype=t)] for t in (np.int64, float, np.uint8, np.int64))
+    df, idf, points, lengths = (
+        [np.zeros(0, dtype=t)] for t in (np.int64, np.float64, np.uint8, np.int64)
+    )
     for lo, block in reader.chunks(count):
         chunk = _array_chunk(block, lo, corpus_size, tfidf) or _line_chunk(
             block, lo, corpus_size, tfidf

@@ -181,8 +181,12 @@ def test_a_chunk_the_arrays_refuse_is_read_by_the_line_reader(tmp_path):
     path.write_text(_render_model(_count_model(terms)), encoding="utf-8")
     read = []
     line_chunk = models._line_chunk
-    with mock.patch.object(models, "_line_chunk",
-                           lambda block, lo, *rest: read.append(lo) or line_chunk(block, lo, *rest)):
+
+    def recording(block, lo, *rest):
+        read.append(lo)
+        return line_chunk(block, lo, *rest)
+
+    with mock.patch.object(models, "_line_chunk", recording):
         assert load_model(path).feature_spec[0].terms() == terms
     assert read == [0]
 
