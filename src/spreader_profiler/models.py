@@ -78,6 +78,7 @@ from .vectorize import (
     Weighting,
     smooth_idf,
     spelled_key_space,
+    unescaped_terms,
     union_transform,
 )
 
@@ -680,22 +681,30 @@ def _block_header(position: int, config: VectorizerConfig, corpus_size: int, ter
 
 
 def _vocabulary_lines(
-    terms: list[str], df: list[int], idf: list[float] | None, first: int = 0
+    fields: list[str], df: list[int], idf: list[float] | None, first: int = 0
 ) -> str:
-    """The vocabulary lines of ``terms``, numbered from ``first``, from one
-    ``%`` template over the columns, interleaved by slice assignment. Each
-    line ends in ``df<tab>idf`` (the idf ``-`` for a count block),
-    formatted once per distinct pair."""
+    """The vocabulary lines of the terms escaped as ``fields``, numbered
+    from ``first``, from one ``%`` template over the columns, interleaved
+    by slice assignment. Each line ends in ``df<tab>idf`` (the idf ``-``
+    for a count block), formatted once per distinct pair."""
     if idf is None:
         keys, tails = df, {d: f"{d}\t-" for d in set(df)}
     else:
         keys = list(zip(df, idf))
         tails = {(d, i): f"{d}\t{i.hex()}" for d, i in set(keys)}
-    fields = [None] * (3 * len(terms))
-    fields[0::3] = _escape_column(terms)
-    fields[1::3] = range(first, first + len(terms))
-    fields[2::3] = map(tails.__getitem__, keys)
-    return "%s\t%d\t%s\n" * len(terms) % tuple(fields)
+    columns = [None] * (3 * len(fields))
+    columns[0::3] = fields
+    columns[1::3] = range(first, first + len(fields))
+    columns[2::3] = map(tails.__getitem__, keys)
+    return "%s\t%d\t%s\n" * len(fields) % tuple(columns)
+
+
+def _term_fields(vocab: Vocabulary) -> list[str]:
+    """The term field of each line of ``vocab``: a loaded vocabulary's
+    are the file's, as its reader checked them, and no term is made."""
+    if vocab.escaped:
+        return b"\n".join(vocab.escaped).decode("ascii").split("\n")
+    return _escape_column(vocab.terms())
 
 
 def _checksum_line(digest: str) -> str:
@@ -711,9 +720,9 @@ def _render_model(model: LinearModel) -> str:
         )
     ]
     for position, vocab in enumerate(model.feature_spec):
-        terms, df, idf = vocab.columns
+        idf = None if vocab.idf_column is None else vocab.idf_column.tolist()
         sections.append(_block_header(position, vocab.config, vocab.corpus_size, len(vocab)))
-        sections.append(_vocabulary_lines(terms, df, None if idf is None else idf.tolist()))
+        sections.append(_vocabulary_lines(_term_fields(vocab), vocab.df.tolist(), idf))
     sections.append(_field_lines(("weights", model.dimension)))
     sections.append(_weight_lines(model.weights).decode("ascii"))
     digest = hashlib.sha256()
@@ -737,13 +746,15 @@ _FILE_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
 
 
 class _LineReader:
-    """The lines of a model file's body, handed out as byte blocks of
-    whole lines; no object is made per line."""
+    """The lines of a model file's body (a view of its bytes), handed out
+    as byte blocks of whole lines; no object is made per line."""
 
-    def __init__(self, body: bytes):
+    def __init__(self, body: memoryview):
         self.body = body
-        # the end of each line, just past its newline
-        self.ends = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == 0x0A) + 1
+        # the end of each line, just past its newline, in the narrowest type
+        ends = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == 0x0A)
+        self.ends = ends.astype(np.min_scalar_type(len(body)))
+        self.ends += 1
         self.line = 0
 
     def at_end(self) -> bool:
@@ -755,7 +766,7 @@ class _LineReader:
             raise CorruptModelFile("model file truncated")
         start = int(self.ends[self.line - 1]) if self.line else 0
         self.line += count
-        return self.body[start : int(self.ends[self.line - 1])] if count else b""
+        return bytes(self.body[start : int(self.ends[self.line - 1])]) if count else b""
 
     def chunks(self, count: int):
         """The next ``count`` lines, as (position, block) pairs of at most
@@ -807,21 +818,6 @@ def _refuse_unless(written: bytes, block: bytes, chunk: str = "", first: int = 0
     )
 
 
-def _unescape_column(fields: list[str]) -> list[str]:
-    """The terms that the backslash escapes ``fields`` stand for, by one
-    decode of the joined column when it splits back into one piece per
-    field (a decoded newline splits it wrongly), else a field at a time."""
-    joined = "\n".join(fields)
-    if "\\" not in joined:
-        return fields
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # an invalid escape, refused later
-        terms = codecs_decode(joined.encode("ascii"), "unicode_escape").split("\n")
-        if len(terms) != len(fields):
-            terms = [codecs_decode(field.encode("ascii"), "unicode_escape") for field in fields]
-    return terms
-
-
 # The separators of a vocabulary line: three tabs, then its newline.
 _LINE_SEPARATORS = np.frombuffer(b"\t\t\t\n", dtype=np.uint8)
 # The length of the backslash escape of each code point below 256; a
@@ -848,7 +844,8 @@ def _array_chunk(block: bytes, lo: int, corpus_size: int, tfidf: bool) -> tuple 
     term column gives one term per line, each of which escapes back to its
     field, at its field's width. What passes is what the writer writes, so
     the line reader accepts it, with the same values. A chunk read is its
-    terms, their dfs and (for TF-IDF) idfs, and the code points of each
+    term fields as one escaped column (see ``unescaped_terms``; no term is
+    made), their dfs and (for TF-IDF) idfs, and the code points of each
     term followed by a newline, with their ``lengths`` (see
     ``spelled_key_space``)."""
     data = np.frombuffer(block, dtype=np.uint8)
@@ -892,16 +889,14 @@ def _array_chunk(block: bytes, lo: int, corpus_size: int, tfidf: bool) -> tuple 
         ).all():
             return None
         idf = np.array(values)[at]
-    # each term and its line's newline: every byte but those from the
-    # line's first tab to its newline
-    marks = np.zeros(len(data) + 1, dtype=np.int8)
-    marks[tab1] = 1
-    marks[ends] = -1
-    spelled = data[np.cumsum(marks[:-1], dtype=np.int8) == 0]
-    column = spelled.tobytes()
+    # each term field and a newline: the bytes from each line's start to
+    # its first tab, gathered by offsets, the tab then made a newline
     widths = tab1 - np.append(0, ends[:-1] + 1)
+    stops = np.cumsum(widths + 1)
+    spelled = data[np.repeat(tab1 + 1 - stops, widths + 1) + np.arange(stops[-1])]
+    spelled[stops - 1] = ord("\n")
+    column = spelled.tobytes()
     if b"\\" not in column:  # printable ASCII, each term as it is written
-        text = column.decode("ascii")
         points, lengths = spelled, widths
     else:
         try:
@@ -926,18 +921,20 @@ def _array_chunk(block: bytes, lo: int, corpus_size: int, tfidf: bool) -> tuple 
         lengths = np.diff(newlines, prepend=-1) - 1
         if not len(wide):
             points = points.astype(np.uint8)
-    terms = text.split("\n")
-    terms.pop()
-    return terms, df, idf, points, lengths
+    return column[:-1], df, idf, points, lengths
 
 
 def _line_chunk(block: bytes, lo: int, corpus_size: int, tfidf: bool) -> tuple:
     """A chunk of vocabulary lines numbered from ``lo``, split into
     columns and checked by writing it again from the values read; a fault
     is named as the first line that differs, or a df out of range. Each
-    distinct df text is parsed once."""
+    distinct df text is parsed once. A chunk read is as ``_array_chunk``
+    reads one."""
     fields, _, df_column, _ = _columns(block, "\t", 4)
-    terms = _unescape_column(fields)
+    column = "\n".join(fields).encode("ascii")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # an invalid escape, refused later
+        terms = unescaped_terms(column) if fields else []
     df_of: dict[str, int] = {}
     for text in set(df_column):
         df = int(text)
@@ -947,9 +944,10 @@ def _line_chunk(block: bytes, lo: int, corpus_size: int, tfidf: bool) -> tuple:
     idf_of = {df: smooth_idf(corpus_size, df) for df in df_of.values()} if tfidf else None
     df = list(map(df_of.__getitem__, df_column))
     idf = list(map(idf_of.__getitem__, df)) if tfidf else None
-    _refuse_unless(_vocabulary_lines(terms, df, idf, lo).encode("ascii"), block, "vocabulary", lo)
+    written = _vocabulary_lines(_escape_column(terms), df, idf, lo).encode("ascii")
+    _refuse_unless(written, block, "vocabulary", lo)
     return (
-        terms, np.array(df, dtype=np.int64), None if idf is None else np.array(idf),
+        column, np.array(df, dtype=np.int64), None if idf is None else np.array(idf),
         np.frombuffer("\n".join([*terms, ""]).encode("utf-32-le", "surrogatepass"), dtype="<u4"),
         np.fromiter(map(len, terms), dtype=np.int64, count=len(terms)),
     )
@@ -965,11 +963,13 @@ def _read_vocabulary(
     document), and the chunk must be what the writer writes for its
     terms, dfs and the smooth IDF of each df. Once every chunk is read,
     the terms are keyed from their code points, which checks that they
-    strictly ascend, and the vocabulary holds those keys."""
+    strictly ascend. The vocabulary holds those keys, the dfs and idfs as
+    read, and each chunk's escaped term column, from which it spells its
+    terms only when something reads them (see ``Vocabulary``)."""
     if corpus_size < 1:
         raise CorruptModelFile(f"corpus_size {corpus_size} is below 1")
     tfidf = config.weighting is Weighting.TFIDF
-    terms: list[str] = []
+    escaped: list[bytes] = []
     # each column's chunks, after an empty one of its type
     df, idf, points, lengths = (
         [np.zeros(0, dtype=t)] for t in (np.int64, np.float64, np.uint8, np.int64)
@@ -978,7 +978,7 @@ def _read_vocabulary(
         chunk = _array_chunk(block, lo, corpus_size, tfidf) or _line_chunk(
             block, lo, corpus_size, tfidf
         )
-        terms += chunk[0]
+        escaped.append(chunk[0])
         for column, part in zip((df, idf, points, lengths), chunk[1:]):
             if part is not None:
                 column.append(part)
@@ -988,7 +988,7 @@ def _read_vocabulary(
     except ValueError as error:  # "vocabulary term N is out of order"
         raise CorruptModelFile(str(error)) from None
     return Vocabulary.from_columns(
-        config, terms, df.tolist(), corpus_size, idf if tfidf else None, keys
+        config, None, df, corpus_size, idf if tfidf else None, keys, tuple(escaped)
     )
 
 
@@ -999,12 +999,13 @@ def _read_weights(reader: _LineReader, count: int) -> np.ndarray:
     chunks = reader.chunks(count)  # refuses a count past the end before allocating
     weights = np.empty(count, dtype=np.float64)
     for lo, block in chunks:
-        _, values = _columns(block, ":", 2)
+        values = _columns(block, ":", 2)[1]
         chunk = np.fromiter(map(float.fromhex, values), dtype=np.float64, count=len(values))
         finite = np.isfinite(chunk)
         if not finite.all():
             p = int(finite.argmin())
             raise CorruptModelFile(f"weight {lo + p} {values[p]!r} is not a finite double")
+        del values  # its strings, before the chunk is rendered and the next one split
         _refuse_unless(_weight_lines(chunk, lo), block, "weight", lo)
         weights[lo : lo + len(chunk)] = chunk
     return weights
@@ -1018,8 +1019,9 @@ def load_model(path: str | Path) -> LinearModel:
     from; a vocabulary or weight section that contradicts itself is
     rejected. Vocabulary chunks are read by array comparisons, and any
     they refuse by the line reader, which names the fault (see
-    ``_read_vocabulary``); each block's terms are keyed at load, so
-    scoring never keys them."""
+    ``_read_vocabulary``). Each block's terms are keyed at load, so
+    scoring never keys them, and kept as the file's escaped term column,
+    so that no term is made until something reads one."""
     try:
         data = Path(path).read_bytes()
         if not data.isascii():
@@ -1036,12 +1038,12 @@ def load_model(path: str | Path) -> LinearModel:
         # the line ends a text-mode read sees: "\r\n" and "\r" are "\n"
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     newline = data.rfind(b"\n", 0, len(data) - 1)
-    body, last = data[: newline + 1], data[newline + 1 :]
-    del data
+    # the body is read through a view of the file's bytes, not a copy
+    body, last = memoryview(data)[: newline + 1], data[newline + 1 :]
 
     # the first line as a text-mode read splits it, so that another line
     # break on it is refused with the rest of the body, not as a version
-    first = (body or last).partition(b"\n")[0].decode("utf-8")
+    first = data[: data.find(b"\n") + 1 or None].decode("utf-8")
     header = first.splitlines()[0] if first else ""
     parts = header.split(" ")
     if len(parts) != 2 or parts[0] != MODEL_FILE_MAGIC:
@@ -1052,7 +1054,7 @@ def load_model(path: str | Path) -> LinearModel:
     if last.decode("utf-8").partition("sha256:")[2].strip() != digest:
         raise CorruptModelFile("checksum mismatch: file is corrupt or truncated")
     _refuse_unless(_checksum_line(digest).encode("ascii"), last)
-    if body.translate(None, _FILE_BYTES):
+    if data.translate(None, _FILE_BYTES):  # the last line is the one just compared
         raise CorruptModelFile(
             "model file holds a character other than printable ASCII, tab or newline"
         )

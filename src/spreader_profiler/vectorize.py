@@ -51,11 +51,13 @@ which re-keys every key of that space into theirs. CSC is the one layout
 from the counts to the scores, held in the package's own ``CscMatrix``
 of numpy arrays rather than scipy's, whose import would cost every
 command more than its work at bench scale. Python strings are made only
-for the terms a vocabulary keeps.
+for the terms a vocabulary keeps, and one read from a model file makes
+them only when something reads them.
 """
 
 from __future__ import annotations
 
+import codecs
 import enum
 import math
 from collections import Counter
@@ -179,15 +181,29 @@ class TermColumns(NamedTuple):
     and (for TF-IDF) the idf of each."""
 
     terms: list[str]
-    df: list[int]
+    df: np.ndarray
     idf: np.ndarray | None
+
+
+def unescaped_terms(column: bytes) -> list[str]:
+    """The terms that an escaped term column stands for: the backslash
+    escapes (``unicode_escape``) of the terms, joined by newlines. One
+    decode of the column, when it splits back into one piece per field
+    (a decoded newline splits it wrongly), else a field at a time."""
+    text = codecs.decode(column, "unicode_escape") if b"\\" in column else column.decode("ascii")
+    terms = text.split("\n")
+    if len(terms) != column.count(b"\n") + 1:
+        terms = [codecs.decode(field, "unicode_escape") for field in column.split(b"\n")]
+    return terms
 
 
 class Vocabulary:
     """A fitted term → index mapping plus the statistics behind it.
 
-    A vocabulary holds its config, its corpus size and ``columns``: the
-    terms in index order with their statistics. Built from the dicts, it
+    A vocabulary holds its config, its corpus size, ``df`` (the document
+    frequency of each term in index order, an int64 array), ``idf_column``
+    (the idf of each, a float64 array, or ``None`` for counts) and its
+    terms; ``columns`` gives the three columns. Built from the dicts, it
     copies them into columns at once, and refuses indices other than
     exactly 0..n-1 in ascending term order and statistics of other terms
     than the indexed ones; ``from_columns`` takes the columns as they
@@ -200,6 +216,14 @@ class Vocabulary:
     A vocabulary is immutable, and its value is its config, columns and
     corpus size.
 
+    One read from a model file holds its terms as ``escaped``: the file's
+    term column as the reader checked it, one escaped column (see
+    ``unescaped_terms``) per chunk of lines. It spells its terms the first
+    time something reads them: ``terms()``, ``columns``, a dict or ``==``.
+    Its length, statistics and keys never read them, so scoring, and
+    saving it again, spell none. Any other vocabulary's ``escaped`` is
+    ``None``.
+
     ``key_space`` and ``fitted_columns`` are a ``KeySpace`` and each
     term's column in it, by which a transform finds its columns. A fitted
     vocabulary has those of the ``NgramCounts`` it was fitted on, shared
@@ -211,7 +235,9 @@ class Vocabulary:
 
     config: VectorizerConfig
     corpus_size: int
-    columns: TermColumns
+    df: np.ndarray
+    idf_column: np.ndarray | None
+    escaped: tuple[bytes, ...] | None
 
     def __init__(
         self,
@@ -242,18 +268,20 @@ class Vocabulary:
     def from_columns(
         cls,
         config: VectorizerConfig,
-        terms: list[str],
-        df: list[int],
+        terms: list[str] | None,
+        df: Sequence[int],
         corpus_size: int,
-        idf: list[float] | None,
+        idf: Sequence[float] | None,
         keys: tuple[KeySpace, np.ndarray] | None = None,
+        escaped: tuple[bytes, ...] | None = None,
     ) -> Vocabulary:
         """The vocabulary of ``terms``, ascending, in index order, with
         their document frequencies, their idfs (``None`` for counts) and
         optionally their ``keys``: a key space and their columns in it.
         Terms given without keys are checked to ascend strictly, a pair at
-        a time; a fit's ascend as it orders them, and a model file's
-        reader checks them as it keys them."""
+        a time; a fit's ascend as it orders them. A model file's reader
+        gives ``escaped`` and the keys for ``terms``, which are then
+        ``None``: it checks their order as it keys them."""
         if (idf is None) != (config.weighting is Weighting.COUNT):
             raise ValueError("a count vocabulary holds no idf" if idf is not None
                              else "a TF-IDF vocabulary needs the idf of each term")
@@ -261,9 +289,13 @@ class Vocabulary:
             p = next(p for p in range(1, len(terms)) if not terms[p - 1] < terms[p])
             raise ValueError(f"vocabulary term {p} is out of order")
         vocab = cls.__new__(cls)
-        idf_column = None if idf is None else np.array(idf, dtype=np.float64)
-        vars(vocab).update(config=config, corpus_size=corpus_size,
-                           columns=TermColumns(terms, df, idf_column))
+        vars(vocab).update(
+            config=config, corpus_size=corpus_size, df=np.asarray(df, dtype=np.int64),
+            idf_column=None if idf is None else np.asarray(idf, dtype=np.float64),
+            escaped=escaped,
+        )
+        if terms is not None:
+            vars(vocab)["_terms"] = terms
         if keys is not None:
             vars(vocab)["_keys"] = keys
         return vocab
@@ -277,8 +309,8 @@ class Vocabulary:
         return self._value() == other._value()
 
     def _value(self) -> tuple:
-        terms, df, idf = self.columns
-        return self.config, self.corpus_size, terms, df, None if idf is None else idf.tolist()
+        idf = None if self.idf_column is None else self.idf_column.tolist()
+        return self.config, self.corpus_size, self._terms, self.df.tolist(), idf
 
     def __repr__(self) -> str:
         return (
@@ -286,32 +318,40 @@ class Vocabulary:
         )
 
     def __len__(self) -> int:
-        return len(self.columns.terms)
+        return len(self.df)
 
     @property
     def dimension(self) -> int:
         return len(self)
 
+    @property
+    def columns(self) -> TermColumns:
+        return TermColumns(self._terms, self.df, self.idf_column)
+
+    @cached_property
+    def _terms(self) -> list[str]:
+        return [term for column in self.escaped for term in unescaped_terms(column)]
+
     @cached_property
     def term_to_index(self) -> dict[str, int]:
-        return dict(zip(self.columns.terms, range(len(self))))
+        return dict(zip(self._terms, range(len(self))))
 
     @cached_property
     def document_frequency(self) -> dict[str, int]:
-        return dict(zip(self.columns.terms, self.columns.df))
+        return dict(zip(self._terms, self.df.tolist()))
 
     @cached_property
     def idf(self) -> dict[str, float] | None:
-        terms, _, idf = self.columns
-        return None if idf is None else dict(zip(terms, idf.tolist()))
+        idf = self.idf_column
+        return None if idf is None else dict(zip(self._terms, idf.tolist()))
 
     def terms(self) -> list[str]:
         """Terms in index order (shared, not a copy)."""
-        return self.columns.terms
+        return self._terms
 
     @cached_property
     def _keys(self) -> tuple[KeySpace, np.ndarray]:
-        return _term_key_space(self.columns.terms)
+        return _term_key_space(self._terms)
 
     @property
     def key_space(self) -> KeySpace:
@@ -386,24 +426,27 @@ def spelled_key_space(
     the prefixes are equal, as the code rows padded with 0 compare."""
     count = len(lengths)
     reach = int(points.max(initial=0)) + 1
-    at = np.cumsum(lengths + 1)  # where each term's point of this length is
+    # positions and ranks in 32 bits where they fit, to save load memory
+    index = np.int32 if len(points) < 2**31 else np.int64
+    at = np.cumsum(lengths + 1, dtype=index)  # where each term's point of this length is
     at -= lengths + 1
     # the terms by length (a radix sort in the narrowest type), and where
     # those of each length end
     by_length = np.argsort(lengths.astype(np.min_scalar_type(lengths.max(initial=0))),
-                           kind="stable")
+                           kind="stable").astype(index)
     ends = np.cumsum(np.bincount(lengths, minlength=1)).tolist()
-    ranks = np.zeros(count, dtype=np.int64)  # of each term's prefix so far
+    ranks = np.zeros(count, dtype=index)  # of each term's prefix so far
+    keys = np.empty(count, dtype=np.int64)  # of each term's prefix of the length
+    step = np.empty(count, dtype=bool)  # where a run of equal keys starts
     columns = np.full(count, -1, dtype=np.int64)
     level_keys = []
     # the first term at fault found at each length, after the first empty
     # term past term 0
     late = [np.flatnonzero(lengths[1:] == 0)[:1] + 1] if ascending else []
     for n in range(1, len(ends)):
-        keys = ranks * reach
+        np.multiply(ranks, reach, out=keys)
         keys += points.take(at, mode="clip")
         keys[by_length[: ends[n - 1]]] = -1
-        step = np.empty(count, dtype=bool)
         step[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=step[1:])
         step &= keys >= 0
@@ -416,11 +459,11 @@ def spelled_key_space(
             )[:1] + 1)
         ending = by_length[ends[n - 1] : ends[n]]
         columns[ending] = ranks[ending] + sum(map(len, level_keys))
-        level_keys.append(keys[np.flatnonzero(step)])
+        level_keys.append(keys[step])
         at += 1
     if any(map(len, late)):
         raise ValueError(f"vocabulary term {int(np.concatenate(late).min())} is out of order")
-    del at, by_length, ranks
+    del at, by_length, ranks, keys, step
     first = np.cumsum([0, *map(len, level_keys)])
     keys = np.concatenate([np.zeros(0, np.int64), *level_keys])
     alphabet, codes = _coded(keys % reach)
@@ -728,19 +771,21 @@ def fit_vocabulary(
     order = np.lexsort(rows.T[::-1])
     terms = _spelled(counts.key_space.alphabet, rows[order])
     fitted_columns = numbers[order]
-    document_frequency = counts.df[fitted_columns].tolist()
+    df = counts.df[fitted_columns]
     corpus_size = len(counts)
     idf = None
     if config.weighting is Weighting.TFIDF:
-        idf = _smooth_idfs(corpus_size, document_frequency)
+        idf = _smooth_idfs(corpus_size, df)
     return Vocabulary.from_columns(
-        config, terms, document_frequency, corpus_size, idf, (counts.key_space, fitted_columns)
+        config, terms, df, corpus_size, idf, (counts.key_space, fitted_columns)
     )
 
 
-def _smooth_idfs(corpus_size: int, document_frequency: list[int]) -> list[float]:
-    idf_of = {d: smooth_idf(corpus_size, d) for d in set(document_frequency)}
-    return list(map(idf_of.__getitem__, document_frequency))
+def _smooth_idfs(corpus_size: int, df: np.ndarray) -> np.ndarray:
+    """The smooth idf of each document frequency, computed once per
+    distinct one."""
+    distinct, at = np.unique(df, return_inverse=True)
+    return np.array([smooth_idf(corpus_size, d) for d in distinct.tolist()])[at]
 
 
 def with_weighting(vocab: Vocabulary, weighting: Weighting) -> Vocabulary:
@@ -749,11 +794,9 @@ def with_weighting(vocab: Vocabulary, weighting: Weighting) -> Vocabulary:
     idf for TF-IDF."""
     if weighting is vocab.config.weighting:
         return vocab
-    terms, df, _ = vocab.columns
-    idf = _smooth_idfs(vocab.corpus_size, df) if weighting is Weighting.TFIDF else None
-    return Vocabulary.from_columns(
-        replace(vocab.config, weighting=weighting), terms, df, vocab.corpus_size, idf, vocab._keys
-    )
+    idf = _smooth_idfs(vocab.corpus_size, vocab.df) if weighting is Weighting.TFIDF else None
+    return Vocabulary.from_columns(replace(vocab.config, weighting=weighting), vocab.terms(),
+                                   vocab.df, vocab.corpus_size, idf, vocab._keys)
 
 
 # Entries gathered or weighed at a time, so that no temporary is the
@@ -800,7 +843,7 @@ def weigh(block: CscMatrix, vocab: Vocabulary) -> CscMatrix:
     by column, so left to right in term order."""
     if vocab.config.weighting is Weighting.COUNT:
         return block
-    values = np.repeat(vocab.columns.idf, np.diff(block.indptr))
+    values = np.repeat(vocab.idf_column, np.diff(block.indptr))
     values *= block.data
     rows = block.indices
     parts = [slice(start, start + _NORM_SLICE) for start in range(0, len(values), _NORM_SLICE)]

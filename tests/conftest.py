@@ -68,10 +68,24 @@ def _startup_footprint() -> str:
 
 
 def pytest_terminal_summary(terminalreporter, config):
-    """Under ``-q`` pytest prints no header, so its lines end the log."""
-    if config.get_verbosity() < 0:
-        for line in pytest_report_header(config):
-            terminalreporter.write_line(line)
+    """Under ``-q`` pytest prints no header, so its lines end the log.
+    After the ``src lines`` line comes the memory that loading the bench
+    ES model took, as the load-memory test recorded it (when it ran), so
+    that a regression shows in every log; the line reports, and judges
+    nothing."""
+    lines = pytest_report_header(config) if config.get_verbosity() < 0 else []
+    recorded = [
+        value for reports in terminalreporter.stats.values() for report in reports
+        for name, value in getattr(report, "user_properties", ()) if name == "load_memory"
+    ]
+    if recorded:
+        retained, peak, size = recorded[0]
+        lines.insert(2 if lines else 0, (
+            f"load_model of the bench ES model: peak {peak / 1e6:.2f} MB, retained "
+            f"{retained / 1e6:.2f} MB, file {size / 1e6:.2f} MB (peak {peak / size:.2f}x file)"
+        ))
+    for line in lines:
+        terminalreporter.write_line(line)
 
 
 def pan_data_dir():

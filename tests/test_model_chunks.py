@@ -6,6 +6,10 @@ refuse through the line reader (``models._line_chunk``), which names the
 fault. The arrays may only accept what the line reader accepts, with the
 same values: with the array path refusing every chunk, each file must
 load to the same model or be refused with the same message.
+
+A loaded vocabulary keeps each chunk's escaped term column and spells its
+terms the first time something reads them. Scoring and saving a loaded
+model must spell none, and the first read must give the file's terms.
 """
 
 import random
@@ -27,6 +31,7 @@ from spreader_profiler.models import (
     ModelKind,
     _render_model,
     load_model,
+    save_model,
 )
 from spreader_profiler.synth import generate_corpus_dir
 from spreader_profiler.vectorize import VectorizerConfig, Vocabulary, Weighting, smooth_idf
@@ -42,6 +47,8 @@ from test_model_files import (
     line_edits,
     models as model_strategy,
 )
+
+from oracles import oracle_load_model
 
 
 def _outcome(path):
@@ -213,3 +220,69 @@ def test_stock_models_load_by_arrays_alone_and_score_without_keying(stock_models
                                side_effect=AssertionError("keyed when scored")):
             values = score_corpus(model, load_corpus(corpus, model.language))
         assert len(values) == 40 and np.isfinite(values).all()
+
+
+def test_stock_models_score_and_save_without_spelling_a_term(stock_models, tmp_path, capsys):
+    out = str(tmp_path / "predictions.txt")
+    for path, corpus in stock_models:
+        with mock.patch.object(vectorize, "unescaped_terms",
+                               side_effect=AssertionError("terms spelled")):
+            model = load_model(path)
+            values = score_corpus(model, load_corpus(corpus, model.language))
+            assert _render_model(model) == path.read_text(encoding="utf-8")
+            for argv in (["evaluate"], ["predict", "--out", out]):
+                assert cli.run([*argv, "--model", str(path), "--input", str(corpus)]) == 0
+        assert len(values) == 40 and np.isfinite(values).all()
+        assert not any("_terms" in vars(vocab) for vocab in model.feature_spec)
+        assert sum(len(vocab) for vocab in model.feature_spec) == model.dimension
+    capsys.readouterr()
+
+
+def _check_terms_spelled_on_first_read(model: LinearModel, directory: str) -> None:
+    """``model`` saved and loaded again: the loaded vocabularies spell no
+    term until one is read, save back to the file before and after, and
+    their first read gives the terms that the per-line reader decodes."""
+    path, again = Path(directory) / "model.txt", Path(directory) / "again.txt"
+    save_model(model, path)
+    loaded = load_model(path)
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    assert not any("_terms" in vars(vocab) for vocab in loaded.feature_spec)
+    oracle = oracle_load_model(path)
+    for vocab, theirs, original in zip(loaded.feature_spec, oracle.feature_spec,
+                                       model.feature_spec):
+        assert vocab.terms() == theirs.terms() == original.terms()
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    assert loaded.feature_spec == model.feature_spec
+
+
+HAND_TERMS = {
+    "nul ending a term": ["a", "a\x00", "b\x00"],
+    "lone surrogates": sorted(["\ud800", "a\udfff", "z\ud800x"]),
+    "astral points": sorted(["\U0001f600", "a\U0001f600", "\U0010ffff"]),
+    "the empty term at index 0": ["", "a", "b"],
+    "a newline and a tab": ["a\nb", "c\td", "e"],
+}
+
+
+class TestTermsSpelledOnFirstRead:
+    @settings(max_examples=25, deadline=None)
+    @given(model=model_strategy())
+    def test_models(self, model):
+        with tempfile.TemporaryDirectory() as directory:
+            _check_terms_spelled_on_first_read(model, directory)
+
+    @pytest.mark.parametrize("alphabet", sorted(_ALPHABETS))
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32), size=st.sampled_from(_SIZES),
+           weighting=st.sampled_from(list(Weighting)))
+    def test_each_alphabet(self, alphabet, seed, size, weighting):
+        vocab = _vocabulary(random.Random(seed), _ALPHABETS[alphabet], size, weighting)
+        model = LinearModel(ModelKind.SVM, np.ones(len(vocab)), 0.25, (vocab,), Language.ES)
+        with tempfile.TemporaryDirectory() as directory:
+            _check_terms_spelled_on_first_read(model, directory)
+
+    @pytest.mark.parametrize("name", sorted(HAND_TERMS))
+    def test_hand_cases(self, name, tmp_path):
+        _check_terms_spelled_on_first_read(_hand_model(HAND_TERMS[name]), str(tmp_path))

@@ -542,7 +542,9 @@ def test_block_with_no_term_and_corpus_size_below_one(corpus_size, tmp_path, cap
         assert err.startswith("model error: ") and err.count("\n") == 1
 
 
-def test_loading_allocates_little_beyond_the_model(bench_es_model):
+def test_loading_allocates_little_beyond_the_model(bench_es_model, record_property):
+    # the bound is on the file's size, which the reader holds throughout:
+    # a loaded model keeps no term, so most of what it retains is the keys
     gc.collect()
     tracemalloc.start()
     try:
@@ -550,8 +552,10 @@ def test_loading_allocates_little_beyond_the_model(bench_es_model):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    size = bench_es_model.stat().st_size
+    record_property("load_memory", (retained, peak, size))
     assert model.dimension == 27_630
-    assert peak <= 2.6 * retained, (peak, retained)
+    assert peak <= 3.2 * size, (peak, size)
 
 
 # index widths change at 10, 100 and 10,000 lines; the last crosses a

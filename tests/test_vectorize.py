@@ -136,7 +136,9 @@ class TestFitVocabulary:
         )
         terms, df, idf = rebuilt.columns
         assert terms == fitted.terms() == sorted(fitted.term_to_index)
-        assert df == fitted.columns.df == [fitted.document_frequency[t] for t in terms]
+        assert df.dtype == fitted.columns.df.dtype == np.int64
+        expected = [fitted.document_frequency[t] for t in terms]
+        assert df.tolist() == fitted.columns.df.tolist() == expected
         assert idf.tolist() == fitted.columns.idf.tolist() == [fitted.idf[t] for t in terms]
 
     @pytest.mark.parametrize("weighting", [Weighting.TFIDF, Weighting.COUNT])
@@ -152,7 +154,8 @@ class TestFitVocabulary:
         assert len(built) == built.dimension == len(index)
         assert lazy == built and built == lazy
         assert lazy.term_to_index == index and lazy.document_frequency == df and lazy.idf == idf
-        assert lazy.terms() == built.terms() and lazy.columns.df == built.columns.df
+        assert lazy.terms() == built.terms()
+        assert lazy.columns.df.tolist() == built.columns.df.tolist()
         assert (lazy.columns.idf is None) == (idf is None)
         if idf is not None:
             assert lazy.columns.idf.tolist() == built.columns.idf.tolist()
