@@ -76,6 +76,7 @@ from .vectorize import (
     VectorizerConfig,
     Vocabulary,
     Weighting,
+    escaped_terms,
     smooth_idf,
     spelled_key_space,
     unescaped_terms,
@@ -570,18 +571,6 @@ def predict(model: LinearModel, x: SparseVector) -> Label:
 # a trailing SHA-256 checksum over everything above it.
 
 
-def _escape_column(terms: list[str]) -> list[str]:
-    """The backslash escape of every term, by one encode of the joined
-    column when it splits back into one piece per term: the separator
-    encodes as backslash-n, so a term whose escape holds that text (a
-    newline, or a backslash before an n) sends the column through the
-    encoder a term at a time."""
-    escaped = "\n".join(terms).encode("unicode_escape").decode("ascii").split("\\n")
-    if len(escaped) != len(terms):
-        escaped = [term.encode("unicode_escape").decode("ascii") for term in terms]
-    return escaped
-
-
 # Tables for the weights section; 0 is a pad byte, deleted at the end.
 _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 # the two lowercase hex digits of each byte value, as one uint16 each
@@ -699,14 +688,6 @@ def _vocabulary_lines(
     return "%s\t%d\t%s\n" * len(fields) % tuple(columns)
 
 
-def _term_fields(vocab: Vocabulary) -> list[str]:
-    """The term field of each line of ``vocab``: a loaded vocabulary's
-    are the file's, as its reader checked them, and no term is made."""
-    if vocab.escaped:
-        return b"\n".join(vocab.escaped).decode("ascii").split("\n")
-    return _escape_column(vocab.terms())
-
-
 def _checksum_line(digest: str) -> str:
     return f"checksum\tsha256:{digest}\n"
 
@@ -722,7 +703,7 @@ def _render_model(model: LinearModel) -> str:
     for position, vocab in enumerate(model.feature_spec):
         idf = None if vocab.idf_column is None else vocab.idf_column.tolist()
         sections.append(_block_header(position, vocab.config, vocab.corpus_size, len(vocab)))
-        sections.append(_vocabulary_lines(_term_fields(vocab), vocab.df.tolist(), idf))
+        sections.append(_vocabulary_lines(vocab.term_fields(), vocab.df.tolist(), idf))
     sections.append(_field_lines(("weights", model.dimension)))
     sections.append(_weight_lines(model.weights).decode("ascii"))
     digest = hashlib.sha256()
@@ -944,7 +925,7 @@ def _line_chunk(block: bytes, lo: int, corpus_size: int, tfidf: bool) -> tuple:
     idf_of = {df: smooth_idf(corpus_size, df) for df in df_of.values()} if tfidf else None
     df = list(map(df_of.__getitem__, df_column))
     idf = list(map(idf_of.__getitem__, df)) if tfidf else None
-    written = _vocabulary_lines(_escape_column(terms), df, idf, lo).encode("ascii")
+    written = _vocabulary_lines(escaped_terms(terms), df, idf, lo).encode("ascii")
     _refuse_unless(written, block, "vocabulary", lo)
     return (
         column, np.array(df, dtype=np.int64), None if idf is None else np.array(idf),
@@ -999,13 +980,12 @@ def _read_weights(reader: _LineReader, count: int) -> np.ndarray:
     chunks = reader.chunks(count)  # refuses a count past the end before allocating
     weights = np.empty(count, dtype=np.float64)
     for lo, block in chunks:
-        values = _columns(block, ":", 2)[1]
+        values = _columns(block, ":", 2)[1]  # the index column is dropped at once
         chunk = np.fromiter(map(float.fromhex, values), dtype=np.float64, count=len(values))
         finite = np.isfinite(chunk)
         if not finite.all():
             p = int(finite.argmin())
             raise CorruptModelFile(f"weight {lo + p} {values[p]!r} is not a finite double")
-        del values  # its strings, before the chunk is rendered and the next one split
         _refuse_unless(_weight_lines(chunk, lo), block, "weight", lo)
         weights[lo : lo + len(chunk)] = chunk
     return weights

@@ -64,7 +64,6 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -176,20 +175,24 @@ class CscMatrix:
         return dense.reshape(self.shape)
 
 
-class TermColumns(NamedTuple):
-    """A vocabulary's terms in index order, with the document frequency
-    and (for TF-IDF) the idf of each."""
-
-    terms: list[str]
-    df: np.ndarray
-    idf: np.ndarray | None
+def escaped_terms(terms: list[str]) -> list[str]:
+    """The backslash escape (``unicode_escape``) of every term, as a model
+    file writes its term fields, by one encode of the joined column when
+    it splits back into one piece per term: the separator encodes as
+    backslash-n, so a term whose escape holds that text (a newline, or a
+    backslash before an n) sends the column through the encoder a term at
+    a time."""
+    escaped = "\n".join(terms).encode("unicode_escape").decode("ascii").split("\\n")
+    if len(escaped) != len(terms):
+        escaped = [term.encode("unicode_escape").decode("ascii") for term in terms]
+    return escaped
 
 
 def unescaped_terms(column: bytes) -> list[str]:
-    """The terms that an escaped term column stands for: the backslash
-    escapes (``unicode_escape``) of the terms, joined by newlines. One
-    decode of the column, when it splits back into one piece per field
-    (a decoded newline splits it wrongly), else a field at a time."""
+    """The terms that an escaped term column stands for: the fields of
+    ``escaped_terms``, joined by newlines. One decode of the column, when
+    it splits back into one piece per field (a decoded newline splits it
+    wrongly), else a field at a time."""
     text = codecs.decode(column, "unicode_escape") if b"\\" in column else column.decode("ascii")
     terms = text.split("\n")
     if len(terms) != column.count(b"\n") + 1:
@@ -203,25 +206,24 @@ class Vocabulary:
     A vocabulary holds its config, its corpus size, ``df`` (the document
     frequency of each term in index order, an int64 array), ``idf_column``
     (the idf of each, a float64 array, or ``None`` for counts) and its
-    terms; ``columns`` gives the three columns. Built from the dicts, it
-    copies them into columns at once, and refuses indices other than
-    exactly 0..n-1 in ascending term order and statistics of other terms
-    than the indexed ones; ``from_columns`` takes the columns as they
-    are, but refuses an idf that contradicts the weighting and, unless
-    they come with their keys (from a fit, or from a model file's reader,
-    which checks their order as it keys them), terms that do not strictly
-    ascend. Each dict (``term_to_index``, ``document_frequency``,
-    ``idf``) is derived the first time it is read, so scoring with a
-    loaded model builds none.
-    A vocabulary is immutable, and its value is its config, columns and
-    corpus size.
+    terms (``terms()``). Built from the dicts, it copies them into
+    columns at once, and refuses indices other than exactly 0..n-1 in
+    ascending term order and statistics of other terms than the indexed
+    ones; ``from_columns`` takes the columns as they are, but refuses an
+    idf that contradicts the weighting and, unless they come with their
+    keys (from a fit, or from a model file's reader, which checks their
+    order as it keys them), terms that do not strictly ascend. Each dict
+    (``term_to_index``, ``document_frequency``, ``idf``) is derived the
+    first time it is read, so scoring with a loaded model builds none.
+    A vocabulary is immutable, and its value is its config, terms, their
+    statistics and corpus size.
 
     One read from a model file holds its terms as ``escaped``: the file's
     term column as the reader checked it, one escaped column (see
     ``unescaped_terms``) per chunk of lines. It spells its terms the first
-    time something reads them: ``terms()``, ``columns``, a dict or ``==``.
-    Its length, statistics and keys never read them, so scoring, and
-    saving it again, spell none. Any other vocabulary's ``escaped`` is
+    time something reads them: ``terms()``, a dict or ``==``. Its length,
+    statistics, keys and ``term_fields()`` never read them, so scoring,
+    and saving it again, spell none. Any other vocabulary's ``escaped`` is
     ``None``.
 
     ``key_space`` and ``fitted_columns`` are a ``KeySpace`` and each
@@ -324,10 +326,6 @@ class Vocabulary:
     def dimension(self) -> int:
         return len(self)
 
-    @property
-    def columns(self) -> TermColumns:
-        return TermColumns(self._terms, self.df, self.idf_column)
-
     @cached_property
     def _terms(self) -> list[str]:
         return [term for column in self.escaped for term in unescaped_terms(column)]
@@ -348,6 +346,14 @@ class Vocabulary:
     def terms(self) -> list[str]:
         """Terms in index order (shared, not a copy)."""
         return self._terms
+
+    def term_fields(self) -> list[str]:
+        """The term field of each line that a model file writes for this
+        vocabulary (see ``escaped_terms``): one read from a file gives the
+        file's, as its reader checked them, and spells no term."""
+        if self.escaped:
+            return b"\n".join(self.escaped).decode("ascii").split("\n")
+        return escaped_terms(self._terms)
 
     @cached_property
     def _keys(self) -> tuple[KeySpace, np.ndarray]:
@@ -426,7 +432,8 @@ def spelled_key_space(
     the prefixes are equal, as the code rows padded with 0 compare."""
     count = len(lengths)
     reach = int(points.max(initial=0)) + 1
-    # positions and ranks in 32 bits where they fit, to save load memory
+    # positions in 32 bits where they fit, to save load memory; ranks are
+    # int64, as rank * reach may pass 2**31
     index = np.int32 if len(points) < 2**31 else np.int64
     at = np.cumsum(lengths + 1, dtype=index)  # where each term's point of this length is
     at -= lengths + 1
@@ -435,18 +442,17 @@ def spelled_key_space(
     by_length = np.argsort(lengths.astype(np.min_scalar_type(lengths.max(initial=0))),
                            kind="stable").astype(index)
     ends = np.cumsum(np.bincount(lengths, minlength=1)).tolist()
-    ranks = np.zeros(count, dtype=index)  # of each term's prefix so far
-    keys = np.empty(count, dtype=np.int64)  # of each term's prefix of the length
-    step = np.empty(count, dtype=bool)  # where a run of equal keys starts
+    ranks = np.zeros(count, dtype=np.int64)  # of each term's prefix so far
     columns = np.full(count, -1, dtype=np.int64)
     level_keys = []
     # the first term at fault found at each length, after the first empty
     # term past term 0
     late = [np.flatnonzero(lengths[1:] == 0)[:1] + 1] if ascending else []
     for n in range(1, len(ends)):
-        np.multiply(ranks, reach, out=keys)
+        keys = ranks * reach
         keys += points.take(at, mode="clip")
         keys[by_length[: ends[n - 1]]] = -1
+        step = np.empty(count, dtype=bool)
         step[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=step[1:])
         step &= keys >= 0
@@ -463,7 +469,7 @@ def spelled_key_space(
         at += 1
     if any(map(len, late)):
         raise ValueError(f"vocabulary term {int(np.concatenate(late).min())} is out of order")
-    del at, by_length, ranks, keys, step
+    del at, by_length, ranks
     first = np.cumsum([0, *map(len, level_keys)])
     keys = np.concatenate([np.zeros(0, np.int64), *level_keys])
     alphabet, codes = _coded(keys % reach)

@@ -30,9 +30,11 @@ from spreader_profiler.models import (
     LinearModel,
     ModelKind,
     _render_model,
+    decision_values,
     load_model,
     save_model,
 )
+from spreader_profiler.preprocess import TokenStream
 from spreader_profiler.synth import generate_corpus_dir
 from spreader_profiler.vectorize import VectorizerConfig, Vocabulary, Weighting, smooth_idf
 
@@ -48,7 +50,7 @@ from test_model_files import (
     models as model_strategy,
 )
 
-from oracles import oracle_load_model
+from oracles import brute_transform, oracle_load_model
 
 
 def _outcome(path):
@@ -286,3 +288,34 @@ class TestTermsSpelledOnFirstRead:
     @pytest.mark.parametrize("name", sorted(HAND_TERMS))
     def test_hand_cases(self, name, tmp_path):
         _check_terms_spelled_on_first_read(_hand_model(HAND_TERMS[name]), str(tmp_path))
+
+
+def test_a_large_vocabulary_over_the_largest_code_point_loads_as_built(tmp_path):
+    # 2,500 distinct prefixes of length 2, each followed by U+10FFFF: their
+    # length-3 keys (prefix rank * 0x110000 + point) pass 2**31
+    letters = [chr(0x100 + i) for i in range(50)]
+    top = "\U0010ffff"
+    terms = sorted({*letters, top, *(a + b + top for a in letters for b in letters)})
+    df = {term: 1 + i % 7 for i, term in enumerate(terms)}
+    built = Vocabulary(VectorizerConfig(), {t: i for i, t in enumerate(terms)}, df, 9,
+                       {t: smooth_idf(9, d) for t, d in df.items()})
+    weights = np.random.default_rng(7).standard_normal(len(terms))
+    model = LinearModel(ModelKind.SVM, weights, 0.25, (built,), Language.ES)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    loaded = load_model(path)
+    vocab = loaded.feature_spec[0]
+    # the keys made at load spell each term back
+    space, columns = vars(vocab)["_keys"]
+    ordered = np.sort(columns)
+    spelled = vectorize._spelled(space.alphabet, vectorize._code_rows(space, ordered))
+    assert list(map(dict(zip(ordered.tolist(), spelled)).__getitem__, columns.tolist())) == terms
+    texts = [" ".join(terms[i :: 97]) for i in range(5)] + [letters[3] + top + top]
+    streams = [TokenStream(author_id=f"a{i}", tokens=tuple(text.split(" ")))
+               for i, text in enumerate(texts)]
+    dense = vectorize.union_transform(streams, (vocab,)).toarray()
+    for row, text in zip(dense, texts):
+        assert row.tolist() == brute_transform(text, built.term_to_index, built.idf, 1, 3)
+    assert (decision_values(loaded, streams).tobytes()
+            == decision_values(model, streams).tobytes())
+    assert vocab == built

@@ -439,7 +439,7 @@ class TestOnlyTheReaderRefuses:
         path = tmp_path / "model.txt"
         path.write_text(_file(lines), encoding="utf-8")
         accepted = oracle_load_model(path)  # the same idf, and saved, another file
-        assert accepted.feature_spec[0].columns.idf.tolist() == vocab.columns.idf.tolist()
+        assert accepted.feature_spec[0].idf_column.tolist() == vocab.idf_column.tolist()
         assert oracle_render_model(accepted) != path.read_text(encoding="utf-8")
         with pytest.raises(CorruptModelFile, match="is not written as"):
             load_model(path)

@@ -134,12 +134,12 @@ class TestFitVocabulary:
             corpus_size=fitted.corpus_size,
             idf=fitted.idf,
         )
-        terms, df, idf = rebuilt.columns
+        terms, df, idf = rebuilt.terms(), rebuilt.df, rebuilt.idf_column
         assert terms == fitted.terms() == sorted(fitted.term_to_index)
-        assert df.dtype == fitted.columns.df.dtype == np.int64
+        assert df.dtype == fitted.df.dtype == np.int64
         expected = [fitted.document_frequency[t] for t in terms]
-        assert df.tolist() == fitted.columns.df.tolist() == expected
-        assert idf.tolist() == fitted.columns.idf.tolist() == [fitted.idf[t] for t in terms]
+        assert df.tolist() == fitted.df.tolist() == expected
+        assert idf.tolist() == fitted.idf_column.tolist() == [fitted.idf[t] for t in terms]
 
     @pytest.mark.parametrize("weighting", [Weighting.TFIDF, Weighting.COUNT])
     def test_dicts_of_a_vocabulary_from_columns_are_built_on_first_read(self, weighting):
@@ -155,10 +155,10 @@ class TestFitVocabulary:
         assert lazy == built and built == lazy
         assert lazy.term_to_index == index and lazy.document_frequency == df and lazy.idf == idf
         assert lazy.terms() == built.terms()
-        assert lazy.columns.df.tolist() == built.columns.df.tolist()
-        assert (lazy.columns.idf is None) == (idf is None)
+        assert lazy.df.tolist() == built.df.tolist()
+        assert (lazy.idf_column is None) == (idf is None)
         if idf is not None:
-            assert lazy.columns.idf.tolist() == built.columns.idf.tolist()
+            assert lazy.idf_column.tolist() == built.idf_column.tolist()
         assert lazy != Vocabulary(config=config, term_to_index=index, document_frequency=df,
                                   corpus_size=4, idf=idf)
         with pytest.raises(AttributeError):
@@ -1038,7 +1038,7 @@ def test_column_map_agrees_with_looking_each_term_up(source_docs, source_n, targ
         vocab = fit_vocabulary(source, char_config(min_n, max_n, weighting=Weighting.COUNT))
     except EmptyVocabulary:
         return
-    loaded = Vocabulary.from_columns(vocab.config, vocab.terms(), vocab.columns.df,
+    loaded = Vocabulary.from_columns(vocab.config, vocab.terms(), vocab.df,
                                      vocab.corpus_size, None)
     by_key, by_term = vectorize._block(target, vocab), vectorize._block(target, loaded)
     assert by_key.shape == by_term.shape
