@@ -76,10 +76,9 @@ from .vectorize import (
     VectorizerConfig,
     Vocabulary,
     Weighting,
-    escaped_terms,
     smooth_idf,
+    spelled_chunks,
     spelled_key_space,
-    unescaped_terms,
     union_transform,
 )
 
@@ -669,6 +668,31 @@ def _block_header(position: int, config: VectorizerConfig, corpus_size: int, ter
     )
 
 
+def escaped_terms(terms: list[str]) -> list[str]:
+    """The backslash escape (``unicode_escape``) of every term, as a model
+    file writes its term fields, by one encode of the joined column when
+    it splits back into one piece per term: the separator encodes as
+    backslash-n, so a term whose escape holds that text (a newline, or a
+    backslash before an n) sends the column through the encoder a term at
+    a time."""
+    escaped = "\n".join(terms).encode("unicode_escape").decode("ascii").split("\\n")
+    if len(escaped) != len(terms):
+        escaped = [term.encode("unicode_escape").decode("ascii") for term in terms]
+    return escaped
+
+
+def unescaped_terms(column: bytes) -> list[str]:
+    """The terms that an escaped term column stands for: the fields of
+    ``escaped_terms``, joined by newlines. One decode of the column, when
+    it splits back into one piece per field (a decoded newline splits it
+    wrongly), else a field at a time."""
+    text = codecs_decode(column, "unicode_escape") if b"\\" in column else column.decode("ascii")
+    terms = text.split("\n")
+    if len(terms) != column.count(b"\n") + 1:
+        terms = [codecs_decode(field, "unicode_escape") for field in column.split(b"\n")]
+    return terms
+
+
 def _vocabulary_lines(
     fields: list[str], df: list[int], idf: list[float] | None, first: int = 0
 ) -> str:
@@ -694,18 +718,28 @@ def _checksum_line(digest: str) -> str:
 
 def _render_model(model: LinearModel) -> str:
     """The model file's text, joined from the section renderers that
-    ``load_model`` checks the file's sections with."""
+    ``load_model`` checks the file's sections with. The vocabulary and
+    weight sections are written ``_CHUNK_LINES`` lines at a time, as the
+    reader reads them, so that no line's temporaries exist for a whole
+    section at once. Each block's terms are spelled from their keys,
+    decoded once per block, and the vocabulary keeps none of them."""
     sections = [
         _model_header(
             model.kind, model.language, model.train_config, model.bias, len(model.feature_spec)
         )
     ]
     for position, vocab in enumerate(model.feature_spec):
-        idf = None if vocab.idf_column is None else vocab.idf_column.tolist()
         sections.append(_block_header(position, vocab.config, vocab.corpus_size, len(vocab)))
-        sections.append(_vocabulary_lines(vocab.term_fields(), vocab.df.tolist(), idf))
+        hi = 0
+        for terms in spelled_chunks(vocab.key_space, vocab.fitted_columns, _CHUNK_LINES):
+            lo, hi = hi, hi + len(terms)
+            idf = None if vocab.idf_column is None else vocab.idf_column[lo:hi].tolist()
+            sections.append(
+                _vocabulary_lines(escaped_terms(terms), vocab.df[lo:hi].tolist(), idf, lo)
+            )
     sections.append(_field_lines(("weights", model.dimension)))
-    sections.append(_weight_lines(model.weights).decode("ascii"))
+    for lo in range(0, model.dimension, _CHUNK_LINES):
+        sections.append(_weight_lines(model.weights[lo : lo + _CHUNK_LINES], lo).decode("ascii"))
     digest = hashlib.sha256()
     for section in sections:
         digest.update(section.encode("utf-8"))
@@ -717,8 +751,8 @@ def save_model(model: LinearModel, path: str | Path) -> None:
     Path(path).write_text(_render_model(model), encoding="utf-8")
 
 
-# Sections are read this many lines at a time, so that the split fields
-# of a whole section never exist at once.
+# Sections are read and written this many lines at a time, so that the
+# fields of a whole section never exist at once.
 _CHUNK_LINES = 4096
 
 # The bytes a model file may hold once its line ends are "\n": printable
@@ -825,10 +859,9 @@ def _array_chunk(block: bytes, lo: int, corpus_size: int, tfidf: bool) -> tuple 
     term column gives one term per line, each of which escapes back to its
     field, at its field's width. What passes is what the writer writes, so
     the line reader accepts it, with the same values. A chunk read is its
-    term fields as one escaped column (see ``unescaped_terms``; no term is
-    made), their dfs and (for TF-IDF) idfs, and the code points of each
-    term followed by a newline, with their ``lengths`` (see
-    ``spelled_key_space``)."""
+    dfs and (for TF-IDF) idfs, and the code points of each term followed
+    by a newline, with their ``lengths`` (see ``spelled_key_space``); no
+    term is made."""
     data = np.frombuffer(block, dtype=np.uint8)
     seps = np.flatnonzero(data < 0x20)  # the file's only such bytes are tab and newline
     lines = len(seps) // 4
@@ -902,7 +935,7 @@ def _array_chunk(block: bytes, lo: int, corpus_size: int, tfidf: bool) -> tuple 
         lengths = np.diff(newlines, prepend=-1) - 1
         if not len(wide):
             points = points.astype(np.uint8)
-    return column[:-1], df, idf, points, lengths
+    return df, idf, points, lengths
 
 
 def _line_chunk(block: bytes, lo: int, corpus_size: int, tfidf: bool) -> tuple:
@@ -928,7 +961,7 @@ def _line_chunk(block: bytes, lo: int, corpus_size: int, tfidf: bool) -> tuple:
     written = _vocabulary_lines(escaped_terms(terms), df, idf, lo).encode("ascii")
     _refuse_unless(written, block, "vocabulary", lo)
     return (
-        column, np.array(df, dtype=np.int64), None if idf is None else np.array(idf),
+        np.array(df, dtype=np.int64), None if idf is None else np.array(idf),
         np.frombuffer("\n".join([*terms, ""]).encode("utf-32-le", "surrogatepass"), dtype="<u4"),
         np.fromiter(map(len, terms), dtype=np.int64, count=len(terms)),
     )
@@ -944,13 +977,12 @@ def _read_vocabulary(
     document), and the chunk must be what the writer writes for its
     terms, dfs and the smooth IDF of each df. Once every chunk is read,
     the terms are keyed from their code points, which checks that they
-    strictly ascend. The vocabulary holds those keys, the dfs and idfs as
-    read, and each chunk's escaped term column, from which it spells its
-    terms only when something reads them (see ``Vocabulary``)."""
+    strictly ascend. The vocabulary holds those keys and the dfs and idfs
+    as read; its terms are spelled from the keys only when something
+    reads them (see ``Vocabulary``)."""
     if corpus_size < 1:
         raise CorruptModelFile(f"corpus_size {corpus_size} is below 1")
     tfidf = config.weighting is Weighting.TFIDF
-    escaped: list[bytes] = []
     # each column's chunks, after an empty one of its type
     df, idf, points, lengths = (
         [np.zeros(0, dtype=t)] for t in (np.int64, np.float64, np.uint8, np.int64)
@@ -959,18 +991,15 @@ def _read_vocabulary(
         chunk = _array_chunk(block, lo, corpus_size, tfidf) or _line_chunk(
             block, lo, corpus_size, tfidf
         )
-        escaped.append(chunk[0])
-        for column, part in zip((df, idf, points, lengths), chunk[1:]):
+        for column, part in zip((df, idf, points, lengths), chunk):
             if part is not None:
                 column.append(part)
     df, idf, points, lengths = map(np.concatenate, (df, idf, points, lengths))
     try:
-        keys = spelled_key_space(points, lengths, ascending=True)
+        keys = spelled_key_space(points, lengths)
     except ValueError as error:  # "vocabulary term N is out of order"
         raise CorruptModelFile(str(error)) from None
-    return Vocabulary.from_columns(
-        config, None, df, corpus_size, idf if tfidf else None, keys, tuple(escaped)
-    )
+    return Vocabulary.from_columns(config, None, df, corpus_size, idf if tfidf else None, keys)
 
 
 def _read_weights(reader: _LineReader, count: int) -> np.ndarray:
@@ -1000,8 +1029,9 @@ def load_model(path: str | Path) -> LinearModel:
     rejected. Vocabulary chunks are read by array comparisons, and any
     they refuse by the line reader, which names the fault (see
     ``_read_vocabulary``). Each block's terms are keyed at load, so
-    scoring never keys them, and kept as the file's escaped term column,
-    so that no term is made until something reads one."""
+    scoring never keys them, and kept as those keys alone: no term is
+    made until something reads one, and saving the model spells them
+    from the keys again."""
     try:
         data = Path(path).read_bytes()
         if not data.isascii():

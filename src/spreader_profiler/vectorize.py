@@ -43,21 +43,21 @@ by their codes, which ascend with the code points, so as Python orders
 strings. A vocabulary is a set of those columns: fitting selects from
 the slice of its lengths, and a transform gathers its columns into a CSC
 block in term order. The columns are found by keys, never by strings:
-every vocabulary has a ``KeySpace`` and its terms' columns in it, those
-of the counts it was fitted on or, for any other, of its own terms'
-prefixes. A transform takes them as they are on the counts the key space
-came from, and on others maps them through those counts' ``column_map``,
-which re-keys every key of that space into theirs. CSC is the one layout
-from the counts to the scores, held in the package's own ``CscMatrix``
-of numpy arrays rather than scipy's, whose import would cost every
-command more than its work at bench scale. Python strings are made only
-for the terms a vocabulary keeps, and one read from a model file makes
-them only when something reads them.
+every vocabulary holds its terms only as a ``KeySpace`` and their
+columns in it, those of the counts it was fitted on or, for any other,
+of its own terms' prefixes, keyed when it is built. A transform takes
+them as they are on the counts the key space came from, and on others
+maps them through those counts' ``column_map``, which re-keys every key
+of that space into theirs. CSC is the one layout from the counts to the
+scores, held in the package's own ``CscMatrix`` of numpy arrays rather
+than scipy's, whose import would cost every command more than its work
+at bench scale. Terms are spelled from their keys only when something
+reads them (``Vocabulary.terms()``, its dicts, ``==``, or a model
+file's writer), so fitting, transforming and scoring make no string.
 """
 
 from __future__ import annotations
 
-import codecs
 import enum
 import math
 from collections import Counter
@@ -175,71 +175,38 @@ class CscMatrix:
         return dense.reshape(self.shape)
 
 
-def escaped_terms(terms: list[str]) -> list[str]:
-    """The backslash escape (``unicode_escape``) of every term, as a model
-    file writes its term fields, by one encode of the joined column when
-    it splits back into one piece per term: the separator encodes as
-    backslash-n, so a term whose escape holds that text (a newline, or a
-    backslash before an n) sends the column through the encoder a term at
-    a time."""
-    escaped = "\n".join(terms).encode("unicode_escape").decode("ascii").split("\\n")
-    if len(escaped) != len(terms):
-        escaped = [term.encode("unicode_escape").decode("ascii") for term in terms]
-    return escaped
-
-
-def unescaped_terms(column: bytes) -> list[str]:
-    """The terms that an escaped term column stands for: the fields of
-    ``escaped_terms``, joined by newlines. One decode of the column, when
-    it splits back into one piece per field (a decoded newline splits it
-    wrongly), else a field at a time."""
-    text = codecs.decode(column, "unicode_escape") if b"\\" in column else column.decode("ascii")
-    terms = text.split("\n")
-    if len(terms) != column.count(b"\n") + 1:
-        terms = [codecs.decode(field, "unicode_escape") for field in column.split(b"\n")]
-    return terms
-
-
 class Vocabulary:
     """A fitted term → index mapping plus the statistics behind it.
 
     A vocabulary holds its config, its corpus size, ``df`` (the document
     frequency of each term in index order, an int64 array), ``idf_column``
     (the idf of each, a float64 array, or ``None`` for counts) and its
-    terms (``terms()``). Built from the dicts, it copies them into
-    columns at once, and refuses indices other than exactly 0..n-1 in
-    ascending term order and statistics of other terms than the indexed
-    ones; ``from_columns`` takes the columns as they are, but refuses an
-    idf that contradicts the weighting and, unless they come with their
-    keys (from a fit, or from a model file's reader, which checks their
-    order as it keys them), terms that do not strictly ascend. Each dict
-    (``term_to_index``, ``document_frequency``, ``idf``) is derived the
-    first time it is read, so scoring with a loaded model builds none.
-    A vocabulary is immutable, and its value is its config, terms, their
-    statistics and corpus size.
+    terms as keys alone: ``key_space``, a ``KeySpace``, and
+    ``fitted_columns``, each term's column in it, by which a transform
+    finds its columns. A fitted vocabulary has those of the
+    ``NgramCounts`` it was fitted on, shared with the counts and outliving
+    them (8 bytes for every distinct n-gram of every counted length, and 4
+    for every symbol); any other, those of its own terms' prefixes, made
+    when it is built. Neither is part of its value.
 
-    One read from a model file holds its terms as ``escaped``: the file's
-    term column as the reader checked it, one escaped column (see
-    ``unescaped_terms``) per chunk of lines. It spells its terms the first
-    time something reads them: ``terms()``, a dict or ``==``. Its length,
-    statistics, keys and ``term_fields()`` never read them, so scoring,
-    and saving it again, spell none. Any other vocabulary's ``escaped`` is
-    ``None``.
-
-    ``key_space`` and ``fitted_columns`` are a ``KeySpace`` and each
-    term's column in it, by which a transform finds its columns. A fitted
-    vocabulary has those of the ``NgramCounts`` it was fitted on, shared
-    with the counts and outliving them (8 bytes for every distinct n-gram
-    of every counted length, and 4 for every symbol); one read from a
-    model file, those of its own terms' prefixes, made at load; any other
-    keys its own terms' prefixes when first read. Neither is part of its
-    value."""
+    Built from the dicts, it copies them into columns at once, and refuses
+    indices other than exactly 0..n-1 in ascending term order and
+    statistics of other terms than the indexed ones; ``from_columns``
+    takes the columns as they are, but refuses an idf that contradicts the
+    weighting and terms that do not strictly ascend. The terms are spelled
+    from their keys the first time something reads them: ``terms()``, a
+    dict (``term_to_index``, ``document_frequency``, ``idf``) or ``==``;
+    a model file's writer spells them a chunk at a time and keeps none.
+    Fitting, transforming and scoring spell none. A vocabulary is
+    immutable, and its value is its config, terms, their statistics and
+    corpus size."""
 
     config: VectorizerConfig
     corpus_size: int
     df: np.ndarray
     idf_column: np.ndarray | None
-    escaped: tuple[bytes, ...] | None
+    key_space: KeySpace
+    fitted_columns: np.ndarray
 
     def __init__(
         self,
@@ -270,36 +237,30 @@ class Vocabulary:
     def from_columns(
         cls,
         config: VectorizerConfig,
-        terms: list[str] | None,
+        terms: Sequence[str] | None,
         df: Sequence[int],
         corpus_size: int,
         idf: Sequence[float] | None,
         keys: tuple[KeySpace, np.ndarray] | None = None,
-        escaped: tuple[bytes, ...] | None = None,
     ) -> Vocabulary:
         """The vocabulary of ``terms``, ascending, in index order, with
-        their document frequencies, their idfs (``None`` for counts) and
-        optionally their ``keys``: a key space and their columns in it.
-        Terms given without keys are checked to ascend strictly, a pair at
-        a time; a fit's ascend as it orders them. A model file's reader
-        gives ``escaped`` and the keys for ``terms``, which are then
-        ``None``: it checks their order as it keys them."""
+        their document frequencies and their idfs (``None`` for counts).
+        The terms are keyed by their prefixes at once, which refuses them
+        unless they strictly ascend (see ``spelled_key_space``), and are
+        not kept. A fit or a model file's reader gives ``keys`` instead,
+        a key space and each term's column in it, and ``None`` for the
+        terms: a fit orders its terms as it selects them, and the reader
+        checks their order as it keys them."""
         if (idf is None) != (config.weighting is Weighting.COUNT):
             raise ValueError("a count vocabulary holds no idf" if idf is not None
                              else "a TF-IDF vocabulary needs the idf of each term")
-        if keys is None and not all(map(str.__lt__, terms, terms[1:])):
-            p = next(p for p in range(1, len(terms)) if not terms[p - 1] < terms[p])
-            raise ValueError(f"vocabulary term {p} is out of order")
+        key_space, fitted_columns = _term_key_space(terms) if keys is None else keys
         vocab = cls.__new__(cls)
         vars(vocab).update(
             config=config, corpus_size=corpus_size, df=np.asarray(df, dtype=np.int64),
             idf_column=None if idf is None else np.asarray(idf, dtype=np.float64),
-            escaped=escaped,
+            key_space=key_space, fitted_columns=fitted_columns,
         )
-        if terms is not None:
-            vars(vocab)["_terms"] = terms
-        if keys is not None:
-            vars(vocab)["_keys"] = keys
         return vocab
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -328,7 +289,8 @@ class Vocabulary:
 
     @cached_property
     def _terms(self) -> list[str]:
-        return [term for column in self.escaped for term in unescaped_terms(column)]
+        return [term for chunk in spelled_chunks(self.key_space, self.fitted_columns)
+                for term in chunk]
 
     @cached_property
     def term_to_index(self) -> dict[str, int]:
@@ -346,26 +308,6 @@ class Vocabulary:
     def terms(self) -> list[str]:
         """Terms in index order (shared, not a copy)."""
         return self._terms
-
-    def term_fields(self) -> list[str]:
-        """The term field of each line that a model file writes for this
-        vocabulary (see ``escaped_terms``): one read from a file gives the
-        file's, as its reader checked them, and spells no term."""
-        if self.escaped:
-            return b"\n".join(self.escaped).decode("ascii").split("\n")
-        return escaped_terms(self._terms)
-
-    @cached_property
-    def _keys(self) -> tuple[KeySpace, np.ndarray]:
-        return _term_key_space(self._terms)
-
-    @property
-    def key_space(self) -> KeySpace:
-        return self._keys[0]
-
-    @property
-    def fitted_columns(self) -> np.ndarray:
-        return self._keys[1]
 
 
 # ----------------------------------------------------------------------
@@ -402,15 +344,13 @@ def _coded(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _term_key_space(terms: Sequence[str]) -> tuple[KeySpace, np.ndarray]:
-    """The key space of the prefixes of ``terms``, in any order, and each
-    term's column in it (see ``spelled_key_space``)."""
+    """The key space of the prefixes of ``terms``, which must strictly
+    ascend, and each term's column in it (see ``spelled_key_space``)."""
     lengths = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
     return spelled_key_space(_points("\n".join([*terms, ""])), lengths)
 
 
-def spelled_key_space(
-    points: np.ndarray, lengths: np.ndarray, ascending: bool = False
-) -> tuple[KeySpace, np.ndarray]:
+def spelled_key_space(points: np.ndarray, lengths: np.ndarray) -> tuple[KeySpace, np.ndarray]:
     """The key space of the prefixes of the terms that ``points`` spells,
     keyed as ``NgramCounts`` keys a corpus's n-grams, and each term's
     column in it: the column of its key at its own length, or -1 for the
@@ -420,16 +360,16 @@ def spelled_key_space(
     A length is keyed over every term at once, in index order, as ``rank
     of the prefix * (largest point + 1) + point``, which orders and ties
     keys as the codes do; a term too short for it gets the key -1 and no
-    rank. Each run of equal keys is one prefix, ranked in order (terms in
-    another order map alike, a key heading many runs). The alphabet is
-    then the points that end some prefix, and each distinct key is coded.
+    rank. Each run of equal keys is one prefix, ranked in order. The
+    alphabet is then the points that end some prefix, and each distinct
+    key is coded.
 
-    With ``ascending``, the terms must strictly ascend, else ``ValueError``
-    names the first that does not, as ``vocabulary term p is out of
-    order``. Term p is not above term p - 1 exactly when p > 0 is empty,
-    or at some length that both reach, p's key is below p - 1's, or equal
-    to it where p ends: a key compares points only within a run, where
-    the prefixes are equal, as the code rows padded with 0 compare."""
+    The terms must strictly ascend, else ``ValueError`` names the first
+    that does not, as ``vocabulary term p is out of order``. Term p is
+    not above term p - 1 exactly when p > 0 is empty, or at some length
+    that both reach, p's key is below p - 1's, or equal to it where p
+    ends: a key compares points only within a run, where the prefixes are
+    equal, as the code rows padded with 0 compare."""
     count = len(lengths)
     reach = int(points.max(initial=0)) + 1
     # positions in 32 bits where they fit, to save load memory; ranks are
@@ -447,7 +387,7 @@ def spelled_key_space(
     level_keys = []
     # the first term at fault found at each length, after the first empty
     # term past term 0
-    late = [np.flatnonzero(lengths[1:] == 0)[:1] + 1] if ascending else []
+    late = [np.flatnonzero(lengths[1:] == 0)[:1] + 1]
     for n in range(1, len(ends)):
         keys = ranks * reach
         keys += points.take(at, mode="clip")
@@ -458,11 +398,9 @@ def spelled_key_space(
         step &= keys >= 0
         np.cumsum(step, out=ranks)
         ranks -= 1
-        if ascending:
-            ends_here = lengths[1:] == n
-            late.append(np.flatnonzero(
-                (keys[:-1] > keys[1:]) & (keys[1:] >= 0) | ~step[1:] & ends_here
-            )[:1] + 1)
+        late.append(np.flatnonzero(
+            (keys[:-1] > keys[1:]) & (keys[1:] >= 0) | ~step[1:] & (lengths[1:] == n)
+        )[:1] + 1)
         ending = by_length[ends[n - 1] : ends[n]]
         columns[ending] = ranks[ending] + sum(map(len, level_keys))
         level_keys.append(keys[step])
@@ -598,9 +536,7 @@ class NgramCounts:
     def terms(self, columns: np.ndarray) -> list[str]:
         """The n-gram of each column, in the order given, decoded from its
         key."""
-        distinct, at = np.unique(columns, return_inverse=True)
-        spelled = _spelled(self.key_space.alphabet, _code_rows(self.key_space, distinct))
-        return list(map(spelled.__getitem__, at.tolist()))
+        return [term for chunk in spelled_chunks(self.key_space, columns) for term in chunk]
 
     def column_map(self, source: KeySpace) -> np.ndarray:
         """The column of these counts that holds each column's n-gram of
@@ -642,6 +578,20 @@ def _spelled(alphabet: np.ndarray, rows: np.ndarray) -> list[str]:
         lengths = np.count_nonzero(rows, axis=1).tolist()
         terms = [term.ljust(n, "\0") for term, n in zip(terms, lengths)]
     return terms
+
+
+# Terms spelled at a time, so that no temporary is the vocabulary's size.
+_SPELL_CHUNK = 4096
+
+
+def spelled_chunks(space: KeySpace, columns: np.ndarray, size: int = _SPELL_CHUNK):
+    """The n-grams of ``columns`` of ``space``, in the order given, as
+    lists of at most ``size``: the code rows of the distinct columns are
+    decoded from their keys once, and spelled a list at a time. Column -1
+    spells the empty term."""
+    distinct, at = np.unique(columns, return_inverse=True)
+    rows = _code_rows(space, distinct)
+    return (_spelled(space.alphabet, rows[at[lo : lo + size]]) for lo in range(0, len(at), size))
 
 
 def _column_map(source: KeySpace, target: KeySpace) -> np.ndarray:
@@ -768,22 +718,20 @@ def fit_vocabulary(
     streams: Sequence[TokenStream] | NgramCounts, config: VectorizerConfig
 ) -> Vocabulary:
     """Fit a vocabulary over the given streams (or their shared counts):
-    the terms of ``selected_columns``, indexed lexicographically, with
-    their document frequencies and, for TF-IDF, their smooth idfs.
+    the terms of ``selected_columns``, indexed lexicographically by their
+    code rows, with their document frequencies and, for TF-IDF, their
+    smooth idfs. It keeps the terms as their columns and spells none.
     """
     counts = _as_counts(streams, config.range.max_n)
     numbers = selected_columns(counts, config)
-    rows = _code_rows(counts.key_space, numbers)
-    order = np.lexsort(rows.T[::-1])
-    terms = _spelled(counts.key_space.alphabet, rows[order])
-    fitted_columns = numbers[order]
+    fitted_columns = numbers[np.lexsort(_code_rows(counts.key_space, numbers).T[::-1])]
     df = counts.df[fitted_columns]
     corpus_size = len(counts)
     idf = None
     if config.weighting is Weighting.TFIDF:
         idf = _smooth_idfs(corpus_size, df)
     return Vocabulary.from_columns(
-        config, terms, df, corpus_size, idf, (counts.key_space, fitted_columns)
+        config, None, df, corpus_size, idf, (counts.key_space, fitted_columns)
     )
 
 
@@ -795,14 +743,14 @@ def _smooth_idfs(corpus_size: int, df: np.ndarray) -> np.ndarray:
 
 
 def with_weighting(vocab: Vocabulary, weighting: Weighting) -> Vocabulary:
-    """The same fit under ``weighting``: the same terms, document
-    frequencies and fitted columns (shared, not copied), with the smooth
+    """The same fit under ``weighting``: the same document frequencies,
+    key space and fitted columns (shared, not copied), with the smooth
     idf for TF-IDF."""
     if weighting is vocab.config.weighting:
         return vocab
     idf = _smooth_idfs(vocab.corpus_size, vocab.df) if weighting is Weighting.TFIDF else None
-    return Vocabulary.from_columns(replace(vocab.config, weighting=weighting), vocab.terms(),
-                                   vocab.df, vocab.corpus_size, idf, vocab._keys)
+    return Vocabulary.from_columns(replace(vocab.config, weighting=weighting), None, vocab.df,
+                                   vocab.corpus_size, idf, (vocab.key_space, vocab.fitted_columns))
 
 
 # Entries gathered or weighed at a time, so that no temporary is the

@@ -70,20 +70,29 @@ def _startup_footprint() -> str:
 def pytest_terminal_summary(terminalreporter, config):
     """Under ``-q`` pytest prints no header, so its lines end the log.
     After the ``src lines`` line comes the memory that loading the bench
-    ES model took, as the load-memory test recorded it (when it ran), so
-    that a regression shows in every log; the line reports, and judges
-    nothing."""
+    ES model took, and then the memory that writing it again took, as the
+    load- and write-memory tests recorded them (when they ran), so that a
+    regression shows in every log; the lines report, and judge nothing."""
     lines = pytest_report_header(config) if config.get_verbosity() < 0 else []
-    recorded = [
-        value for reports in terminalreporter.stats.values() for report in reports
-        for name, value in getattr(report, "user_properties", ()) if name == "load_memory"
-    ]
-    if recorded:
-        retained, peak, size = recorded[0]
-        lines.insert(2 if lines else 0, (
+    recorded = {
+        name: value for reports in terminalreporter.stats.values() for report in reports
+        for name, value in getattr(report, "user_properties", ())
+    }
+    memory = []
+    if "load_memory" in recorded:
+        retained, peak, size = recorded["load_memory"]
+        memory.append(
             f"load_model of the bench ES model: peak {peak / 1e6:.2f} MB, retained "
             f"{retained / 1e6:.2f} MB, file {size / 1e6:.2f} MB (peak {peak / size:.2f}x file)"
-        ))
+        )
+    if "write_memory" in recorded:
+        peak, size = recorded["write_memory"]
+        memory.append(
+            f"writing the loaded bench ES model: peak {peak / 1e6:.2f} MB, file "
+            f"{size / 1e6:.2f} MB (peak {peak / size:.2f}x file)"
+        )
+    at = 2 if lines else 0
+    lines[at:at] = memory
     for line in lines:
         terminalreporter.write_line(line)
 

@@ -411,6 +411,32 @@ class TestSharedGrid:
         assert render_grid_report(shared) == render_grid_report(expected)
         assert shared == expected
 
+    def test_fits_reweighting_and_the_grid_spell_no_term(self, hard_corpus, monkeypatch):
+        """Every vocabulary the grid fits or re-weighs holds its terms as
+        keys alone: with the speller patched to fail, the grid runs, and
+        no vocabulary keeps a term."""
+        made = []
+
+        def keeping(name, function):
+            def kept(*args):
+                made.append((name, function(*args)))
+                return made[-1][1]
+            return kept
+
+        def spelled(*args):
+            raise AssertionError("terms spelled")
+
+        monkeypatch.setattr(vectorize, "_spelled", spelled)
+        monkeypatch.setattr(evaluation, "fit_vocabulary", keeping("fit", fit_vocabulary))
+        monkeypatch.setattr(evaluation, "with_weighting",
+                            keeping("weigh", vectorize.with_weighting))
+        grid_search(hard_corpus, self.GRID, SplitSpec(seed=11))
+        fits = [vocab for name, vocab in made if name == "fit"]
+        reweighed = [vocab for name, vocab in made
+                     if name == "weigh" and not any(vocab is fit for fit in fits)]
+        assert fits and reweighed
+        assert not any("_terms" in vars(vocab) for _, vocab in made)
+
     @pytest.mark.parametrize("folds", [1, 3])
     def test_every_vocabulary_comes_from_training_authors_only(
         self, hard_corpus, folds, monkeypatch

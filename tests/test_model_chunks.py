@@ -7,9 +7,10 @@ fault. The arrays may only accept what the line reader accepts, with the
 same values: with the array path refusing every chunk, each file must
 load to the same model or be refused with the same message.
 
-A loaded vocabulary keeps each chunk's escaped term column and spells its
-terms the first time something reads them. Scoring and saving a loaded
-model must spell none, and the first read must give the file's terms.
+A loaded vocabulary keeps its terms as the keys made at load alone, and
+spells them from the keys the first time something reads them. Loading
+and scoring must decode no key, saving must give the file back and keep
+no term, and the first read must give the file's terms.
 """
 
 import random
@@ -71,7 +72,7 @@ def _assert_same(fast, slow) -> None:
     assert fast.train_config == slow.train_config
     assert fast.feature_spec == slow.feature_spec
     for mine, theirs in zip(fast.feature_spec, slow.feature_spec):
-        assert vars(mine)["_keys"][1].tolist() == vars(theirs)["_keys"][1].tolist()
+        assert mine.fitted_columns.tolist() == theirs.fitted_columns.tolist()
         ours, others = mine.key_space, theirs.key_space
         assert ours.alphabet.tolist() == others.alphabet.tolist() and ours.base == others.base
         assert [k.tolist() for k in ours.keys] == [k.tolist() for k in others.keys]
@@ -217,23 +218,25 @@ def test_stock_models_load_by_arrays_alone_and_score_without_keying(stock_models
     with mock.patch.object(models, "_line_chunk", side_effect=AssertionError("line reader")):
         loaded = [(load_model(path), corpus) for path, corpus in stock_models]
     for model, corpus in loaded:
-        assert all("_keys" in vars(vocab) for vocab in model.feature_spec)
+        assert all("key_space" in vars(vocab) for vocab in model.feature_spec)
         with mock.patch.object(vectorize, "_term_key_space",
                                side_effect=AssertionError("keyed when scored")):
             values = score_corpus(model, load_corpus(corpus, model.language))
         assert len(values) == 40 and np.isfinite(values).all()
 
 
-def test_stock_models_score_and_save_without_spelling_a_term(stock_models, tmp_path, capsys):
+def test_stock_models_score_without_decoding_a_key_and_save_without_keeping_terms(
+    stock_models, tmp_path, capsys
+):
     out = str(tmp_path / "predictions.txt")
     for path, corpus in stock_models:
-        with mock.patch.object(vectorize, "unescaped_terms",
-                               side_effect=AssertionError("terms spelled")):
+        with mock.patch.object(vectorize, "_code_rows",
+                               side_effect=AssertionError("keys decoded")):
             model = load_model(path)
             values = score_corpus(model, load_corpus(corpus, model.language))
-            assert _render_model(model) == path.read_text(encoding="utf-8")
             for argv in (["evaluate"], ["predict", "--out", out]):
                 assert cli.run([*argv, "--model", str(path), "--input", str(corpus)]) == 0
+        assert _render_model(model) == path.read_text(encoding="utf-8")
         assert len(values) == 40 and np.isfinite(values).all()
         assert not any("_terms" in vars(vocab) for vocab in model.feature_spec)
         assert sum(len(vocab) for vocab in model.feature_spec) == model.dimension
@@ -306,7 +309,7 @@ def test_a_large_vocabulary_over_the_largest_code_point_loads_as_built(tmp_path)
     loaded = load_model(path)
     vocab = loaded.feature_spec[0]
     # the keys made at load spell each term back
-    space, columns = vars(vocab)["_keys"]
+    space, columns = vocab.key_space, vocab.fitted_columns
     ordered = np.sort(columns)
     spelled = vectorize._spelled(space.alphabet, vectorize._code_rows(space, ordered))
     assert list(map(dict(zip(ordered.tolist(), spelled)).__getitem__, columns.tolist())) == terms

@@ -573,7 +573,7 @@ def test_weight_lines_are_float_hex(count, tmp_path):
     assert np.array_equal(load_model(path).weights.view(np.uint64), weights.view(np.uint64))
 
 
-def test_writing_allocates_little_beyond_the_file(bench_es_model):
+def test_writing_allocates_little_beyond_the_file(bench_es_model, record_property):
     model = load_model(bench_es_model)
     gc.collect()
     tracemalloc.start()
@@ -582,6 +582,7 @@ def test_writing_allocates_little_beyond_the_file(bench_es_model):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    record_property("write_memory", (peak, len(text)))
     assert len(text) == 1_267_092
     assert peak <= 4 * len(text), (peak, len(text))
 

@@ -892,9 +892,9 @@ def test_every_block_is_float64_with_canonical_rows(docs, scoring, min_n, span):
 @given(docs=level_corpora(), max_n=st.integers(1, 5), data=st.data())
 def test_mixed_length_columns_agree_with_term_by_term_lookup(docs, max_n, data):
     """Terms keyed by their prefixes and mapped onto counts find the
-    column that holds each there, in any order and with repeats, and -1
-    for a term the counts lack and for the empty term; a corpus's own
-    n-grams key exactly as the corpus does."""
+    column that holds each there, and -1 for a term the counts lack and
+    for the empty term; a corpus's own n-grams key exactly as the corpus
+    does."""
     counts = NgramCounts([stream_of(text) for text in docs], max_n)
     everything = np.arange(counts.key_space.first[-1])
     column_of = {term: c for c, term in enumerate(counts.terms(everything))}
@@ -908,7 +908,7 @@ def test_mixed_length_columns_agree_with_term_by_term_lookup(docs, max_n, data):
     ))
     absent += [term + "z" for term in present if len(term) < max_n]
     absent += ["z" + term[1:] for term in present] + [""]
-    terms = data.draw(st.permutations(present + absent))
+    terms = sorted(set(present + absent))
     space, columns = vectorize._term_key_space(terms)
     assert counts.column_map(space)[columns].tolist() == [column_of.get(t, -1) for t in terms]
     space, columns = vectorize._term_key_space([])
@@ -923,21 +923,22 @@ def test_mixed_length_columns_agree_with_term_by_term_lookup(docs, max_n, data):
     assert own.first.tolist() == counts.key_space.first[: len(own.first)].tolist()
 
 
-def test_a_vocabulary_keys_its_terms_on_first_read():
-    """A vocabulary not fitted on counts keys its terms' prefixes the first
-    time its key space or columns are read: codes 1..A over its sorted
-    code points, and each length's keys ``rank(prefix) * (A + 1) + code``."""
+def test_a_vocabulary_keys_its_terms_at_construction():
+    """A vocabulary not fitted on counts keys its terms' prefixes when it
+    is built, and keeps no term: codes 1..A over its sorted code points,
+    and each length's keys ``rank(prefix) * (A + 1) + code``."""
     config = char_config(1, 2, weighting=Weighting.COUNT)
     vocab = Vocabulary.from_columns(config, ["", "a", "ab", "b", "ba"], [1] * 5, 1, None)
-    assert "_keys" not in vars(vocab)
+    assert {"key_space", "fitted_columns"} <= vars(vocab).keys()
+    assert "_terms" not in vars(vocab)
     space = vocab.key_space
     assert space.alphabet.tolist() == [ord("a"), ord("b")] and space.base == 3
     assert [keys.tolist() for keys in space.keys] == [[1, 2], [0 * 3 + 2, 1 * 3 + 1]]
     assert space.first.tolist() == [0, 2, 4]
     assert vocab.fitted_columns.tolist() == [-1, 0, 2, 1, 3]  # the empty term has no key
-    assert vocab.key_space is space
     empty = Vocabulary.from_columns(config, [], [], 1, None)
     assert empty.fitted_columns.tolist() == [] and empty.key_space.keys == []
+    assert vocab.terms() == ["", "a", "ab", "b", "ba"] and empty.terms() == []
 
 
 # Symbols of terms whose order a check on code rows could get wrong: U+0000,
@@ -982,12 +983,12 @@ def test_term_order_is_checked_on_code_rows(terms):
     lengths = np.array(list(map(len, terms)), dtype=np.int64)
     if expected is not None:
         with pytest.raises(ValueError, match=f"^vocabulary term {expected} is out of order$"):
-            vectorize.spelled_key_space(points, lengths, ascending=True)
+            vectorize.spelled_key_space(points, lengths)
         return
-    space, columns = vectorize.spelled_key_space(points, lengths, ascending=True)
-    unchecked, same = vectorize._term_key_space(terms)
+    space, columns = vectorize.spelled_key_space(points, lengths)
+    keyed, same = vectorize._term_key_space(terms)
     assert columns.tolist() == same.tolist()
-    assert [keys.tolist() for keys in space.keys] == [keys.tolist() for keys in unchecked.keys]
+    assert [keys.tolist() for keys in space.keys] == [keys.tolist() for keys in keyed.keys]
     # each column spells its term back
     rows = vectorize._code_rows(space, np.sort(columns[columns >= 0]))
     spelled = dict(zip(np.sort(columns[columns >= 0]).tolist(),
@@ -1071,9 +1072,9 @@ def test_edge_code_points_count_and_look_up_as_the_oracle(docs, scoring, max_n, 
     assert_counts_match_brute_force(counts, texts, max_n)
     everything = np.arange(counts.key_space.first[-1])
     column_of = {term: c for c, term in enumerate(counts.terms(everything))}
+    terms = sorted(terms)
     space, columns = vectorize._term_key_space(terms)
     assert counts.column_map(space)[columns].tolist() == [column_of.get(t, -1) for t in terms]
-    terms = sorted(terms)
     vocab = Vocabulary.from_columns(
         char_config(1, max_n, weighting=Weighting.COUNT), terms, [1] * len(terms), len(docs), None
     )
@@ -1175,7 +1176,7 @@ def test_a_fitted_vocabulary_is_mapped_onto_other_counts_and_a_loaded_one_keyed_
     save_model(LinearModel(ModelKind.SVM, np.ones(len(vocab)), 0.0, (vocab,), Language.EN),
                tmp_path / "model.txt")
     (loaded,) = load_model(tmp_path / "model.txt").feature_spec
-    assert loaded == vocab and "_keys" in vars(loaded)  # loading keys its terms
+    assert loaded == vocab and "key_space" in vars(loaded)  # loading keys its terms
     sides = [other, NgramCounts(fitted_streams, 3)]
     expected = [scipy_csc(union_transform(side, (vocab,))) for side in sides]
     assert len(maps) == 8
